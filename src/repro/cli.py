@@ -170,21 +170,27 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_run_distributed(args) -> int:
+    import os
+
     from repro.cluster import Cluster, Node
     from repro.hpcwaas import FederatedDataLogistics, Federation
     from repro.workflow import run_distributed_extreme_events
 
     params = _params_from_args(args)
+    cores = params.cluster_cores_per_node
     dls = FederatedDataLogistics(wan_bandwidth_mbps=args.wan_mbps)
     with Federation(dls=dls) as fed:
-        fed.add_site(Cluster("hpc-sim", [Node("h1", 8, 32.0)]),
-                     role="simulation")
-        fed.add_site(Cluster("cloud-sim", [Node("c1", 4, 16.0)]),
-                     role="analytics")
+        for name, node, role in (
+            ("hpc-sim", Node("h1", 2 * cores, 32.0), "simulation"),
+            ("cloud-sim", Node("c1", cores, 16.0), "analytics"),
+        ):
+            root = os.path.join(args.scratch, name) if args.scratch else None
+            fed.add_site(Cluster(name, [node], scratch_root=root), role=role)
         summary = run_distributed_extreme_events(fed, params)
         print(json.dumps(summary, indent=1, default=str))
-        _export_trace(fed.for_role("analytics").filesystem, params,
-                      args.trace_out)
+        ana_fs = fed.for_role("analytics").filesystem
+        print(f"# artefacts: {ana_fs.root}/results/", file=sys.stderr)
+        _export_trace(ana_fs, params, args.trace_out)
     return 0
 
 
@@ -366,7 +372,7 @@ def _cmd_analyze(args) -> int:
         profile = profile_from_perfetto(
             payload,
             esm_functions=("esm_simulation",),
-            analytics_functions=set(ANALYTICS_TASKS) | {"transfer_year"},
+            analytics_functions=ANALYTICS_TASKS,
             what_if_top_k=args.top,
         ).to_json()
     elif "profile" in payload and isinstance(payload["profile"], dict):

@@ -112,14 +112,6 @@ class RuntimeConfig:
         paper's "data could be kept in memory" reuse).  ``0`` (the
         default) keeps the historical charge-every-consumption
         accounting.
-    poll_interval_s:
-        Compatibility knob for the pre-event-driven scheduler.  ``0``
-        (the default) makes idle workers sleep until a real event —
-        submission, completion, node restore, or a backoff/grace
-        deadline from the timer wheel.  A positive value restores the
-        old behaviour of re-polling the ready queue on that interval;
-        it exists so benchmarks (C9) can quantify the orchestration
-        overhead the event-driven core removes.
     """
 
     n_workers: int = 4
@@ -140,7 +132,6 @@ class RuntimeConfig:
     blacklist_grace_s: float = 0.5
     fault_injector: Optional[Any] = None
     worker_cache_bytes: int = 0
-    poll_interval_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -155,8 +146,6 @@ class RuntimeConfig:
             raise ValueError("transient_retries must be >= 0")
         if self.retry_backoff_base < 0 or self.retry_backoff_cap < 0:
             raise ValueError("backoff parameters must be non-negative")
-        if self.poll_interval_s < 0:
-            raise ValueError("poll_interval_s must be >= 0")
 
 
 #: Slot addressing for INOUT-written future parameters.
@@ -179,11 +168,6 @@ class COMPSsRuntime:
 
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
-        #: Poll-mode workers wait here instead of ``_wake``: nothing
-        #: notifies it except shutdown, so readiness is observed only at
-        #: tick boundaries — the legacy behaviour the event-driven core
-        #: replaced, kept faithful so C9 measures a real baseline.
-        self._poll = threading.Condition(self._lock)
         self._ready: List[TaskNode] = []
         self._pending_deps: Dict[int, int] = {}
         self._free_units = int(self.config.computing_units)
@@ -375,25 +359,13 @@ class COMPSsRuntime:
                         return
                     node = self._select_runnable(worker_id)
                     if node is None:
-                        if self.config.poll_interval_s:
-                            # Legacy polling: sleep a full tick on a
-                            # condition readiness events never notify
-                            # (``_poll`` shares the lock with ``_wake``
-                            # but only shutdown signals it), so a task
-                            # becoming ready mid-tick waits for the
-                            # next poll — the baseline C9 quantifies.
-                            self._poll.wait(
-                                timeout=self.config.poll_interval_s
-                            )
-                        else:
-                            # Event-driven: sleep until notified.
-                            # Every transition that can make a task
-                            # runnable notifies this condition —
-                            # submission, completion, resubmission,
-                            # cancellation, shutdown — and the timer
-                            # wheel covers backoff and blacklist-grace
-                            # deadlines.
-                            self._wake.wait()
+                        # Event-driven: sleep until notified.  Every
+                        # transition that can make a task runnable
+                        # notifies this condition — submission,
+                        # completion, resubmission, cancellation,
+                        # shutdown — and the timer wheel covers backoff
+                        # and blacklist-grace deadlines.
+                        self._wake.wait()
                 self._free_units -= node.computing_units
                 node.state = TaskState.RUNNING
                 node.worker_id = worker_id
@@ -1038,7 +1010,6 @@ class COMPSsRuntime:
                         )
             self._shutdown = True
             self._wake.notify_all()
-            self._poll.notify_all()
         for w in self._workers:
             w.join(timeout=5)
         self._timers.stop()

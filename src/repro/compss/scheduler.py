@@ -117,8 +117,8 @@ class InstrumentedPolicy(SchedulerPolicy):
 
     _DEPTH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
     #: Ready-queue latency is dominated by wake-up delivery: sub-ms on
-    #: the event-driven core, tens of ms under timed polling — the
-    #: buckets resolve both regimes so C9 can gate on p95.
+    #: the event-driven core, tens of ms when a wake-up is missed — the
+    #: buckets resolve both regimes.
     _LATENCY_BUCKETS = (
         0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
         0.05, 0.1, 0.25, 0.5, 1.0, 2.5,

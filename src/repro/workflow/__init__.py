@@ -21,8 +21,10 @@ used to deploy the application through the HPCWaaS stack (Figure 2).
 """
 
 from repro.workflow.config import WorkflowParams
-from repro.workflow.extreme_events import run_extreme_events_workflow
-from repro.workflow.distributed import run_distributed_extreme_events
+from repro.workflow.extreme_events import (
+    run_distributed_extreme_events,
+    run_extreme_events_workflow,
+)
 from repro.workflow.tosca import CASE_STUDY_TOSCA, build_case_study_services
 
 __all__ = [

@@ -9,6 +9,10 @@ dispatch; no worker is parked waiting on the stream).
 
 The function doubles as the HPCWaaS entrypoint: signature
 ``(cluster, params-dict)``, JSON-able summary return.
+
+:func:`run_distributed_extreme_events` is the paper's §7 extension: the
+same body with the simulation and the analytics placed on different
+sites of a :class:`~repro.hpcwaas.federation.Federation`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from repro.compss import COMPSs, CheckpointManager, compss_wait_on
 from repro.compss.scheduler import policy_by_name
 from repro.compss.streams import FileDistroStream, StreamClosed
 from repro.esm import parse_daily_filename
+from repro.hpcwaas.federation import Federation
 from repro.observability import (
     MetricsSnapshot,
     build_perfetto_trace,
@@ -46,7 +51,7 @@ from repro.workflow.config import WorkflowParams
 
 #: Analytics/ML task names used for the overlap metric (C1).
 ANALYTICS_TASKS = frozenset({
-    "load_year_cubes", "compute_qualifying_durations",
+    "transfer_year", "load_year_cubes", "compute_qualifying_durations",
     "index_duration_max", "index_duration_number", "index_frequency",
     "tc_preprocess", "tc_inference", "tc_georeference",
     "tc_deterministic_tracking", "validate_and_store", "make_map",
@@ -56,9 +61,9 @@ ANALYTICS_TASKS = frozenset({
 class YearCollector:
     """Shared, thread-safe year-bucketing view over a file stream.
 
-    Several per-year monitor tasks call :meth:`collect_year`
-    concurrently; whichever thread polls distributes fresh files into
-    per-year buckets and wakes the others.
+    Callers of :meth:`collect_year` may be concurrent; whichever thread
+    polls distributes fresh files into per-year buckets and wakes the
+    others.
 
     With *filesystem* given, the underlying stream is event-driven
     (woken by write events) and collectors block untimed between events;
@@ -311,14 +316,46 @@ def run_extreme_events_workflow(
     truth), the run-time task-graph census (Figure 3) and scheduling
     metrics (makespan and ESM/analytics overlap — claim C1).
     """
+    # A single cluster is a federation of one: both roles on one site.
+    return _run_placed(cluster, cluster, None, params, pace_seconds)
+
+
+def run_distributed_extreme_events(
+    federation: Federation,
+    params: "WorkflowParams | Dict[str, Any]",
+) -> Dict[str, Any]:
+    """Execute the case study across *federation*; returns the summary.
+
+    Requires the ``simulation`` and ``analytics`` roles to be assigned.
+    The ESM writes on the simulation site; each completed year is
+    shipped by the federated Data Logistics Service to the analytics
+    site, which holds everything else (Ophidia, ML, results, telemetry).
+    The summary is the single-site one plus a ``federation`` section
+    with per-transfer accounting.
+    """
+    return _run_placed(
+        federation.for_role("simulation"), federation.for_role("analytics"),
+        federation, params,
+    )
+
+
+def _run_placed(
+    sim: Cluster,
+    ana: Cluster,
+    federation: Optional[Federation],
+    params: "WorkflowParams | Dict[str, Any]",
+    pace_seconds: float = 0.0,
+) -> Dict[str, Any]:
+    """The one driver: run, then export telemetry to the analytics site."""
     p = params if isinstance(params, WorkflowParams) else WorkflowParams.from_dict(params)
-    fs = cluster.filesystem
+    fs = ana.filesystem
     fs.makedirs(p.results_dir)
+    kind = "run" if sim is ana else "run-distributed"
 
     registry = get_registry()
     snap_before = registry.snapshot()
     control = RunControlPlane(
-        "run", p, p.events_path or fs.path(f"{p.results_dir}/events.jsonl"),
+        kind, p, p.events_path or fs.path(f"{p.results_dir}/events.jsonl"),
     )
     control.begin()
     try:
@@ -327,12 +364,14 @@ def run_extreme_events_workflow(
         # into this trace.  When invoked through HPCWaaS the span joins
         # the API's trace instead of starting its own.
         with span(
-            "workflow.run", layer="workflow",
+            f"workflow.{kind}", layer="workflow",
             attrs={"years": len(p.years), "n_days": p.n_days,
                    "n_workers": p.n_workers, "scheduler": p.scheduler},
         ) as root:
             trace_id = root.context.trace_id
-            summary, runtime = _run_traced(cluster, p, fs, pace_seconds)
+            summary, runtime = _run_traced(
+                sim.filesystem, fs, federation, p, pace_seconds
+            )
     except BaseException as exc:
         control.fail(exc)
         raise
@@ -420,9 +459,16 @@ def run_extreme_events_workflow(
 
 
 def _run_traced(
-    cluster: Cluster, p: WorkflowParams, fs, pace_seconds: float
+    sim_fs, fs, federation: Optional[Federation], p: WorkflowParams,
+    pace_seconds: float,
 ) -> "tuple[Dict[str, Any], Any]":
-    """The traced workflow body; returns (summary, runtime)."""
+    """The traced workflow body; returns (summary, runtime).
+
+    The ESM writes to *sim_fs* and the collector watches it; *fs* (the
+    analytics site) holds everything else.  When the two differ, each
+    year's files cross the *federation*'s DLS in a ``transfer_year``
+    task between collection and import.
+    """
     tc_model_path = None
     if p.with_ml:
         tc_model_path = tasks.ensure_tc_model(
@@ -444,7 +490,7 @@ def _run_traced(
     collector = None
     try:
         client = Client(server)
-        collector = YearCollector(fs.path(p.output_dir), filesystem=fs)
+        collector = YearCollector(sim_fs.path(p.output_dir), filesystem=sim_fs)
 
         checkpoint = CheckpointManager(p.checkpoint_dir) if p.checkpoint_dir else None
         summary: Dict[str, Any] = {"years": {}, "params": {"years": p.years, "n_days": p.n_days}}
@@ -452,7 +498,8 @@ def _run_traced(
         registry = get_registry()
 
         # The reuse layer: node-local block cache in front of the shared
-        # filesystem (repeated daily-file reads become memory hits) ...
+        # filesystem (repeated daily-file reads become memory hits; on
+        # two sites that is the analytics side, which serves them) ...
         fs.configure_cache(p.fs_cache_bytes)
         with COMPSs(
             n_workers=p.n_workers,
@@ -468,7 +515,7 @@ def _run_traced(
             try:
                 # Step 3: the ESM simulation (runs for the whole projection).
                 truth_f = tasks.esm_simulation(
-                    fs, list(p.years), p.n_days, p.n_lat, p.n_lon,
+                    sim_fs, list(p.years), p.n_days, p.n_lat, p.n_lon,
                     p.scenario, p.seed, p.output_dir,
                     pace_seconds or p.pace_seconds, p.esm_restart_every,
                 )
@@ -550,6 +597,8 @@ def _run_traced(
                         wait_s=round(wait_end - wait_start, 3),
                         pipelined=esm_still_running,
                     )
+                    if sim_fs is not fs:
+                        days = tasks.transfer_year(federation, days, year, "staged")
                     tmax_f, tmin_f = tasks.load_year_cubes(client, days, p.nfrag)
                     futures: Dict[str, Any] = {}
 
@@ -668,6 +717,16 @@ def _run_traced(
                     "fs_cache_misses": fs_stats.cache_misses,
                     "ophidia_fragment_reads": server.storage_stats().fragment_reads,
                 }
+                if sim_fs is not fs:
+                    summary["federation"] = {
+                        "sites": federation.sites,
+                        "roles": federation.roles,
+                        "transfers": federation.dls.total_transfers,
+                        "bytes_moved": federation.dls.total_bytes,
+                        "transfer_seconds": federation.dls.total_seconds,
+                        "sim_site_writes": sim_fs.stats.writes,
+                        "ana_site_reads": fs_stats.reads,
+                    }
                 from repro.workflow.provenance import write_provenance
 
                 summary["provenance_path"] = _retry_transient(

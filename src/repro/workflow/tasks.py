@@ -12,6 +12,7 @@ is how the unit tests exercise them.
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.analytics.heatwaves import WaveIndices
 from repro.cluster.filesystem import SharedFilesystem
 from repro.compss import FILE_IN, task
 from repro.esm import CMCCCM3, ModelConfig, daily_filename, parse_daily_filename
+from repro.hpcwaas.federation import Federation
 from repro.ml.tc_localizer import CHANNELS, TCLocalizer, localize_in_snapshot
 from repro.observability import get_registry, maybe_span
 from repro.ophidia import Client, Cube
@@ -101,19 +103,26 @@ def write_baseline(
 
 
 # ---------------------------------------------------------------------------
-# 2. Streaming monitor (Figure 3, task #4)
+# 2. Cross-site staging (the §7 placement; absent from single-site runs)
 # ---------------------------------------------------------------------------
 
-@task(returns=1, label="stream_monitor")
-def monitor_year(stream, year: int, n_days: int) -> List[str]:
-    """Poll the file stream until every day of *year* has been produced.
+@task(returns=1, label="dls_transfer")
+def transfer_year(
+    federation: Federation, day_paths: Sequence[str], year: int, staging_dir: str,
+) -> List[str]:
+    """Ship one year of daily files simulation-site → analytics-site.
 
-    Returns the year's file paths in chronological order.  The stream is
-    shared across per-year monitors; files from other years are kept for
-    their monitors via the ``extras`` side channel.
+    *day_paths* are host paths on the simulation site's filesystem (as
+    collected from the file stream); returns analytics-site relative
+    paths.  Being a task, the movement overlaps the still-running
+    simulation exactly like the analytics does.
     """
-    paths = stream.collect_year(year, n_days)
-    return paths
+    sim = federation.for_role("simulation")
+    rel_paths = [os.path.relpath(p, sim.filesystem.root) for p in day_paths]
+    return federation.dls.transfer_files(
+        sim, federation.for_role("analytics"), rel_paths,
+        dest_dir=f"{staging_dir}/year_{year:04d}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +405,6 @@ def make_map(
 
 def ensure_tc_model(path: Optional[str], patch: int, tmp_dir: str) -> str:
     """Return a host path to a trained TC localizer, training if needed."""
-    import os
-
     from repro.ml import make_patch_dataset
 
     if path is not None and os.path.exists(path):

@@ -7,7 +7,6 @@ import pytest
 
 from repro.compss import COMPSs, compss_wait_on, task
 from repro.compss.api import get_runtime
-from repro.compss.runtime import RuntimeConfig
 from repro.compss.timerwheel import TimerWheel
 from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
 
@@ -93,10 +92,6 @@ class TestWaitOnSharedDeadline:
 
 
 class TestEventDrivenDispatch:
-    def test_poll_interval_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(n_workers=1, poll_interval_s=-0.1)
-
     def test_chain_latency_without_timed_polls(self):
         """Dependent tasks dispatch on completion events, not poll ticks.
 
@@ -105,8 +100,7 @@ class TestEventDrivenDispatch:
         of one, and the instrumented ready-queue latency confirms each
         hop was dispatched within milliseconds of becoming ready.
         """
-        with COMPSs(n_workers=2) as runtime:
-            assert runtime.config.poll_interval_s == 0.0
+        with COMPSs(n_workers=2):
             fut = 0
             start = time.monotonic()
             for _ in range(25):

@@ -130,16 +130,25 @@ class TestDistributedWorkflow:
             run_distributed_extreme_events,
             run_extreme_events_workflow,
         )
+        from repro.workflow.provenance import science_digests
 
-        fed, _, _ = two_sites
+        fed, _, cloud = two_sites
         kwargs = dict(
-            years=[2030], n_days=10, n_lat=16, n_lon=24, n_workers=4,
+            years=[2030, 2031], n_days=10, n_lat=16, n_lon=24, n_workers=4,
             min_length_days=4, with_ml=False, seed=9,
         )
         distributed = run_distributed_extreme_events(fed, WorkflowParams(**kwargs))
         with laptop_like(scratch_root=str(tmp_path / "single")) as single:
             local = run_extreme_events_workflow(single, WorkflowParams(**kwargs))
-        assert (distributed["years"][2030]["heat_waves"]
-                == local["years"][2030]["heat_waves"])
-        assert (distributed["years"][2030]["cold_waves"]
-                == local["years"][2030]["cold_waves"])
+            local_digests = science_digests(single.filesystem)
+        for year in kwargs["years"]:
+            for waves in ("heat_waves", "cold_waves"):
+                assert distributed["years"][year][waves] == local["years"][year][waves]
+        # Every science artefact on the analytics site is byte-identical
+        # to the single-site run's: indices, summaries, maps, TC tracks.
+        assert local_digests
+        assert science_digests(cloud.filesystem) == local_digests
+        # Same task graph, plus exactly one DLS transfer per year.
+        census = dict(local["task_graph"]["by_function"])
+        census["transfer_year"] = len(kwargs["years"])
+        assert distributed["task_graph"]["by_function"] == census

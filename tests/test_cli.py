@@ -71,6 +71,22 @@ class TestRun:
         summary = json.loads(capsys.readouterr().out)
         assert summary["federation"]["transfers"] == 1
 
+    def test_run_distributed_honours_scratch(self, tmp_path, capsys):
+        scratch = tmp_path / "scratch"
+        code = main([
+            "run-distributed", "--days", "5", "--n-lat", "16",
+            "--n-lon", "24", "--min-length", "4",
+            "--scratch", str(scratch), "--cores-per-node", "2",
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        results = scratch / "cloud-sim" / "results"
+        assert (results / "run_summary.json").exists()
+        assert (results / "provenance.json").exists()
+        assert list((scratch / "hpc-sim" / "esm_output").glob("cmcc_cm3_*.rnc"))
+        assert f"# artefacts: {results}/" in captured.err
+        assert json.loads(captured.out)["federation"]["transfers"] == 1
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

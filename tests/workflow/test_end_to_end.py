@@ -1,14 +1,22 @@
 """End-to-end integration tests: the full case study on a tiny grid."""
 
 import json
+import multiprocessing
+import os
+import threading
+from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster import laptop_like
+from repro.cluster import Cluster, Node, laptop_like
+from repro.faults.errors import InjectedIOError
+from repro.hpcwaas import Federation
+from repro.observability.slo import evaluate_rules, parse_slo_rules
 from repro.workflow import (
     CASE_STUDY_TOSCA,
     WorkflowParams,
     build_case_study_services,
+    run_distributed_extreme_events,
     run_extreme_events_workflow,
 )
 from repro.workflow.tasks import ensure_tc_model
@@ -23,6 +31,38 @@ def tc_model_path(tmp_path_factory):
 def cluster(tmp_path):
     with laptop_like(scratch_root=str(tmp_path)) as c:
         yield c
+
+
+@pytest.fixture
+def placement(cluster):
+    """The one driver on a placement: here, both roles on one site.
+
+    ``run(params)`` executes the workflow; ``fs`` is the analytics
+    site's filesystem (where results land), ``sim_fs`` the simulation
+    site's, ``n_transfers`` the ``transfer_year`` tasks per year.
+    :class:`TwoSite` rebinds this fixture to a two-site federation, so
+    the ``*Cases`` classes below run unchanged on either placement.
+    """
+    return SimpleNamespace(
+        run=lambda params: run_extreme_events_workflow(cluster, params),
+        fs=cluster.filesystem, sim_fs=cluster.filesystem, n_transfers=0,
+    )
+
+
+class TwoSite:
+    @pytest.fixture
+    def placement(self, tmp_path):
+        with Federation() as fed:
+            hpc = Cluster("hpc-sim", [Node("h1", 8, 32.0)],
+                          scratch_root=str(tmp_path / "hpc"))
+            cloud = Cluster("cloud-sim", [Node("c1", 4, 16.0)],
+                            scratch_root=str(tmp_path / "cloud"))
+            fed.add_site(hpc, role="simulation")
+            fed.add_site(cloud, role="analytics")
+            yield SimpleNamespace(
+                run=lambda params: run_distributed_extreme_events(fed, params),
+                fs=cloud.filesystem, sim_fs=hpc.filesystem, n_transfers=1,
+            )
 
 
 def small_params(tc_model_path, **overrides):
@@ -41,11 +81,11 @@ def small_params(tc_model_path, **overrides):
     return WorkflowParams(**defaults)
 
 
-class TestEndToEnd:
-    def test_full_run_produces_all_artifacts(self, cluster, tc_model_path):
+class EndToEndCases:
+    def test_full_run_produces_all_artifacts(self, placement, tc_model_path):
         params = small_params(tc_model_path)
-        summary = run_extreme_events_workflow(cluster, params)
-        fs = cluster.filesystem
+        summary = placement.run(params)
+        fs = placement.fs
 
         year = summary["years"][2030]
         assert "heat_waves" in year and "cold_waves" in year
@@ -57,22 +97,25 @@ class TestEndToEnd:
             for suffix in ("duration_max", "number", "frequency"):
                 assert fs.exists(f"results/{prefix}_{suffix}_2030.rnc"), suffix
             assert fs.exists(f"results/{prefix}_number_map_2030.pgm")
-        assert fs.exists("results/task_graph.dot")
-        assert fs.exists("results/run_summary.json")
+        for name in ("task_graph.dot", "run_summary.json", "provenance.json",
+                     "trace.json", "metrics.prom", "events.jsonl"):
+            assert fs.exists(f"results/{name}"), name
+        assert placement.sim_fs.glob("esm_output", "cmcc_cm3_2030_*.rnc")
         stored = json.loads(fs.read_bytes("results/run_summary.json"))
         assert stored["task_graph"]["n_tasks"] == summary["task_graph"]["n_tasks"]
 
-    def test_task_graph_census_matches_fig3_structure(self, cluster, tc_model_path):
+    def test_task_graph_census_matches_fig3_structure(self, placement, tc_model_path):
         """Per-year task multiset implied by Figure 3 / §5.1."""
         params = small_params(tc_model_path)
-        summary = run_extreme_events_workflow(cluster, params)
+        summary = placement.run(params)
         by_fn = summary["task_graph"]["by_function"]
+        # The placement's only footprint in the graph: one DLS transfer
+        # per year when the sites differ, none on a single site.
+        assert by_fn.pop("transfer_year", 0) == placement.n_transfers
+        assert sum(by_fn.values()) == 20
         assert by_fn["esm_simulation"] == 1
         assert by_fn["write_baseline"] == 1
         assert by_fn["load_baseline_cubes"] == 1
-        # Pipelined dispatch: the driver waits on the file stream, so
-        # no monitor task occupies a worker slot.
-        assert "monitor_year" not in by_fn
         assert by_fn["load_year_cubes"] == 1
         assert by_fn["compute_qualifying_durations"] == 2   # HW + CW
         assert by_fn["index_duration_max"] == 2
@@ -86,6 +129,28 @@ class TestEndToEnd:
         assert by_fn["tc_deterministic_tracking"] == 1
         assert summary["task_graph"]["n_edges"] > 0
 
+    def test_schedule_gauges_feed_slo_rules(self, placement, tc_model_path):
+        """The four schedule gauges land in the run's metrics, so a
+        makespan SLO rule has something to judge on either placement."""
+        summary = placement.run(small_params(tc_model_path, n_days=8, with_ml=False))
+        for gauge in ("workflow_makespan_seconds",
+                      "workflow_esm_analytics_overlap_seconds",
+                      "workflow_worker_utilisation",
+                      "workflow_pipelined_years"):
+            assert gauge in summary["metrics"], gauge
+        (result,) = evaluate_rules(parse_slo_rules(
+            "slos:\n  - name: makespan\n"
+            "    metric: workflow_makespan_seconds\n    max: 0.000001\n"
+        ), summary["metrics"])
+        assert result.value == pytest.approx(summary["schedule"]["makespan_s"])
+        assert not result.ok
+
+
+class TestEndToEndTwoSite(TwoSite, EndToEndCases):
+    pass
+
+
+class TestEndToEnd(EndToEndCases):
     def test_multi_year_scales_task_counts(self, cluster, tc_model_path):
         params = small_params(tc_model_path, years=[2030, 2031], with_ml=False)
         summary = run_extreme_events_workflow(cluster, params)
@@ -94,7 +159,6 @@ class TestEndToEnd:
         # tasks would be repeated with the exception of the first four").
         assert by_fn["esm_simulation"] == 1
         assert by_fn["load_baseline_cubes"] == 1
-        assert "monitor_year" not in by_fn
         assert by_fn["compute_qualifying_durations"] == 4
         assert set(summary["years"]) == {2030, 2031}
         assert summary["schedule"]["pipelined_years"] >= 0
@@ -134,40 +198,93 @@ class TestEndToEnd:
             assert hw["max_duration_days"] >= 6
 
 
-class TestResilience:
-    def test_second_run_recovers_checkpointable_tasks(self, tmp_path, tc_model_path):
+class _FlakyExports:
+    """Filesystem chaos hook: the first write of each telemetry or
+    provenance artefact fails with a transient I/O error."""
+
+    def __init__(self):
+        self.hit = set()
+
+    def before_op(self, op, path, fs=None):
+        name = path.rsplit("/", 1)[-1]
+        if (op == "write_bytes" and name not in self.hit and name in (
+                "trace.json", "metrics.json", "run_summary.json",
+                "provenance.json", "task_graph.dot")):
+            self.hit.add(name)
+            raise InjectedIOError(op, path)
+
+
+class ResilienceCases:
+    def test_second_run_recovers_checkpointable_tasks(
+            self, placement, tmp_path, tc_model_path):
         """Re-running with the same checkpoint store recovers the tasks
-        with picklable outputs (simulation truth, stats); cube-producing
-        tasks re-execute by design.  Science identical."""
-        ckpt = str(tmp_path / "ckpt")
+        with picklable outputs (simulation truth, staged paths, stats);
+        cube-producing tasks re-execute by design.  Science identical.
 
-        def run():
-            from repro.cluster import laptop_like
-            from repro.workflow import run_extreme_events_workflow
-
-            # A restart reuses the same scratch: recovered task outputs
-            # reference files that must still exist.
-            with laptop_like(scratch_root=str(tmp_path / "scratch")) as cluster:
-                params = small_params(
-                    tc_model_path, n_days=8, with_ml=False,
-                    checkpoint_dir=ckpt,
-                )
-                return run_extreme_events_workflow(cluster, params)
-
-        first = run()
-        second = run()
+        A restart reuses the same scratch: recovered task outputs
+        reference files that must still exist."""
+        params = small_params(
+            tc_model_path, n_days=8, with_ml=False,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        first = placement.run(params)
+        second = placement.run(params)
         assert second["years"][2030]["heat_waves"] == first["years"][2030]["heat_waves"]
-        # The heavy producer (ESM) recovered.
         assert second["task_graph"]["n_tasks"] == first["task_graph"]["n_tasks"]
+        # The heavy producer (ESM) and the per-year transfer recovered.
+        prov = json.loads(placement.fs.read_bytes("results/provenance.json"))
+        recovered = {a["function"] for a in prov["activities"]
+                     if a["state"] == "RECOVERED"}
+        assert "esm_simulation" in recovered
+        assert ("transfer_year" in recovered) == bool(placement.n_transfers)
 
-    def test_esm_restart_files_written_by_workflow(self, cluster, tc_model_path):
-        from repro.workflow import run_extreme_events_workflow
-
+    def test_esm_restart_files_written_by_workflow(self, placement, tc_model_path):
         params = small_params(tc_model_path, n_days=9, with_ml=False,
                               esm_restart_every=4)
-        run_extreme_events_workflow(cluster, params)
-        restarts = cluster.filesystem.glob("restarts", "restart_2030_*.rnc")
+        placement.run(params)
+        restarts = placement.sim_fs.glob("restarts", "restart_2030_*.rnc")
         assert len(restarts) == 2
+
+    def test_transient_export_faults_are_absorbed(self, placement, tc_model_path):
+        """Driver-side artefact writes sit outside any task, so the
+        driver itself retries a flaky analytics filesystem."""
+        flaky = placement.fs.fault_injector = _FlakyExports()
+        summary = placement.run(small_params(tc_model_path, n_days=8, with_ml=False))
+        assert len(flaky.hit) == 5
+        stored = json.loads(placement.fs.read_bytes("results/run_summary.json"))
+        assert stored["run_id"] == summary["run_id"]
+        assert placement.fs.exists(summary["provenance_path"])
+
+    def test_failed_esm_leaks_nothing(self, placement, tc_model_path, monkeypatch):
+        """A dying simulation surfaces as the task's error, closes the
+        collector (its write listener leaves the simulation site) and
+        leaves no runtime, timer-wheel or Ophidia thread, no worker
+        process and no shared-memory segment behind."""
+        def die(self, *args, **kwargs):
+            raise RuntimeError("model blew up")
+
+        monkeypatch.setattr("repro.workflow.tasks.CMCCCM3.run_year", die)
+        shm_before = set(os.listdir("/dev/shm"))
+        threads_before = set(threading.enumerate())
+        with pytest.raises(Exception, match="model blew up"):
+            placement.run(small_params(
+                tc_model_path, n_days=8, with_ml=False,
+                execution_backend="process",
+            ))
+        leaked = [t.name for t in set(threading.enumerate()) - threads_before
+                  if t.is_alive()]
+        assert leaked == []
+        assert placement.sim_fs._write_listeners == []
+        assert multiprocessing.active_children() == []
+        assert set(os.listdir("/dev/shm")) <= shm_before
+
+
+class TestResilience(ResilienceCases):
+    pass
+
+
+class TestResilienceTwoSite(TwoSite, ResilienceCases):
+    pass
 
 
 class TestHPCWaaSLifecycle:

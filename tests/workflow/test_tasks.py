@@ -42,10 +42,10 @@ class TestESMTasks:
 
 
 class TestMonitor:
-    def test_monitor_year_collects_files(self, fs):
+    def test_collect_year_returns_chronological_paths(self, fs):
         run_small_esm(fs, n_days=5)
         collector = YearCollector(fs.path("esm_output"))
-        paths = tasks.monitor_year(collector, 2030, 5)
+        paths = collector.collect_year(2030, 5)
         assert len(paths) == 5
         assert paths == sorted(paths)
         collector.close()
