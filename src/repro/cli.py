@@ -17,9 +17,6 @@ Commands
 ``analyze``
     Profile a finished run (trace.json / run_summary.json): critical
     path, per-worker utilization, stragglers, what-if estimates.
-``perf-gate``
-    Diff measured benchmark metrics against committed baselines with
-    per-metric tolerances; exits nonzero on regression.
 ``history``
     Query the persistent run-history store: list runs, show one, or
     compare two runs' headline metrics (exits nonzero on drift with
@@ -389,46 +386,6 @@ def _cmd_analyze(args) -> int:
     else:
         print(render_profile(profile, top=args.top), end="")
     return 0
-
-
-def _cmd_perf_gate(args) -> int:
-    """Diff measured benchmark metrics against committed baselines."""
-    from repro.observability import (
-        capture_baseline, extract_headline_metrics, gate_summary,
-        load_baselines,
-    )
-    from repro.observability.export import _looks_like_snapshot
-
-    with open(args.from_path) as fh:
-        payload = json.load(fh)
-
-    # Accept a BENCH_summary.json, a run's metrics.json, or a
-    # run_summary.json (headline metrics are extracted from the latter
-    # two under the benchmark name "workflow_run").
-    if "benchmarks" in payload:
-        summary = payload
-    else:
-        snapshot = payload.get("metrics", payload)
-        if not _looks_like_snapshot(snapshot):
-            print(f"{args.from_path}: neither a BENCH_summary.json nor a "
-                  "metrics snapshot", file=sys.stderr)
-            return 2
-        summary = {"benchmarks": {
-            "workflow_run": extract_headline_metrics(snapshot)
-        }}
-
-    if args.capture:
-        for bench, metrics in sorted(summary["benchmarks"].items()):
-            path = capture_baseline(bench, metrics, args.baseline)
-            print(f"# captured {path}", file=sys.stderr)
-        return 0
-
-    report = gate_summary(summary, load_baselines(args.baseline))
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            json.dump(report.to_json(), fh, indent=1)
-    print(report.render(), end="")
-    return 0 if report.passed else 1
 
 
 def _open_history(args) -> "RunHistory | None":
@@ -833,25 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="contributors/what-ifs to show (default 10)")
     analyze.set_defaults(fn=_cmd_analyze)
 
-    gate = sub.add_parser(
-        "perf-gate",
-        help="diff benchmark metrics against committed baselines; "
-             "exit 1 on regression",
-    )
-    gate.add_argument("--from", dest="from_path", required=True,
-                      metavar="PATH",
-                      help="a BENCH_summary.json, metrics.json, or "
-                           "run_summary.json")
-    gate.add_argument("--baseline", required=True, metavar="PATH",
-                      help="baseline .json file or directory of them "
-                           "(e.g. benchmarks/baselines)")
-    gate.add_argument("--capture", action="store_true",
-                      help="write/refresh baselines from the measured "
-                           "values instead of gating")
-    gate.add_argument("--report-out", default=None, metavar="PATH",
-                      help="also write the gate report as JSON here")
-    gate.set_defaults(fn=_cmd_perf_gate)
-
     history = sub.add_parser(
         "history",
         help="query the persistent run-history store (runs.db)",
@@ -861,13 +799,13 @@ def build_parser() -> argparse.ArgumentParser:
     h_list.add_argument("--limit", type=int, default=20)
     h_list.add_argument("--kind", default=None,
                         help="filter by run kind (run, run-distributed, "
-                             "chaos, benchmark)")
+                             "chaos)")
     h_show = history_sub.add_parser("show", help="one run in full")
     h_show.add_argument("run_id", help="run id (unique prefix accepted)")
     h_compare = history_sub.add_parser(
         "compare",
         help="diff two runs' headline metrics and critical-path "
-             "attribution; flags drift beyond the perf-gate tolerances",
+             "attribution; flags drift beyond the per-metric tolerances",
     )
     h_compare.add_argument("run_a", help="baseline run id (prefix ok)")
     h_compare.add_argument("run_b", help="candidate run id (prefix ok)")

@@ -12,7 +12,7 @@ workflow run yields:
   (``repro run --trace-out trace.json``).
 
 See ``docs/OBSERVABILITY.md`` for the metric names, the span taxonomy
-and how the benchmarks consume them.
+and what consumes them.
 """
 
 from repro.observability.metrics import (
@@ -53,13 +53,8 @@ from repro.observability.profile import (
     render_profile,
 )
 from repro.observability.baseline import (
-    GateReport,
-    capture_baseline,
     compare_to_baseline,
     extract_headline_metrics,
-    gate_summary,
-    load_baselines,
-    write_bench_summary,
 )
 from repro.observability.events import (
     Event,
@@ -78,7 +73,6 @@ from repro.observability.history import (
     RunRecord,
     compare_runs,
     default_history_path,
-    locked_json_update,
     new_run_id,
     render_comparison,
     render_run,
@@ -138,13 +132,8 @@ __all__ = [
     "profile_spans",
     "profile_from_perfetto",
     "render_profile",
-    "GateReport",
-    "capture_baseline",
     "compare_to_baseline",
     "extract_headline_metrics",
-    "gate_summary",
-    "load_baselines",
-    "write_bench_summary",
     "Event",
     "EventLog",
     "current_run_id",
@@ -159,7 +148,6 @@ __all__ = [
     "RunRecord",
     "compare_runs",
     "default_history_path",
-    "locked_json_update",
     "new_run_id",
     "render_comparison",
     "render_run",

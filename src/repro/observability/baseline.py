@@ -1,19 +1,11 @@
-"""Perf-regression gate: committed baselines + tolerance-aware diffing.
+"""Tolerance-aware comparison of one run's headline metrics to another's.
 
-The benchmarks (C1 overlap, C7 reuse, C8 fusion) record a handful of
-headline numbers per run — makespan, critical-path length, fragment
-writes, transfer bytes saved, cache hit rate — into a single
-``BENCH_summary.json``.  This module turns such summaries into committed
-baselines under ``benchmarks/baselines/`` and diffs fresh summaries
-against them with per-metric tolerances, so a perf win landed by one PR
-cannot silently regress in a later one: ``repro perf-gate`` exits
-nonzero when any metric drifts outside its tolerance in the bad
-direction.
+``repro history compare`` (:func:`repro.observability.history.compare_runs`)
+turns the reference run's headline numbers — makespan, critical-path
+length, fragment writes, transfer bytes saved, cache hit rate — into a
+baseline document and checks the candidate run against it::
 
-Baseline files are one JSON document per benchmark::
-
-    {"benchmark": "c7_cache_reuse",
-     "metrics": {"makespan_s": {"value": 3.1, "direction": "lower",
+    {"metrics": {"makespan_s": {"value": 3.1, "direction": "lower",
                                 "tolerance_pct": 75.0, "abs_tolerance": 0.0},
                  ...}}
 
@@ -22,27 +14,20 @@ regresses when the current value exceeds
 ``value * (1 + tolerance_pct/100) + abs_tolerance``; ``higher``-is-better
 mirrors that.  Wall-clock metrics default to wide (75%) tolerances so
 shared-CI jitter passes while a genuine 2x blow-up still fails;
-deterministic counts are gated tightly.
+deterministic counts are gated tightly.  Commit-versus-commit gating of
+the reference workloads lives in ``bench/run.py`` + ``bench/compare.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
-    "GateReport",
     "MetricCheck",
-    "capture_baseline",
     "compare_to_baseline",
     "default_metric_spec",
     "extract_headline_metrics",
-    "gate_summary",
-    "load_baseline",
-    "load_baselines",
-    "write_bench_summary",
 ]
 
 #: (substring, spec) rules, first match wins (a trailing ``$`` makes the
@@ -90,57 +75,6 @@ def default_metric_spec(name: str, value: float) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Capture / load
-# ---------------------------------------------------------------------------
-
-def capture_baseline(
-    benchmark: str,
-    metrics: Mapping[str, float],
-    out_dir: str,
-    overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
-) -> str:
-    """Write (or refresh) ``<out_dir>/<benchmark>.json`` from measured
-    values; *overrides* patches individual metric specs (e.g. a custom
-    tolerance).  Returns the file path."""
-    os.makedirs(out_dir, exist_ok=True)
-    doc: Dict[str, Any] = {"benchmark": benchmark, "metrics": {}}
-    for name in sorted(metrics):
-        spec = default_metric_spec(name, metrics[name])
-        if overrides and name in overrides:
-            spec.update(overrides[name])
-        doc["metrics"][name] = spec
-    path = os.path.join(out_dir, f"{benchmark}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_baseline(path: str) -> Dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if "metrics" not in doc:
-        raise ValueError(f"{path}: not a baseline file (no 'metrics' key)")
-    return doc
-
-
-def load_baselines(path: str) -> Dict[str, Dict[str, Any]]:
-    """Baselines keyed by benchmark name; *path* is one file or a
-    directory of ``*.json`` baselines."""
-    if os.path.isdir(path):
-        docs = {}
-        for entry in sorted(os.listdir(path)):
-            if entry.endswith(".json"):
-                doc = load_baseline(os.path.join(path, entry))
-                docs[doc.get("benchmark", entry[:-5])] = doc
-        if not docs:
-            raise ValueError(f"no baseline .json files under {path}")
-        return docs
-    doc = load_baseline(path)
-    return {doc.get("benchmark", os.path.basename(path)[:-5] or path): doc}
-
-
-# ---------------------------------------------------------------------------
 # Comparison
 # ---------------------------------------------------------------------------
 
@@ -165,57 +99,6 @@ class MetricCheck:
         if self.current is None or not self.baseline:
             return None
         return 100.0 * (self.current - self.baseline) / self.baseline
-
-
-@dataclass
-class GateReport:
-    """All checks across all gated benchmarks."""
-
-    checks: List[MetricCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not any(c.regressed for c in self.checks)
-
-    @property
-    def regressions(self) -> List[MetricCheck]:
-        return [c for c in self.checks if c.regressed]
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "n_checks": len(self.checks),
-            "n_regressions": len(self.regressions),
-            "checks": [
-                {
-                    "benchmark": c.benchmark, "metric": c.metric,
-                    "status": c.status, "current": c.current,
-                    "baseline": c.baseline, "threshold": c.threshold,
-                    "direction": c.direction, "delta_pct": c.delta_pct,
-                }
-                for c in self.checks
-            ],
-        }
-
-    def render(self) -> str:
-        lines = []
-        marks = {"ok": "ok  ", "new": "new ", "regression": "FAIL",
-                 "missing": "MISS"}
-        for c in self.checks:
-            cur = "n/a" if c.current is None else f"{c.current:.4g}"
-            base = "n/a" if c.baseline is None else f"{c.baseline:.4g}"
-            delta = "" if c.delta_pct is None else f"  ({c.delta_pct:+.1f}%)"
-            lines.append(
-                f"  [{marks.get(c.status, c.status)}] "
-                f"{c.benchmark}.{c.metric}: {cur} vs baseline {base} "
-                f"({c.direction} is better){delta}"
-            )
-        verdict = "PASS" if self.passed else "FAIL"
-        lines.append(
-            f"perf gate: {verdict} — {len(self.checks)} checks, "
-            f"{len(self.regressions)} regressions"
-        )
-        return "\n".join(lines) + "\n"
 
 
 def _check_one(
@@ -245,7 +128,7 @@ def compare_to_baseline(
     current: Mapping[str, float],
     baseline: Mapping[str, Any],
 ) -> List[MetricCheck]:
-    """Gate one benchmark's measured metrics against one baseline doc.
+    """Gate one set of measured metrics against one baseline doc.
 
     Every baselined metric must be present and in tolerance (absent →
     ``missing`` → fail); metrics measured but not yet baselined report
@@ -264,45 +147,8 @@ def compare_to_baseline(
     return checks
 
 
-def gate_summary(
-    summary: Mapping[str, Any],
-    baselines: Mapping[str, Mapping[str, Any]],
-) -> GateReport:
-    """Gate a ``BENCH_summary.json`` document against loaded baselines.
-
-    Benchmarks present only in the summary pass as ``new``; a baseline
-    with no matching summary entry fails (the benchmark silently
-    disappearing from CI is itself a regression).
-    """
-    report = GateReport()
-    measured: Mapping[str, Any] = summary.get("benchmarks", summary)
-    for bench in sorted(baselines):
-        current = measured.get(bench)
-        if current is None:
-            for metric, spec in sorted(baselines[bench].get("metrics", {}).items()):
-                report.checks.append(MetricCheck(
-                    bench, metric, "missing", None,
-                    float(spec["value"]), None,
-                    str(spec.get("direction", "lower")),
-                ))
-            continue
-        report.checks.extend(
-            compare_to_baseline(bench, current, baselines[bench])
-        )
-    for bench in sorted(set(measured) - set(baselines)):
-        entry = measured[bench]
-        if not isinstance(entry, Mapping):
-            continue
-        for metric in sorted(entry):
-            value = entry[metric]
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                report.checks.append(MetricCheck(
-                    bench, metric, "new", float(value), None, None, "-"))
-    return report
-
-
 # ---------------------------------------------------------------------------
-# Headline extraction + BENCH_summary.json
+# Headline extraction
 # ---------------------------------------------------------------------------
 
 def extract_headline_metrics(metrics_json: Mapping[str, Any]) -> Dict[str, float]:
@@ -331,35 +177,3 @@ def extract_headline_metrics(metrics_json: Mapping[str, Any]) -> Dict[str, float
     if hits + misses > 0:
         headline["fs_cache_hit_rate"] = hits / (hits + misses)
     return headline
-
-
-def write_bench_summary(
-    path: str, benchmark: str, metrics: Mapping[str, float],
-) -> Dict[str, Any]:
-    """Merge one benchmark's numbers into ``BENCH_summary.json``.
-
-    Merge-on-write lets independent pytest invocations (one per
-    benchmark file, as CI runs them) compose into a single summary the
-    gate consumes — including *concurrent* invocations: the
-    read-modify-write runs under the same interprocess lock + atomic
-    rename discipline as ``runs.db``'s WAL, so parallel benchmark
-    processes merge instead of clobbering each other (or leaving a torn
-    file for the gate to choke on).  Returns the merged document.
-    """
-    from repro.observability.history import locked_json_update
-
-    clean = {
-        k: float(v) for k, v in metrics.items()
-        if isinstance(v, (int, float)) and not isinstance(v, bool)
-    }
-
-    def merge(existing: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {"benchmarks": {}}
-        if isinstance(existing, dict):
-            doc.update(existing)
-            if not isinstance(doc.get("benchmarks"), dict):
-                doc["benchmarks"] = {}
-        doc["benchmarks"][benchmark] = clean
-        return doc
-
-    return locked_json_update(path, merge)

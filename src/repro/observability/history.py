@@ -3,7 +3,7 @@
 Telemetry so far evaporated with the process: spans, metrics and
 profiles all described *one* run and were gone when it ended.  This
 module gives the system cross-run memory — every ``repro run`` /
-``run-distributed`` / ``chaos`` / benchmark invocation persists a row
+``run-distributed`` / ``chaos`` invocation persists a row
 into ``runs.db`` (run id, kind, status, wall clock, git revision,
 params digest, the full per-run metrics snapshot and the critical-path
 profile summary), queryable long after the process exited::
@@ -17,17 +17,16 @@ The store is deliberately boring and robust:
 * **schema-versioned** via ``PRAGMA user_version`` with in-place
   migration hooks, so old databases keep working across PRs;
 * **concurrent-writer safe** — WAL journal mode, ``BEGIN IMMEDIATE``
-  transactions and a busy timeout, so parallel benchmark processes can
-  all record into one database (the same discipline
-  :func:`locked_json_update` applies to ``BENCH_summary.json``);
+  transactions and a busy timeout, so parallel processes can all
+  record into one database;
 * one connection per operation — no long-lived handles to leak across
   forks or threads.
 
-``compare`` diffs two runs' headline metrics using the same
-per-metric-name tolerance specs as the perf gate
+``compare`` diffs two runs' headline metrics using per-metric-name
+tolerance specs
 (:func:`repro.observability.baseline.default_metric_spec`), plus the
 critical-path category attribution from each run's profile, and flags
-drifts beyond tolerance — the cross-run analogue of ``repro perf-gate``.
+drifts beyond tolerance.
 """
 
 from __future__ import annotations
@@ -44,12 +43,9 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional
 __all__ = [
     "RunHistory",
     "RunRecord",
-    "atomic_write_json",
     "compare_runs",
     "default_history_path",
     "git_revision",
-    "interprocess_lock",
-    "locked_json_update",
     "new_run_id",
     "params_digest",
     "render_comparison",
@@ -141,8 +137,8 @@ def default_history_path() -> Optional[str]:
     """The ambient ``runs.db`` path, or None when history is disabled.
 
     Drivers called as a library persist nothing unless ``$REPRO_RUNS_DB``
-    points somewhere (unit tests stay side-effect free); the CLI and the
-    benchmark harness set an explicit path.
+    points somewhere (unit tests stay side-effect free); the CLI sets
+    an explicit path.
     """
     return os.environ.get("REPRO_RUNS_DB") or None
 
@@ -194,89 +190,6 @@ def params_digest(params: Mapping[str, Any]) -> str:
 
     canonical = json.dumps(params, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
-# ---------------------------------------------------------------------------
-# Interprocess file locking + atomic JSON (shared with the bench summary)
-# ---------------------------------------------------------------------------
-
-@contextmanager
-def interprocess_lock(path: str, timeout: float = 30.0) -> Iterator[None]:
-    """Exclusive advisory lock on ``<path>.lock`` across processes.
-
-    Uses ``fcntl.flock`` where available (every platform this repo's CI
-    runs on); elsewhere falls back to an ``O_EXCL`` spin lock.  Always
-    blocks rather than failing: callers hold it for milliseconds.
-    """
-    lock_path = path + ".lock"
-    parent = os.path.dirname(os.path.abspath(lock_path))
-    os.makedirs(parent, exist_ok=True)
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX fallback
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise TimeoutError(f"could not lock {lock_path}")
-                time.sleep(0.01)
-        try:
-            yield
-        finally:
-            os.close(fd)
-            try:
-                os.unlink(lock_path)
-            except OSError:
-                pass
-        return
-    fd = os.open(lock_path, os.O_CREAT | os.O_WRONLY, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        fcntl.flock(fd, fcntl.LOCK_UN)
-        os.close(fd)
-
-
-def atomic_write_json(path: str, doc: Any) -> None:
-    """Write *doc* as JSON via a same-directory temp file + rename.
-
-    Readers never observe a torn file: the rename is atomic on POSIX.
-    """
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    tmp = os.path.join(
-        parent, f".{os.path.basename(path)}.{os.getpid()}.{uuid.uuid4().hex[:6]}.tmp"
-    )
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def locked_json_update(path: str, update: Any, timeout: float = 30.0) -> Any:
-    """Read-modify-write *path* under the interprocess lock.
-
-    *update* receives the current document (or None when the file is
-    absent/corrupt) and returns the document to persist, which is
-    written atomically.  This is the WAL-adjacent discipline for the
-    JSON artefacts that sit next to ``runs.db`` (``BENCH_summary.json``):
-    two concurrent benchmark processes merge instead of clobbering.
-    """
-    with interprocess_lock(path, timeout=timeout):
-        current = None
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    current = json.load(fh)
-            except (ValueError, OSError):
-                current = None
-        doc = update(current)
-        atomic_write_json(path, doc)
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +357,7 @@ class RunHistory:
         extra: Optional[Mapping[str, Any]] = None,
         run_id: Optional[str] = None,
     ) -> str:
-        """One-shot insert of a finished run (benchmark harness path)."""
+        """One-shot insert of a finished run."""
         rid = run_id or new_run_id()
         self.record_start(rid, kind, params, trace_id=trace_id)
         self.record_end(
@@ -542,7 +455,7 @@ def _profile_summary(profile: Mapping[str, Any]) -> Dict[str, Any]:
 def compare_runs(a: RunRecord, b: RunRecord) -> Dict[str, Any]:
     """Diff run *b* against baseline run *a*.
 
-    Headline metrics are gated with the perf-gate tolerance specs
+    Headline metrics are gated with the per-metric tolerance specs
     (:func:`default_metric_spec` keyed on run *a*'s value): a metric
     drifting outside its tolerance in the bad direction is flagged as a
     regression.  The critical-path category attribution (compute / io /

@@ -12,7 +12,7 @@ many users can share one simulated cluster:
   event-driven launcher that packs runnable jobs onto the cluster.
 - :mod:`repro.service.demo` publishes two demo workflows (an ESM
   ensemble member and a small analytics job) through the full HPCWaaS
-  path for the CLI and the C11 throughput benchmark.
+  path for the CLI and the ``service_burst`` benchmark workload.
 """
 
 from repro.service.db import (

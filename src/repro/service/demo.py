@@ -1,7 +1,7 @@
 """Demo workloads for the service: an ESM member and a small analytics job.
 
-``repro service run`` and the C11 throughput benchmark need real
-deployed workflows whose resource shapes exercise the launcher: a
+``repro service run`` and the ``service_burst`` benchmark workload
+need real deployed workflows whose resource shapes exercise the launcher: a
 *big* job (one ESM ensemble member holding several cores for a while)
 and a *small* one (a heat-wave index computation on one core) whose
 mixture makes fair-share ordering and gap backfill observable.  Both

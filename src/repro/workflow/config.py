@@ -26,7 +26,6 @@ class WorkflowParams:
     scheduler: str = "fifo"
     ophidia_io_servers: int = 2
     ophidia_cores: int = 2
-    ophidia_lazy: bool = True    # fuse operator chains into single sweeps
     nfrag: int = 4
     #: Resident-fragment byte budget per Ophidia IO server.  When the
     #: budget is exceeded, least-recently-used fragments spill

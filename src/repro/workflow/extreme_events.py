@@ -394,7 +394,7 @@ def _run_placed(
 
     # Critical-path profile of the run just recorded.  Computed before
     # the metrics delta so the critical-path gauge lands in this run's
-    # snapshot (and hence in the perf-gate's headline metrics).
+    # snapshot (and hence in `history compare`'s headline metrics).
     trace_spans = get_collector().for_trace(trace_id)
     try:
         profile = profile_spans(
@@ -480,7 +480,7 @@ def _run_traced(
         spill_dir = fs.path("ophidia_spill")
     server = OphidiaServer(
         n_io_servers=p.ophidia_io_servers, n_cores=p.ophidia_cores, filesystem=fs,
-        lazy=p.ophidia_lazy, backend=p.execution_backend,
+        backend=p.execution_backend,
         memory_budget_bytes=p.ophidia_memory_budget_bytes, spill_dir=spill_dir,
     )
     # Everything below the server construction runs inside its

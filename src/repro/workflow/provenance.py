@@ -75,7 +75,7 @@ def science_digests(
     Excludes run bookkeeping (traces, metrics, summaries) so two runs
     that differ only in scheduling or caching — but not in science —
     produce identical digest maps.  Used by the cache-equivalence tests
-    and the C7 benchmark to prove the reuse layer is byte-transparent.
+    to prove the reuse layer is byte-transparent.
     """
     digests: Dict[str, str] = {}
     for name in filesystem.listdir(results_dir):

@@ -1,10 +1,8 @@
-"""Round-trip acceptance: `repro analyze` / `repro perf-gate` CLIs.
+"""Round-trip acceptance: the `repro analyze` CLI.
 
 A real (paced, two-year) workflow run is profiled three ways — in
 process, from the exported ``trace.json``, and from the artifacts on
-disk — and all three must agree.  The perf gate is exercised end to
-end: capture baselines, pass on the same numbers, fail on a doctored
-2x makespan.
+disk — and all three must agree.
 """
 
 import json
@@ -13,7 +11,6 @@ import pytest
 
 from repro.cli import main
 from repro.cluster import laptop_like
-from repro.observability import write_bench_summary
 from repro.workflow import WorkflowParams, run_extreme_events_workflow
 
 
@@ -87,52 +84,3 @@ class TestAnalyzeCLI:
         p = tmp_path / "junk.json"
         p.write_text(json.dumps({"hello": 1}))
         assert main(["analyze", "--from", str(p)]) == 2
-
-
-class TestPerfGateCLI:
-    def summary_file(self, tmp_path, makespan=2.0):
-        out = str(tmp_path / "BENCH_summary.json")
-        write_bench_summary(out, "bench_x",
-                            {"makespan_s": makespan, "speedup": 1.5})
-        return out
-
-    def test_capture_then_pass_then_doctored_failure(self, tmp_path, capsys):
-        baselines = str(tmp_path / "baselines")
-        fresh = self.summary_file(tmp_path)
-        assert main(["perf-gate", "--from", fresh,
-                     "--baseline", baselines, "--capture"]) == 0
-        capsys.readouterr()
-
-        assert main(["perf-gate", "--from", fresh,
-                     "--baseline", baselines]) == 0
-        assert "PASS" in capsys.readouterr().out
-
-        doctored = self.summary_file(tmp_path / "bad", makespan=4.0)
-        assert main(["perf-gate", "--from", doctored,
-                     "--baseline", baselines]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
-        assert "makespan_s" in out
-
-    def test_gate_accepts_run_metrics_json(self, run, tmp_path, capsys):
-        _, results = run
-        metrics = str(results / "metrics.json")
-        baselines = str(tmp_path / "baselines")
-        assert main(["perf-gate", "--from", metrics,
-                     "--baseline", baselines, "--capture"]) == 0
-        capsys.readouterr()
-        report_out = str(tmp_path / "gate.json")
-        assert main(["perf-gate", "--from", metrics,
-                     "--baseline", baselines,
-                     "--report-out", report_out]) == 0
-        assert "PASS" in capsys.readouterr().out
-        report = json.loads(open(report_out).read())
-        assert report["n_regressions"] == 0
-        assert any(c["benchmark"] == "workflow_run"
-                   for c in report["checks"])
-
-    def test_gate_rejects_unrecognised_payload(self, tmp_path, capsys):
-        p = tmp_path / "junk.json"
-        p.write_text(json.dumps({"hello": 1}))
-        assert main(["perf-gate", "--from", str(p),
-                     "--baseline", str(tmp_path)]) == 2

@@ -1,18 +1,11 @@
-"""Perf-gate unit tests: specs, tolerance comparison, summary merging."""
-
-import json
+"""Comparator unit tests: specs, tolerance comparison, headline extraction."""
 
 import pytest
 
 from repro.observability.baseline import (
-    capture_baseline,
     compare_to_baseline,
     default_metric_spec,
     extract_headline_metrics,
-    gate_summary,
-    load_baseline,
-    load_baselines,
-    write_bench_summary,
 )
 
 
@@ -81,80 +74,6 @@ class TestCompare:
         bad = compare_to_baseline("b", {"fragment_writes": 25}, base)
         assert self.one(ok, "fragment_writes").status == "ok"
         assert self.one(bad, "fragment_writes").status == "regression"
-
-
-class TestGateSummary:
-    def setup_baselines(self, tmp_path):
-        capture_baseline("bench_a", {"makespan_s": 1.0}, str(tmp_path))
-        capture_baseline("bench_b", {"fragment_writes": 10}, str(tmp_path))
-        return load_baselines(str(tmp_path))
-
-    def test_pass_and_render(self, tmp_path):
-        baselines = self.setup_baselines(tmp_path)
-        report = gate_summary(
-            {"benchmarks": {"bench_a": {"makespan_s": 1.1},
-                            "bench_b": {"fragment_writes": 10}}},
-            baselines,
-        )
-        assert report.passed
-        assert "PASS" in report.render()
-        assert report.to_json()["n_regressions"] == 0
-
-    def test_disappeared_benchmark_fails(self, tmp_path):
-        baselines = self.setup_baselines(tmp_path)
-        report = gate_summary(
-            {"benchmarks": {"bench_a": {"makespan_s": 1.0}}}, baselines)
-        assert not report.passed
-        assert any(c.benchmark == "bench_b" and c.status == "missing"
-                   for c in report.checks)
-
-    def test_unbaselined_benchmark_reports_new(self, tmp_path):
-        baselines = self.setup_baselines(tmp_path)
-        report = gate_summary(
-            {"benchmarks": {"bench_a": {"makespan_s": 1.0},
-                            "bench_b": {"fragment_writes": 9},
-                            "bench_c": {"anything": 3.0}}},
-            baselines,
-        )
-        assert report.passed
-        assert any(c.benchmark == "bench_c" and c.status == "new"
-                   for c in report.checks)
-
-
-class TestFiles:
-    def test_capture_then_load_round_trip(self, tmp_path):
-        path = capture_baseline(
-            "bench", {"makespan_s": 2.5}, str(tmp_path),
-            overrides={"makespan_s": {"tolerance_pct": 10.0}},
-        )
-        doc = load_baseline(path)
-        assert doc["benchmark"] == "bench"
-        assert doc["metrics"]["makespan_s"]["tolerance_pct"] == 10.0
-        assert doc["metrics"]["makespan_s"]["value"] == 2.5
-
-    def test_load_baseline_rejects_non_baseline(self, tmp_path):
-        p = tmp_path / "x.json"
-        p.write_text("{}")
-        with pytest.raises(ValueError):
-            load_baseline(str(p))
-        with pytest.raises((ValueError, OSError)):
-            load_baselines(str(tmp_path / "empty-missing"))
-
-    def test_write_bench_summary_merges_across_invocations(self, tmp_path):
-        out = str(tmp_path / "BENCH_summary.json")
-        write_bench_summary(out, "c1", {"makespan_s": 2.0})
-        write_bench_summary(out, "c7", {"fs_bytes_read": 10.0})
-        # same bench again: overwrite, not duplicate
-        write_bench_summary(out, "c1", {"makespan_s": 2.5})
-        doc = json.load(open(out))
-        assert doc["benchmarks"]["c1"] == {"makespan_s": 2.5}
-        assert doc["benchmarks"]["c7"] == {"fs_bytes_read": 10.0}
-
-    def test_write_bench_summary_survives_corrupt_file(self, tmp_path):
-        out = tmp_path / "BENCH_summary.json"
-        out.write_text("{truncated")
-        doc = write_bench_summary(str(out), "c1", {"m": 1.0})
-        assert doc["benchmarks"]["c1"] == {"m": 1.0}
 
 
 class TestHeadlineExtraction:

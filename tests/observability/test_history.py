@@ -1,18 +1,14 @@
 """Run-history store tests: persistence, queries, compare, concurrency."""
 
-import json
 import multiprocessing
-import os
 import sqlite3
 
 import pytest
 
-from repro.observability.baseline import write_bench_summary
 from repro.observability.history import (
     SCHEMA_VERSION,
     RunHistory,
     compare_runs,
-    locked_json_update,
     new_run_id,
     params_digest,
     render_comparison,
@@ -179,11 +175,6 @@ def _write_rows(path, worker, n_rows):
         history.record_end(rid, "completed", wall_clock_s=0.01)
 
 
-def _merge_bench(path, worker, n_merges):
-    for i in range(n_merges):
-        write_bench_summary(path, f"bench_w{worker}_{i}", {"metric": float(i)})
-
-
 class TestConcurrentWriters:
     def test_parallel_processes_share_runs_db(self, tmp_path):
         path = str(tmp_path / "runs.db")
@@ -201,31 +192,3 @@ class TestConcurrentWriters:
         assert len(history) == 80
         assert all(r.status == "completed"
                    for r in history.list_runs(limit=100))
-
-    def test_parallel_bench_summary_merges_lose_nothing(self, tmp_path):
-        """Regression: merge-on-write used to drop benchmarks under
-        concurrent processes (read-modify-write race)."""
-        path = str(tmp_path / "BENCH_summary.json")
-        procs = [
-            multiprocessing.Process(target=_merge_bench, args=(path, w, 15))
-            for w in range(4)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=60)
-            assert p.exitcode == 0
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert len(doc["benchmarks"]) == 60
-        assert doc["benchmarks"]["bench_w3_14"] == {"metric": 14.0}
-
-    def test_locked_json_update_creates_and_merges(self, tmp_path):
-        path = str(tmp_path / "doc.json")
-        locked_json_update(path, lambda cur: {"n": 1})
-        doc = locked_json_update(
-            path, lambda cur: {"n": cur["n"] + 1}
-        )
-        assert doc == {"n": 2}
-        assert json.load(open(path)) == {"n": 2}
-        assert not os.path.exists(path + ".tmp")

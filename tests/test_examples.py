@@ -23,13 +23,6 @@ def run_example(name: str, argv: list, monkeypatch) -> None:
     module.main()
 
 
-@pytest.fixture(scope="module")
-def tc_model_path(tmp_path_factory):
-    from repro.workflow.tasks import ensure_tc_model
-
-    return ensure_tc_model(None, 16, str(tmp_path_factory.mktemp("tc")))
-
-
 class TestExamples:
     def test_quickstart(self, monkeypatch, capsys):
         run_example("quickstart.py", ["--days", "6", "--no-ml"], monkeypatch)

@@ -19,12 +19,6 @@ from repro.workflow import (
     run_distributed_extreme_events,
     run_extreme_events_workflow,
 )
-from repro.workflow.tasks import ensure_tc_model
-
-
-@pytest.fixture(scope="module")
-def tc_model_path(tmp_path_factory):
-    return ensure_tc_model(None, 16, str(tmp_path_factory.mktemp("tc")))
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from repro.workflow import (
     run_extreme_events_workflow,
 )
 from repro.cluster import laptop_like
-from repro.workflow.tasks import ensure_tc_model
 
 TIGHT_SLO = """
 slos:
@@ -31,11 +30,6 @@ slos:
     max: 100000
     severity: critical
 """
-
-
-@pytest.fixture(scope="module")
-def tc_model_path(tmp_path_factory):
-    return ensure_tc_model(None, 16, str(tmp_path_factory.mktemp("tc")))
 
 
 @pytest.fixture(scope="module")
