@@ -6,8 +6,7 @@ simulation task produces day files at a realistic pace; per-year
 streaming monitors detect completed years; and the index/TC tasks
 execute concurrently with the still-running simulation.  The same
 workload then runs sequentially (analytics submitted only after the
-model finishes) and both schedules are compared, including an ASCII
-Gantt chart of worker occupancy.
+model finishes) and both schedules are compared.
 
 Usage::
 

@@ -17,14 +17,14 @@ Usage::
 """
 
 import argparse
-import os
 import tempfile
 
 import numpy as np
 
 from repro.analytics import detect_tc_candidates, link_tracks, regrid_bilinear, track_skill
 from repro.esm import CMCCCM3, ModelConfig
-from repro.ml.tc_localizer import CHANNELS, TCLocalizer, localize_in_snapshot, train_esm_localizer
+from repro.ml.tc_localizer import CHANNELS, TCLocalizer, localize_in_snapshot
+from repro.workflow.tasks import ensure_tc_model
 
 GRID = (48, 96)
 CNN_GRID = (96, 192)
@@ -38,11 +38,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=21)
     args = parser.parse_args()
 
-    model_path = args.model or os.path.join(tempfile.gettempdir(), "tc_esm.pkl")
-    if not os.path.exists(model_path):
-        print("training the TC localizer on simulator-harvested patches "
-              "(~30 s, once) ...")
-        train_esm_localizer(model_path)
+    if args.model is None:
+        print("training the TC localizer on synthetic vortex patches ...")
+    model_path = ensure_tc_model(args.model, 16, tempfile.gettempdir())
     tc_model = TCLocalizer.load(model_path)
 
     print(f"simulating a TC season on a {GRID[0]}x{GRID[1]} grid ...")

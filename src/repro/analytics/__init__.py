@@ -11,7 +11,7 @@ Implements both halves of the paper's section 5:
   with greedy nearest-neighbour track stitching, plus the
   pre-processing the ML pipeline shares (regridding, tiling into
   non-overlapping patches, feature scaling, geo-referencing).
-* Support: empirical baseline climatologies, output validation, and
+* Support: ETCCDI percentile baselines, output validation, and
   ASCII/PGM map rendering (the Figure-4 artefact, sans matplotlib).
 """
 
@@ -21,34 +21,26 @@ from repro.analytics.heatwaves import (
     wave_durations,
     compute_wave_indices,
     compute_heatwave_indices,
-    compute_coldwave_indices,
     compute_percentile_wave_indices,
     ophidia_wave_pipeline,
 )
-from repro.analytics.climatology import (
-    empirical_baseline,
-    percentile_baseline,
-    smooth_doy_baseline,
-)
+from repro.analytics.climatology import percentile_baseline
 from repro.analytics.tc_tracking import (
     Detection,
     Track,
     detect_tc_candidates,
     link_tracks,
-    saffir_simpson_category,
     track_skill,
     TrackSkill,
 )
 from repro.analytics.regrid import regrid_bilinear
 from repro.analytics.tiling import (
     tile_patches,
-    stitch_patches,
     scale_features,
     patch_center_latlon,
 )
 from repro.analytics.maps import render_ascii_map, render_pgm
 from repro.analytics.report import generate_report
-from repro.analytics.exposure import synthetic_population_density, wave_exposure
 from repro.analytics.validation import validate_indices, ValidationError
 
 __all__ = [
@@ -57,29 +49,22 @@ __all__ = [
     "wave_durations",
     "compute_wave_indices",
     "compute_heatwave_indices",
-    "compute_coldwave_indices",
     "ophidia_wave_pipeline",
     "compute_percentile_wave_indices",
-    "empirical_baseline",
     "percentile_baseline",
-    "smooth_doy_baseline",
     "Detection",
     "Track",
     "detect_tc_candidates",
     "link_tracks",
-    "saffir_simpson_category",
     "track_skill",
     "TrackSkill",
     "regrid_bilinear",
     "tile_patches",
-    "stitch_patches",
     "scale_features",
     "patch_center_latlon",
     "render_ascii_map",
     "render_pgm",
     "generate_report",
-    "synthetic_population_density",
-    "wave_exposure",
     "validate_indices",
     "ValidationError",
 ]

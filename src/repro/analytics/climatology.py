@@ -1,10 +1,9 @@
-"""Empirical baseline climatologies.
+"""Percentile baseline climatologies.
 
 The paper's workflow loads "baseline values with the long-term
 historical averages (e.g., computed over a 20-year period)".  This
-module computes such baselines empirically from stacks of simulated
-years — the per-calendar-day mean across years, optionally smoothed with
-a circular day-of-year window to suppress sampling noise.
+module computes the ETCCDI percentile form of such a baseline
+empirically from stacks of simulated years.
 """
 
 from __future__ import annotations
@@ -12,48 +11,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-
-def empirical_baseline(yearly_fields: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-calendar-day mean over *yearly_fields*.
-
-    Each element is one year shaped (n_days, lat, lon); all years must
-    share a shape.  Returns the same shape averaged across years.
-    """
-    if not yearly_fields:
-        raise ValueError("need at least one year of data")
-    stack = [np.asarray(y) for y in yearly_fields]
-    shape = stack[0].shape
-    for i, y in enumerate(stack):
-        if y.shape != shape:
-            raise ValueError(
-                f"year {i} has shape {y.shape}, expected {shape}"
-            )
-    return np.mean(stack, axis=0)
-
-
-def smooth_doy_baseline(baseline: np.ndarray, window_days: int = 15) -> np.ndarray:
-    """Circular moving average along the day-of-year axis (axis 0).
-
-    The calendar wraps: the window for January 2nd includes late
-    December, as in ETCCDI percentile baselines.  *window_days* must be
-    odd so the window is centred.
-    """
-    baseline = np.asarray(baseline, dtype=np.float64)
-    if window_days < 1 or window_days % 2 == 0:
-        raise ValueError("window_days must be a positive odd number")
-    if window_days == 1:
-        return baseline.copy()
-    n = baseline.shape[0]
-    if window_days > n:
-        raise ValueError(f"window {window_days} longer than the year ({n} days)")
-    half = window_days // 2
-    padded = np.concatenate([baseline[-half:], baseline, baseline[:half]], axis=0)
-    # Cumulative-sum moving average along axis 0.
-    csum = np.cumsum(padded, axis=0)
-    csum = np.concatenate([np.zeros_like(csum[:1]), csum], axis=0)
-    out = (csum[window_days:] - csum[:-window_days]) / window_days
-    return out
 
 
 def percentile_baseline(

@@ -20,7 +20,7 @@ assert they agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,13 +38,6 @@ class WaveIndices:
     duration_max: np.ndarray   # (lat, lon) int32, days
     number: np.ndarray         # (lat, lon) int32, waves/year
     frequency: np.ndarray      # (lat, lon) float64, wave-days / total days
-
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        return {
-            "duration_max": self.duration_max,
-            "number": self.number,
-            "frequency": self.frequency,
-        }
 
 
 def wave_exceedance_mask(
@@ -106,13 +99,6 @@ def compute_heatwave_indices(
 ) -> WaveIndices:
     """Heat-wave indices from daily-max temperature."""
     return compute_wave_indices(tmax_daily, tmax_baseline, kind="heat", **kwargs)
-
-
-def compute_coldwave_indices(
-    tmin_daily: np.ndarray, tmin_baseline: np.ndarray, **kwargs
-) -> WaveIndices:
-    """Cold-wave indices from daily-min temperature."""
-    return compute_wave_indices(tmin_daily, tmin_baseline, kind="cold", **kwargs)
 
 
 def compute_percentile_wave_indices(

@@ -64,31 +64,8 @@ class Track:
     def max_wind(self) -> float:
         return max(d.max_wind for d in self.detections)
 
-    @property
-    def category(self) -> int:
-        """Peak Saffir-Simpson category along the track."""
-        return saffir_simpson_category(self.max_wind)
-
     def positions(self) -> List[Tuple[float, float]]:
         return [(d.lat, d.lon) for d in self.detections]
-
-
-#: Saffir-Simpson thresholds (1-min sustained wind, m/s): category lower bounds.
-_SAFFIR_SIMPSON = ((5, 70.0), (4, 58.0), (3, 50.0), (2, 43.0), (1, 33.0))
-
-
-def saffir_simpson_category(max_wind_ms: float) -> int:
-    """Saffir-Simpson hurricane category for *max_wind_ms*.
-
-    Returns 1-5 for hurricane-strength systems, 0 for tropical
-    storm/depression intensities below 33 m/s.
-    """
-    if max_wind_ms < 0:
-        raise ValueError("wind speed must be non-negative")
-    for category, threshold in _SAFFIR_SIMPSON:
-        if max_wind_ms >= threshold:
-            return category
-    return 0
 
 
 def _haversine_km(lat1, lon1, lat2, lon2) -> float:

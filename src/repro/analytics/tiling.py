@@ -38,21 +38,6 @@ def tile_patches(fields: np.ndarray, patch: int) -> Tuple[np.ndarray, List[Tuple
     return np.stack(patches), origins
 
 
-def stitch_patches(
-    patches: np.ndarray,
-    origins: List[Tuple[int, int]],
-    grid_shape: Tuple[int, int],
-) -> np.ndarray:
-    """Inverse of :func:`tile_patches` for single-channel patches."""
-    patches = np.asarray(patches)
-    n, channels = patches.shape[0], patches.shape[1]
-    patch = patches.shape[2]
-    out = np.zeros((channels,) + tuple(grid_shape), dtype=patches.dtype)
-    for k, (i0, j0) in enumerate(origins):
-        out[:, i0:i0 + patch, j0:j0 + patch] = patches[k]
-    return out
-
-
 def scale_features(
     patches: np.ndarray,
     stats: Optional[Dict[str, np.ndarray]] = None,
@@ -75,23 +60,6 @@ def scale_features(
     std = np.asarray(stats["std"])
     scaled = (patches - mean[None, :, None, None]) / std[None, :, None, None]
     return scaled, stats
-
-
-def scale_patches_individually(patches: np.ndarray) -> np.ndarray:
-    """Standardise every patch per channel over its own pixels.
-
-    Unlike :func:`scale_features`, no dataset statistics are needed:
-    each patch is centred on itself, which makes a detector trained this
-    way insensitive to the large background differences between climate
-    regimes (tropical vs polar patches differ by ~70 K in T850).
-    """
-    patches = np.asarray(patches, dtype=np.float64)
-    if patches.ndim != 4:
-        raise ValueError("expected (n, channels, h, w)")
-    mean = patches.mean(axis=(2, 3), keepdims=True)
-    std = patches.std(axis=(2, 3), keepdims=True)
-    std = np.where(std > 1e-9, std, 1.0)
-    return (patches - mean) / std
 
 
 def patch_center_latlon(

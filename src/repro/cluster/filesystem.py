@@ -15,11 +15,10 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.netcdf import Dataset, read_dataset, write_dataset
-from repro.netcdf.io import read_header
 from repro.observability.metrics import get_registry
 from repro.observability.spans import maybe_span
 
@@ -50,27 +49,16 @@ class FilesystemStats:
     metadata_ops: int = 0
 
     def snapshot(self) -> "FilesystemStats":
-        return FilesystemStats(
-            self.reads, self.writes, self.bytes_read,
-            self.bytes_written, self.lists, self.deletes,
-            self.cache_hits, self.cache_misses, self.cache_evictions,
-            self.metadata_ops,
-        )
+        return FilesystemStats(**{
+            f.name: getattr(self, f.name) for f in fields(self)
+        })
 
     def delta(self, earlier: "FilesystemStats") -> "FilesystemStats":
         """Counters accumulated since *earlier* (an older snapshot)."""
-        return FilesystemStats(
-            self.reads - earlier.reads,
-            self.writes - earlier.writes,
-            self.bytes_read - earlier.bytes_read,
-            self.bytes_written - earlier.bytes_written,
-            self.lists - earlier.lists,
-            self.deletes - earlier.deletes,
-            self.cache_hits - earlier.cache_hits,
-            self.cache_misses - earlier.cache_misses,
-            self.cache_evictions - earlier.cache_evictions,
-            self.metadata_ops - earlier.metadata_ops,
-        )
+        return FilesystemStats(**{
+            f.name: getattr(self, f.name) - getattr(earlier, f.name)
+            for f in fields(self)
+        })
 
 
 class BlockCache:
@@ -324,7 +312,7 @@ class SharedFilesystem:
         )
         reads = sum(
             ops.value(fs=self.fs_label, op=op)
-            for op in ("read", "read_header", "read_bytes")
+            for op in ("read", "read_bytes")
         )
         writes = sum(
             ops.value(fs=self.fs_label, op=op) for op in ("write", "write_bytes")
@@ -471,16 +459,6 @@ class SharedFilesystem:
             out.create_variable(name, fresh.data, fresh.dims, fresh.attrs)
         return (out, (disk.nbytes if disk is not None else 0), served,
                 bool(missing), evicted)
-
-    def read_header(self, rel_path: str) -> dict:
-        """Read only the metadata header; counts as a (cheap) read."""
-        full = self._resolve(rel_path)
-        self._maybe_fault("read_header", rel_path)
-        header = read_header(full)
-        self._count("read_header")
-        return header
-
-    # -- raw bytes (checkpoints, logs, images) --------------------------------
 
     def write_bytes(self, rel_path: str, payload: bytes) -> int:
         full = self._resolve(rel_path)

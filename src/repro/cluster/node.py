@@ -76,14 +76,6 @@ class Node:
         with self._lock:
             return self._free_memory
 
-    def can_fit(self, cores: int, memory_gb: float = 0.0) -> bool:
-        with self._lock:
-            return (
-                self._up
-                and self._free_cores >= cores
-                and self._free_memory >= memory_gb
-            )
-
     def allocate(self, cores: int, memory_gb: float = 0.0) -> Optional[Allocation]:
         """Atomically reserve resources; returns ``None`` if they don't fit."""
         if cores < 0 or memory_gb < 0:

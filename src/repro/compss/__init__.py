@@ -17,8 +17,8 @@ workflow tasks at call time.  The runtime
 * implements the task-level fault-tolerance policies of Ejarque et al.
   2020 (``FAIL`` / ``RETRY`` / ``IGNORE`` / ``CANCEL_SUCCESSORS``) and the
   task-level checkpointing of Vergés et al. 2023,
-* supports streaming (directory-watching file streams and in-memory
-  object streams) so consumers can overlap with a producing simulation,
+* supports streaming (directory-watching file streams) so consumers can
+  overlap with a producing simulation,
 * records a trace of task executions and can export the run-time task
   graph in DOT form — the artefact shown in the paper's Figure 3.
 
@@ -49,7 +49,7 @@ from repro.compss.scheduler import (
 )
 from repro.compss.failures import OnFailure, TaskFailedError, TaskCancelledError
 from repro.compss.checkpoint import CheckpointManager
-from repro.compss.streams import ObjectDistroStream, FileDistroStream, StreamClosed
+from repro.compss.streams import FileDistroStream, StreamClosed
 from repro.compss.tracing import Tracer, TaskEvent
 from repro.compss.mpi import mpi, MiniComm, MPIError
 
@@ -63,7 +63,7 @@ __all__ = [
     "SchedulerPolicy", "FIFOPolicy", "PriorityPolicy", "DataLocalityPolicy",
     "OnFailure", "TaskFailedError", "TaskCancelledError",
     "CheckpointManager",
-    "ObjectDistroStream", "FileDistroStream", "StreamClosed",
+    "FileDistroStream", "StreamClosed",
     "Tracer", "TaskEvent",
     "mpi", "MiniComm", "MPIError",
 ]

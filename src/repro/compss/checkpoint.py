@@ -103,9 +103,3 @@ class CheckpointManager:
         """Tasks persisted this run."""
         with self._lock:
             return self._stores
-
-    def clear(self) -> None:
-        """Delete all checkpoints (restart from scratch)."""
-        for name in os.listdir(self.directory):
-            if name.endswith(".ckpt"):
-                os.remove(os.path.join(self.directory, name))

@@ -60,10 +60,6 @@ class Future:
 
     # -- consumer-side API -----------------------------------------------------
 
-    @property
-    def resolved(self) -> bool:
-        return self._resolved.is_set()
-
     def result(self, timeout: Optional[float] = None) -> Any:
         """Block until resolved; return the value or raise the task error."""
         if not self._resolved.wait(timeout):
@@ -72,14 +68,6 @@ class Future:
             raise self._exception
         return self._value
 
-    def peek(self) -> Any:
-        """Non-blocking read of the current value (requires resolution)."""
-        if not self._resolved.is_set():
-            raise RuntimeError(f"future {self.future_id} is not resolved yet")
-        if self._exception is not None:
-            raise self._exception
-        return self._value
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "resolved" if self.resolved else "pending"
+        state = "resolved" if self._resolved.is_set() else "pending"
         return f"<Future {self.future_id} {state} producer={self.producer_task_id}>"

@@ -70,11 +70,6 @@ def set_task_fault_injector(injector: Optional[Any]) -> Optional[Any]:
     return previous
 
 
-def get_task_fault_injector() -> Optional[Any]:
-    """The process-wide task fault injector, or ``None``."""
-    return _ambient_fault_injector
-
-
 @dataclass
 class RuntimeConfig:
     """Tunables for a runtime instance.

@@ -15,30 +15,21 @@ runtime ("flexible and efficient scheduling of the tasks"):
 from __future__ import annotations
 
 import time
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.observability.metrics import MetricsRegistry, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.compss.task_graph import TaskGraph, TaskNode
+    from repro.compss.task_graph import TaskNode
 
 
 class SchedulerPolicy:
-    """Interface: pick (and remove) the next task from the ready list."""
+    """Interface: ``select(ready, worker_id, graph)`` removes and returns
+    the next task from the ready list, or ``None`` if it is empty.  It is
+    called with the runtime lock held, so implementations must not block.
+    """
 
     name = "base"
-
-    def select(
-        self,
-        ready: List["TaskNode"],
-        worker_id: int,
-        graph: "TaskGraph",
-    ) -> Optional["TaskNode"]:
-        """Remove and return the chosen task, or ``None`` if *ready* is empty.
-
-        Called with the runtime lock held: implementations must not block.
-        """
-        raise NotImplementedError
 
 
 class FIFOPolicy(SchedulerPolicy):

@@ -2,15 +2,11 @@
 
 Section 5.2 of the paper: "a streaming interface available in PyCOMPSs
 has been leveraged to monitor the file production progress and detect
-when a (full) new year of data is available".  Two stream flavours are
-provided, mirroring the distroStream library PyCOMPSs integrates:
-
-* :class:`ObjectDistroStream` — an in-memory pub/sub queue of Python
-  objects;
-* :class:`FileDistroStream` — watches a directory (optionally through a
-  :class:`~repro.cluster.filesystem.SharedFilesystem`) and yields newly
-  appeared files matching a pattern, exactly how the case study detects
-  freshly written simulation days.
+when a (full) new year of data is available".  :class:`FileDistroStream`,
+after the distroStream library PyCOMPSs integrates, watches a directory
+(optionally through a :class:`~repro.cluster.filesystem.SharedFilesystem`)
+and yields newly appeared files matching a pattern, exactly how the case
+study detects freshly written simulation days.
 """
 
 from __future__ import annotations
@@ -24,73 +20,6 @@ from typing import List, Optional
 
 class StreamClosed(Exception):
     """Polling a closed, fully-drained stream."""
-
-
-class ObjectDistroStream:
-    """In-memory multi-producer / multi-consumer object stream.
-
-    ``publish`` appends; ``poll`` returns everything published since the
-    caller's last poll (consumers share a single cursor by default, like
-    a work queue; pass ``shared_cursor=False`` for broadcast semantics
-    where each consumer instance tracks its own position via
-    :meth:`reader`).
-    """
-
-    def __init__(self) -> None:
-        self._items: List[object] = []
-        self._closed = False
-        self._lock = threading.Lock()
-        self._new = threading.Condition(self._lock)
-        self._cursor = 0
-
-    def publish(self, item: object) -> None:
-        with self._new:
-            if self._closed:
-                raise StreamClosed("cannot publish to a closed stream")
-            self._items.append(item)
-            self._new.notify_all()
-
-    def publish_many(self, items) -> None:
-        with self._new:
-            if self._closed:
-                raise StreamClosed("cannot publish to a closed stream")
-            self._items.extend(items)
-            self._new.notify_all()
-
-    def close(self) -> None:
-        with self._new:
-            self._closed = True
-            self._new.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def poll(self, timeout: Optional[float] = None, block: bool = True) -> List[object]:
-        """Items published since the last poll.
-
-        Blocks until at least one new item arrives or the stream closes.
-        Returns ``[]`` on a closed-and-drained stream only when
-        *block* is False; otherwise raises :class:`StreamClosed`.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._new:
-            while True:
-                fresh = self._items[self._cursor:]
-                if fresh:
-                    self._cursor = len(self._items)
-                    return list(fresh)
-                if self._closed:
-                    if block:
-                        raise StreamClosed("stream closed and drained")
-                    return []
-                if not block:
-                    return []
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return []
-                self._new.wait(timeout=remaining)
 
 
 class FileDistroStream:
@@ -197,9 +126,9 @@ class FileDistroStream:
     def poll(self, timeout: Optional[float] = None, block: bool = True) -> List[str]:
         """Full paths of files that appeared since the last poll.
 
-        Blocking semantics mirror :meth:`ObjectDistroStream.poll`: raises
+        Blocks until a file appears or the stream closes; raises
         :class:`StreamClosed` once the stream is closed *and* no unseen
-        files remain.
+        files remain (with *block* False, returns ``[]`` instead).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._wake:
@@ -233,8 +162,3 @@ class FileDistroStream:
             self._closed = True
             self._wake.notify_all()
         self.detach_filesystem()
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed

@@ -228,16 +228,3 @@ class TaskGraph:
             )
         lines.append("}")
         return "\n".join(lines)
-
-    def summary(self) -> str:
-        """Human-readable per-function/per-state tally."""
-        by_fn = self.counts_by_function()
-        by_state = self.counts_by_state()
-        lines = [f"tasks: {len(self)}  edges: {len(self.edges())}"]
-        lines.append("by function:")
-        for name, n in sorted(by_fn.items()):
-            lines.append(f"  {name:30s} {n}")
-        lines.append("by state:")
-        for name, n in sorted(by_state.items()):
-            lines.append(f"  {name:30s} {n}")
-        return "\n".join(lines)

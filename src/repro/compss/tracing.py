@@ -2,18 +2,17 @@
 
 The COMPSs runtime can emit Extrae traces; this stand-in records one
 event per task attempt with wall-clock start/end and the executing
-worker, and computes the quantities the benchmarks report: makespan,
-per-function time, worker utilisation, and producer/consumer overlap
-(the paper's C1 claim that analytics runs concurrently with the ESM).
+worker, and computes the quantities the run summary reports: makespan,
+worker utilisation, and producer/consumer overlap (the paper's C1 claim
+that analytics runs concurrently with the ESM).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.observability.metrics import MetricsRegistry, get_registry
 
@@ -83,29 +82,12 @@ class Tracer:
     def total_busy_time(self) -> float:
         return sum(e.duration for e in self.events)
 
-    def time_by_function(self) -> Dict[str, float]:
-        out: Dict[str, float] = defaultdict(float)
-        for e in self.events:
-            out[e.func_name] += e.duration
-        return dict(out)
-
     def worker_utilisation(self, n_workers: int) -> float:
         """Busy time / (workers x makespan); in [0, 1] for serial-attempt data."""
         span = self.makespan()
         if span <= 0 or n_workers <= 0:
             return 0.0
         return self.total_busy_time() / (n_workers * span)
-
-    def overlap_seconds(self, func_a: str, func_b: str) -> float:
-        """Wall-clock seconds during which a *func_a* task and a *func_b*
-        task were running simultaneously.
-
-        This quantifies the paper's headline scheduling effect: analytics
-        tasks executing while the ESM simulation task is still producing.
-        """
-        a = [(e.start, e.end) for e in self.events if e.func_name == func_a]
-        b = [(e.start, e.end) for e in self.events if e.func_name == func_b]
-        return _interval_overlap(_merge_intervals(a), _merge_intervals(b))
 
     def overlap_group_seconds(self, func_a: str, group: "set[str] | list[str]") -> float:
         """Overlap between *func_a* tasks and the union of *group* tasks.
@@ -118,77 +100,6 @@ class Tracer:
         a = [(e.start, e.end) for e in self.events if e.func_name == func_a]
         b = [(e.start, e.end) for e in self.events if e.func_name in group]
         return _interval_overlap(_merge_intervals(a), _merge_intervals(b))
-
-    def hotspots(self, top: int = 10) -> List[Tuple[str, float, int]]:
-        """Top functions by cumulative execution time.
-
-        Returns ``(func_name, total_seconds, n_events)`` tuples sorted by
-        time — the profile-first habit the optimisation guides preach,
-        applied at task granularity.
-        """
-        totals: Dict[str, float] = defaultdict(float)
-        counts: Dict[str, int] = defaultdict(int)
-        for e in self.events:
-            totals[e.func_name] += e.duration
-            counts[e.func_name] += 1
-        ranked = sorted(totals.items(), key=lambda kv: -kv[1])
-        return [(name, secs, counts[name]) for name, secs in ranked[:top]]
-
-    def to_chrome_trace(self) -> str:
-        """Export as Chrome/Perfetto trace-event JSON.
-
-        Load the returned string (saved as ``.json``) in
-        ``chrome://tracing`` or https://ui.perfetto.dev to inspect the
-        schedule visually — the Extrae/Paraver analogue of the COMPSs
-        stack.  One complete ('X') event per task attempt; workers map
-        to thread ids.
-        """
-        import json
-
-        events = [
-            {
-                "name": f"{e.func_name}#{e.task_id}",
-                "cat": e.state,
-                "ph": "X",
-                "ts": round(e.start * 1e6, 3),   # microseconds
-                "dur": round(e.duration * 1e6, 3),
-                "pid": 1,
-                "tid": e.worker_id,
-                "args": {"task_id": e.task_id, "state": e.state},
-            }
-            for e in self.events
-        ]
-        return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
-
-    def gantt(self, width: int = 72) -> str:
-        """ASCII Gantt chart: one row per worker.
-
-        *width* is clamped to at least 8 columns: narrower charts
-        degenerate (sub-pixel tasks paint zero-width bars and rows no
-        longer line up with the makespan label).  Every event paints at
-        least one in-bounds cell regardless of its duration.
-        """
-        width = max(8, int(width))
-        events = self.events
-        if not events:
-            return "(no events)"
-        t0 = min(e.start for e in events)
-        t1 = max(e.end for e in events)
-        span = max(t1 - t0, 1e-9)
-        rows: Dict[int, List[str]] = {}
-        workers = sorted({e.worker_id for e in events})
-        for w in workers:
-            rows[w] = [" "] * width
-        for e in sorted(events, key=lambda e: e.start):
-            lo = min(max(0, int((e.start - t0) / span * (width - 1))), width - 1)
-            hi = max(lo + 1, int((e.end - t0) / span * (width - 1)) + 1)
-            glyph = e.func_name[0] if e.func_name else "?"
-            for i in range(lo, min(hi, width)):
-                rows[e.worker_id][i] = glyph
-        lines = [f"makespan: {span:.3f}s"]
-        for w in workers:
-            lines.append(f"w{w:02d} |{''.join(rows[w])}|")
-        return "\n".join(lines)
 
 
 def _merge_intervals(intervals: List[Tuple[float, float]]) -> List[Tuple[float, float]]:

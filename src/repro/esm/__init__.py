@@ -40,7 +40,6 @@ from repro.esm.ensemble import (
     build_member,
     ensemble_statistics,
     member_name,
-    run_ensemble,
 )
 from repro.esm.diagnostics import DiagnosticsError, DiagnosticsRecorder
 
@@ -65,7 +64,6 @@ __all__ = [
     "build_member",
     "ensemble_statistics",
     "member_name",
-    "run_ensemble",
     "DiagnosticsError",
     "DiagnosticsRecorder",
 ]

@@ -5,14 +5,13 @@ momentum and mass fluxes are sent from the atmosphere to the ocean and
 the sea surface temperature ... sent from the ocean to the atmosphere."
 At the daily cadence of this reproduction the coupler exchanges once per
 day: it derives a normalised heat flux from the air-sea temperature
-difference (damped by wind-driven mixing) and hands each component the
-other's state.
+difference (damped by wind-driven mixing); the model hands the SST to
+the atmosphere directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import numpy as np
 
@@ -38,11 +37,3 @@ class Coupler:
         mixing = 1.0 + np.clip(wind_speed, 0.0, 30.0) / self.wind_mixing_ms
         flux = (t2m - sst) / self.flux_scale_k * mixing
         return np.where(self.grid.ocean_mask, np.clip(flux, -3.0, 3.0), 0.0)
-
-    def ocean_to_atmosphere(self, sst: np.ndarray) -> Dict[str, np.ndarray]:
-        """State handed to the atmosphere: SST and derived ice fraction."""
-        icefrac = np.clip((273.15 - 1.8 - sst) / 4.0, 0.0, 1.0)
-        return {
-            "sst": sst,
-            "icefrac": np.where(self.grid.ocean_mask, icefrac, 0.0),
-        }

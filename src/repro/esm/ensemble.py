@@ -13,13 +13,11 @@ from internal variability exactly as large-ensemble studies do.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.cluster.filesystem import SharedFilesystem
 from repro.esm.model import CMCCCM3, ModelConfig
-from repro.netcdf.cf import DAYS_PER_YEAR
 
 
 def member_name(index: int) -> str:
@@ -55,29 +53,6 @@ def build_member(config: EnsembleConfig, index: int) -> CMCCCM3:
     # Same forced events across members: variability lives in the noise.
     model.events.seed = config.base.seed
     return model
-
-
-def run_ensemble(
-    config: EnsembleConfig,
-    years: Sequence[int],
-    filesystem: SharedFilesystem,
-    output_root: str = "ensemble",
-    n_days: int = DAYS_PER_YEAR,
-) -> Dict[str, Dict[int, dict]]:
-    """Run every member; files land under ``<output_root>/<member>/``.
-
-    Returns ground truth per member (identical by construction, which
-    the tests assert).
-    """
-    truth: Dict[str, Dict[int, dict]] = {}
-    for index in range(config.n_members):
-        model = build_member(config, index)
-        member = member_name(index)
-        truth[member] = model.run(
-            list(years), filesystem, output_dir=f"{output_root}/{member}",
-            n_days=n_days,
-        )
-    return truth
 
 
 def ensemble_statistics(

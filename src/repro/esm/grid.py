@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
-OMEGA = 7.2921e-5  # Earth's angular velocity, rad/s
 
 
 @dataclass(frozen=True)
@@ -54,11 +53,6 @@ class Grid:
     @cached_property
     def lon2d(self) -> np.ndarray:
         return np.broadcast_to(self.lon[None, :], (self.n_lat, self.n_lon)).copy()
-
-    @cached_property
-    def coriolis(self) -> np.ndarray:
-        """Coriolis parameter f = 2 Omega sin(lat), s^-1."""
-        return 2.0 * OMEGA * np.sin(np.deg2rad(self.lat2d))
 
     @cached_property
     def cell_area_km2(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 #: now routes through the fault hook.  ``delete`` mutates namespace
 #: state like a write, so it is fair game by default.
 DEFAULT_FS_OPS = (
-    "read", "write", "read_bytes", "write_bytes", "read_header", "delete",
+    "read", "write", "read_bytes", "write_bytes", "delete",
 )
 
 
@@ -105,13 +105,6 @@ class FaultPlan:
             object.__setattr__(self, "task_targets", tuple(self.task_targets))
         if not isinstance(self.node_crashes, tuple):
             object.__setattr__(self, "node_crashes", tuple(self.node_crashes))
-
-    @property
-    def injects_anything(self) -> bool:
-        return bool(
-            self.fs_error_rate or self.task_error_rate
-            or self.transfer_error_rate or self.node_crashes
-        )
 
     def describe(self) -> str:
         """One-line human summary for logs and the chaos CLI banner."""

@@ -16,7 +16,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,6 @@ class ContainerImageCreationService:
             self._images[digest] = image
             self._builds += 1
         return image
-
-    def get(self, digest: str) -> Optional[ContainerImage]:
-        with self._lock:
-            return self._images.get(digest)
-
-    @property
-    def images(self) -> List[ContainerImage]:
-        with self._lock:
-            return list(self._images.values())
 
     @property
     def builds(self) -> int:

@@ -60,11 +60,6 @@ class DataLogisticsService:
                 raise ValueError(f"pipeline {name!r} already registered")
             self._pipelines[name] = list(movements)
 
-    @property
-    def pipelines(self) -> List[str]:
-        with self._lock:
-            return sorted(self._pipelines)
-
     def execute(self, name: str, filesystem: SharedFilesystem) -> int:
         """Run pipeline *name* against *filesystem*; returns bytes moved."""
         with self._lock:

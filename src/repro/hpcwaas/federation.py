@@ -138,12 +138,6 @@ class Federation:
             raise FederationError(f"unknown site {site_name!r}")
         self._roles[role] = site_name
 
-    def site(self, name: str) -> Cluster:
-        try:
-            return self._sites[name]
-        except KeyError:
-            raise FederationError(f"unknown site {name!r}") from None
-
     def for_role(self, role: str) -> Cluster:
         try:
             return self._sites[self._roles[role]]

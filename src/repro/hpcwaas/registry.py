@@ -49,12 +49,6 @@ class WorkflowRegistry:
             except KeyError:
                 raise KeyError(f"unknown workflow {workflow_id!r}") from None
 
-    def unregister(self, workflow_id: str) -> None:
-        with self._lock:
-            if workflow_id not in self._records:
-                raise KeyError(f"unknown workflow {workflow_id!r}")
-            del self._records[workflow_id]
-
     def list(self) -> List[str]:
         with self._lock:
             return sorted(self._records)

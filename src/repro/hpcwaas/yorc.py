@@ -125,13 +125,6 @@ class YorcOrchestrator:
         deployment.provisioned.clear()
         deployment.state = DeploymentState.UNDEPLOYED
 
-    def get(self, deployment_id: int) -> Deployment:
-        with self._lock:
-            try:
-                return self._deployments[deployment_id]
-            except KeyError:
-                raise KeyError(f"unknown deployment {deployment_id}") from None
-
     # ------------------------------------------------------------------
 
     def _provision(

@@ -16,17 +16,12 @@ import numpy as np
 
 
 class Layer:
-    """Base class: stateless layers keep ``params = []``."""
+    """Base class: subclasses define ``forward(x, train=False)`` and
+    ``backward(grad_out)``; stateless layers keep ``params = []``."""
 
     def __init__(self) -> None:
         self.params: List[np.ndarray] = []
         self.grads: List[np.ndarray] = []
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 def _im2col_indices(
@@ -197,16 +192,3 @@ class ReLU(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out * self._mask
-
-
-class Sigmoid(Layer):
-    def __init__(self) -> None:
-        super().__init__()
-        self._out = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._out = 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
-        return self._out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._out * (1.0 - self._out)

@@ -33,16 +33,6 @@ def bce_with_logits_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return (_sigmoid(z) - y) / z.size
 
 
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    diff = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return float((diff**2).mean())
-
-
-def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    diff = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return 2.0 * diff / diff.size
-
-
 def localization_loss(
     outputs: np.ndarray,
     presence: np.ndarray,

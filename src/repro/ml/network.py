@@ -65,11 +65,3 @@ class Sequential:
                     f"shape mismatch: checkpoint {source.shape} vs model {target.shape}"
                 )
             target[...] = source
-
-    def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.state_bytes())
-
-    def load(self, path: str) -> None:
-        with open(path, "rb") as fh:
-            self.load_state_bytes(fh.read())

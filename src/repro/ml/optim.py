@@ -1,48 +1,18 @@
-"""Optimisers: SGD with momentum and Adam.
+"""The Adam optimiser.
 
-Both update parameter arrays in place, keyed by position in the list the
+It updates parameter arrays in place, keyed by position in the list the
 network exposes, so optimiser state survives across steps without the
 layers knowing anything about optimisation.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 
-class Optimizer:
-    """Interface: ``step(params, grads)`` updates params in place."""
-
-    def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: List[np.ndarray] = []
-
-    def step(self, params, grads) -> None:
-        if not self._velocity:
-            self._velocity = [np.zeros_like(p) for p in params]
-        if len(params) != len(self._velocity):
-            raise ValueError("parameter set changed between steps")
-        for p, g, v in zip(params, grads, self._velocity):
-            v *= self.momentum
-            v -= self.lr * g
-            p += v
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba 2015) with bias correction."""
 
     def __init__(

@@ -16,17 +16,12 @@ position — the stand-in for the paper's "pre-trained on historical data".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage
 
-from repro.analytics.tiling import (
-    patch_center_latlon,
-    scale_features,
-    scale_patches_individually,
-    tile_patches,
-)
+from repro.analytics.tiling import patch_center_latlon, scale_features, tile_patches
 from repro.ml.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.ml.losses import localization_loss
 from repro.ml.network import Sequential
@@ -214,120 +209,6 @@ def _make_patch_dataset_reference(
     return TCPatchDataset(patches, presence, centers)
 
 
-def make_patch_dataset_from_esm(
-    n_samples: int = 800,
-    patch: int = 16,
-    model_grid: Tuple[int, int] = (48, 96),
-    target_grid: Tuple[int, int] = (96, 192),
-    seed: int = 0,
-    start_year: int = 2030,
-    positive_fraction: float = 0.5,
-) -> TCPatchDataset:
-    """Harvest labelled patches from the simulated ESM itself.
-
-    The stand-in for the paper's "pre-trained on historical data": run
-    TC seasons of the coupled model, regrid each 6-hourly snapshot to
-    *target_grid* (the CNN's input resolution), and cut aligned patches —
-    positives contain an active injected-TC centre (with its exact
-    in-patch offset as the regression label), negatives are storm-free.
-    Training on simulator output guarantees the inference-time feature
-    distribution matches by construction.
-    """
-    from repro.analytics.regrid import regrid_bilinear
-    from repro.esm import CMCCCM3, ModelConfig
-
-    if target_grid[0] % patch or target_grid[1] % patch:
-        raise ValueError("target_grid must be divisible by the patch size")
-    rng = np.random.default_rng(seed)
-    model = CMCCCM3(ModelConfig(
-        n_lat=model_grid[0], n_lon=model_grid[1], seed=seed,
-    ))
-    # A denser storm season gives more positive samples per simulated day.
-    model.events.tcs_per_year = (10, 14)
-
-    n_pos = int(round(n_samples * positive_fraction))
-    n_neg = n_samples - n_pos
-    dlat = 180.0 / target_grid[0]
-    dlon = 360.0 / target_grid[1]
-    dst_lat = np.linspace(-90 + dlat / 2, 90 - dlat / 2, target_grid[0])
-    dst_lon = np.arange(target_grid[1]) * dlon
-
-    positives: List[Tuple[np.ndarray, Tuple[float, float]]] = []
-    negatives: List[np.ndarray] = []
-    year = start_year
-    while len(positives) < n_pos or len(negatives) < n_neg:
-        tcs = model.events.tropical_cyclones(year)
-        noise = model.atmosphere.initial_noise(rng)
-        sst = model.ocean.initialise(year)
-        days = sorted({d for tc in tcs for d in range(tc.start_doy, tc.end_doy + 1)})
-        for doy in days:
-            if len(positives) >= n_pos and len(negatives) >= n_neg:
-                break
-            fields = model.atmosphere.daily_fields(
-                year, doy, noise, sst, tropical_cyclones=tcs, rng=rng
-            )
-            noise = model.atmosphere.step_noise(noise, rng)
-            for step in range(model.config.steps_per_day):
-                stack = np.stack([fields[c][step] for c in CHANNELS])
-                regridded = regrid_bilinear(
-                    stack, model.grid.lat, model.grid.lon, dst_lat, dst_lon
-                )
-                centers = []
-                for tc in tcs:
-                    idx = tc.step_index(doy, step)
-                    if idx is None:
-                        continue
-                    lat, lon = tc.position(idx)
-                    row = (lat - dst_lat[0]) / dlat
-                    col = (lon % 360.0) / dlon
-                    centers.append((row, col, tc.intensity(idx)))
-                for row, col, intensity in centers:
-                    if len(positives) >= n_pos or intensity < 0.35:
-                        continue
-                    pi = int(row) // patch * patch
-                    pj = int(col) // patch * patch
-                    if not (0 <= pi <= target_grid[0] - patch):
-                        continue
-                    block = regridded[:, pi:pi + patch, pj:pj + patch]
-                    offset = ((row - pi) / (patch - 1), (col - pj) / (patch - 1))
-                    if not (0 <= offset[0] <= 1 and 0 <= offset[1] <= 1):
-                        continue
-                    positives.append((block.copy(), offset))
-                if len(negatives) < n_neg:
-                    # One storm-free aligned patch per snapshot.
-                    for _ in range(8):
-                        pi = int(rng.integers(target_grid[0] // patch)) * patch
-                        pj = int(rng.integers(target_grid[1] // patch)) * patch
-                        clear = all(
-                            not (pi - patch <= r < pi + 2 * patch
-                                 and pj - patch <= c < pj + 2 * patch)
-                            for r, c, _ in centers
-                        )
-                        if clear:
-                            negatives.append(
-                                regridded[:, pi:pi + patch, pj:pj + patch].copy()
-                            )
-                            break
-        year += 1
-        if year - start_year > 30:  # safety: never loop forever
-            break
-
-    n_pos = min(n_pos, len(positives))
-    n_neg = min(n_neg, len(negatives))
-    total = n_pos + n_neg
-    patches = np.empty((total, len(CHANNELS), patch, patch))
-    presence = np.zeros(total)
-    centers_arr = np.zeros((total, 2))
-    if n_pos:
-        patches[:n_pos] = np.stack([block for block, _ in positives[:n_pos]])
-        presence[:n_pos] = 1.0
-        centers_arr[:n_pos] = np.asarray([offset for _, offset in positives[:n_pos]])
-    if n_neg:
-        patches[n_pos:] = np.stack(negatives[:n_neg])
-    order = rng.permutation(total)
-    return TCPatchDataset(patches[order], presence[order], centers_arr[order])
-
-
 class TCLocalizer:
     """The CNN: two conv/pool stages, a dense trunk, a 3-unit head.
 
@@ -335,14 +216,10 @@ class TCLocalizer:
     centres in normalised patch coordinates.
     """
 
-    def __init__(self, patch: int = 16, seed: int = 0,
-                 normalize: str = "dataset") -> None:
+    def __init__(self, patch: int = 16, seed: int = 0) -> None:
         if patch % 4:
             raise ValueError("patch size must be divisible by 4 (two pools)")
-        if normalize not in ("dataset", "per_patch"):
-            raise ValueError("normalize must be 'dataset' or 'per_patch'")
         self.patch = patch
-        self.normalize = normalize
         rng = np.random.default_rng(seed)
         reduced = patch // 4
         self.network = Sequential([
@@ -370,11 +247,7 @@ class TCLocalizer:
         seed: int = 0,
         center_weight: float = 1.0,
     ) -> TrainingHistory:
-        if self.normalize == "per_patch":
-            scaled = scale_patches_individually(dataset.patches)
-            stats = {"mode": "per_patch"}
-        else:
-            scaled, stats = scale_features(dataset.patches)
+        scaled, stats = scale_features(dataset.patches)
         self.stats = stats
         dataset.stats = stats
 
@@ -399,10 +272,7 @@ class TCLocalizer:
         """(probabilities, centres) for raw (unscaled) patches."""
         if self.stats is None:
             raise RuntimeError("model is untrained: call fit() or load()")
-        if self.normalize == "per_patch":
-            scaled = scale_patches_individually(np.asarray(patches))
-        else:
-            scaled, _ = scale_features(np.asarray(patches), self.stats)
+        scaled, _ = scale_features(np.asarray(patches), self.stats)
         out = self.network.forward(scaled)
         probs = 1.0 / (1.0 + np.exp(-np.clip(out[:, 0], -60, 60)))
         centers = np.clip(out[:, 1:], 0.0, 1.0)
@@ -432,7 +302,6 @@ class TCLocalizer:
             pickle.dump(
                 {
                     "patch": self.patch,
-                    "normalize": self.normalize,
                     "weights": self.network.state_bytes(),
                     "stats": self.stats,
                 },
@@ -445,35 +314,10 @@ class TCLocalizer:
 
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
-        model = cls(patch=payload["patch"],
-                    normalize=payload.get("normalize", "dataset"))
+        model = cls(patch=payload["patch"])
         model.network.load_state_bytes(payload["weights"])
         model.stats = payload["stats"]
         return model
-
-
-def train_esm_localizer(
-    path: str,
-    seed: int = 3,
-    n_samples: int = 1400,
-    model_grid: Tuple[int, int] = (48, 96),
-    target_grid: Tuple[int, int] = (96, 192),
-) -> TCLocalizer:
-    """Train the production TC localizer on simulator-harvested patches.
-
-    Per-patch normalisation + a strongly-weighted centre loss: the
-    recipe that localizes coarse-grid storms (the "pre-trained CNN" the
-    workflow's inference task loads).  The model is saved to *path*.
-    """
-    data = make_patch_dataset_from_esm(
-        n_samples=n_samples, seed=seed,
-        model_grid=model_grid, target_grid=target_grid,
-    )
-    model = TCLocalizer(patch=16, seed=0, normalize="per_patch")
-    model.fit(data, epochs=10, batch_size=64, lr=2e-3, seed=2, center_weight=5.0)
-    model.fit(data, epochs=6, batch_size=64, lr=6e-4, seed=3, center_weight=5.0)
-    model.save(path)
-    return model
 
 
 def localize_in_snapshot(

@@ -8,7 +8,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.ml.network import Sequential
-from repro.ml.optim import Optimizer
+from repro.ml.optim import Adam
 
 
 @dataclass
@@ -17,10 +17,6 @@ class TrainingHistory:
 
     loss: List[float] = field(default_factory=list)
     components: List[Dict[str, float]] = field(default_factory=list)
-
-    @property
-    def final_loss(self) -> float:
-        return self.loss[-1] if self.loss else float("nan")
 
 
 #: A loss callable: (outputs, *targets) -> (loss, grad_wrt_outputs, components)
@@ -32,7 +28,7 @@ def train(
     inputs: np.ndarray,
     targets: Tuple[np.ndarray, ...],
     loss_fn: LossFn,
-    optimizer: Optimizer,
+    optimizer: Adam,
     epochs: int = 5,
     batch_size: int = 32,
     rng: Optional[np.random.Generator] = None,

@@ -19,13 +19,8 @@ variables a CMCC-CM3 daily file contains.
 """
 
 from repro.netcdf.model import Dataset, Variable
-from repro.netcdf.io import write_dataset, read_dataset, read_variable, read_header
-from repro.netcdf.cf import (
-    NoLeapCalendar,
-    decode_time,
-    encode_time,
-    time_axis_for_days,
-)
+from repro.netcdf.io import write_dataset, read_dataset, read_variable
+from repro.netcdf.cf import NoLeapCalendar, time_axis_for_days
 
 __all__ = [
     "Dataset",
@@ -33,9 +28,6 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "read_variable",
-    "read_header",
     "NoLeapCalendar",
-    "decode_time",
-    "encode_time",
     "time_axis_for_days",
 ]

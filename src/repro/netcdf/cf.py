@@ -3,14 +3,14 @@
 Climate models overwhelmingly run on a 365-day ('noleap') calendar; the
 CMCC-CM3 output the paper's workflow consumes is daily, grouped per year.
 This module provides the minimal CF-time machinery the workflow needs:
-encoding dates as "days since <epoch>" and decoding back, plus helpers to
-build per-day time axes.
+noleap date ordinals and per-day time axes in "<unit> since <epoch>"
+form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -41,31 +41,11 @@ class NoLeapCalendar:
         return sum(NOLEAP_MONTH_LENGTHS[: month - 1]) + day
 
     @staticmethod
-    def from_day_of_year(doy: int) -> Tuple[int, int]:
-        """Inverse of :meth:`day_of_year`: returns ``(month, day)``."""
-        if not 1 <= doy <= DAYS_PER_YEAR:
-            raise ValueError(f"day-of-year {doy} outside [1, {DAYS_PER_YEAR}]")
-        remaining = doy
-        for month, length in enumerate(NOLEAP_MONTH_LENGTHS, start=1):
-            if remaining <= length:
-                return month, remaining
-            remaining -= length
-        raise AssertionError("unreachable")
-
-    @staticmethod
     def to_ordinal(year: int, month: int, day: int) -> int:
         """Days elapsed since year 0, month 1, day 1 (0-based)."""
         if not NoLeapCalendar.is_valid(year, month, day):
             raise ValueError(f"invalid noleap date {year}-{month}-{day}")
         return year * DAYS_PER_YEAR + NoLeapCalendar.day_of_year(month, day) - 1
-
-    @staticmethod
-    def from_ordinal(ordinal: int) -> Tuple[int, int, int]:
-        """Inverse of :meth:`to_ordinal`."""
-        year, doy0 = divmod(int(ordinal), DAYS_PER_YEAR)
-        month, day = NoLeapCalendar.from_day_of_year(doy0 + 1)
-        return year, month, day
-
 
 def _parse_units(units: str) -> Tuple[float, int]:
     """Parse ``"<unit> since YYYY-MM-DD"``; returns (days-per-unit, epoch ordinal)."""
@@ -80,25 +60,6 @@ def _parse_units(units: str) -> Tuple[float, int]:
     year_s, month_s, day_s = date.split("-")
     epoch = NoLeapCalendar.to_ordinal(int(year_s), int(month_s), int(day_s))
     return scale, epoch
-
-
-def encode_time(dates: List[Tuple[int, int, int]], units: str) -> np.ndarray:
-    """Encode ``(year, month, day)`` tuples as a CF time coordinate."""
-    scale, epoch = _parse_units(units)
-    ordinals = np.array(
-        [NoLeapCalendar.to_ordinal(*d) for d in dates], dtype=np.float64
-    )
-    return (ordinals - epoch) / scale
-
-
-def decode_time(values: np.ndarray, units: str) -> List[Tuple[int, int, int]]:
-    """Decode a CF time coordinate into ``(year, month, day)`` tuples.
-
-    Fractional days (sub-daily timesteps) are floored to the containing day.
-    """
-    scale, epoch = _parse_units(units)
-    ordinals = np.floor(np.asarray(values, dtype=np.float64) * scale + epoch)
-    return [NoLeapCalendar.from_ordinal(int(o)) for o in ordinals]
 
 
 def time_axis_for_days(

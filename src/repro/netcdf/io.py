@@ -153,12 +153,6 @@ def _decode_payload(raw: bytes, name: str, meta) -> np.ndarray:
         ) from exc
 
 
-def read_header(path: str | os.PathLike) -> Dict[str, Any]:
-    """Read only the metadata header (dimensions, variables, attrs)."""
-    with open(os.fspath(path), "rb") as fh:
-        return _read_header_fh(fh)
-
-
 def read_variable(path: str | os.PathLike, name: str) -> Variable:
     """Lazily read a single variable from an RNC file."""
     path = os.fspath(path)

@@ -164,13 +164,6 @@ class Dataset:
         """Total payload size of all variables."""
         return sum(v.nbytes for v in self.variables.values())
 
-    def copy(self) -> "Dataset":
-        out = Dataset(dict(self.attrs))
-        out.dimensions = dict(self.dimensions)
-        for name, var in self.variables.items():
-            out.variables[name] = var.copy()
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         dims = ", ".join(f"{k}={v}" for k, v in self.dimensions.items())
         return f"<Dataset dims[{dims}] vars[{', '.join(self.variables)}]>"

@@ -23,7 +23,6 @@ from repro.observability.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     get_registry,
-    set_registry,
     snapshot_histogram_quantile,
     snapshot_value,
 )
@@ -36,7 +35,6 @@ from repro.observability.spans import (
     current_context,
     get_collector,
     maybe_span,
-    new_context,
     record_span,
     set_collector,
     span,
@@ -65,7 +63,6 @@ from repro.observability.events import (
     read_events,
     render_event,
     run_scope,
-    set_event_log,
     tail_events,
 )
 from repro.observability.history import (
@@ -110,7 +107,6 @@ __all__ = [
     "MetricsSnapshot",
     "DEFAULT_BUCKETS",
     "get_registry",
-    "set_registry",
     "snapshot_value",
     "Span",
     "SpanContext",
@@ -121,7 +117,6 @@ __all__ = [
     "get_collector",
     "set_collector",
     "maybe_span",
-    "new_context",
     "record_span",
     "span",
     "snapshot_histogram_quantile",
@@ -142,7 +137,6 @@ __all__ = [
     "read_events",
     "render_event",
     "run_scope",
-    "set_event_log",
     "tail_events",
     "RunHistory",
     "RunRecord",

@@ -22,11 +22,9 @@ Each event carries:
 * the active ``run_id`` (see :func:`run_scope`), linking the event to
   its row in the :mod:`~repro.observability.history` store.
 
-Sinks are pluggable: a bounded in-memory ring (always on), an
-append-only JSONL file (:meth:`EventLog.attach_file`, used by the
-workflow drivers to write ``results/events.jsonl``), and in-process
-subscribers (used by the live SLO engine and tests).  ``repro tail``
-follows the JSONL file with severity filtering.
+The sink is an append-only JSONL file (:meth:`EventLog.attach_file`,
+used by the workflow driver to write ``results/events.jsonl``);
+``repro tail`` follows it with severity filtering.
 """
 
 from __future__ import annotations
@@ -35,12 +33,9 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (
-    Any, Callable, Deque, Dict, Iterator, List, Optional, TextIO, Tuple,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.observability.spans import current_context
 
@@ -55,7 +50,6 @@ __all__ = [
     "read_events",
     "render_event",
     "run_scope",
-    "set_event_log",
     "severity_at_least",
     "tail_events",
 ]
@@ -189,22 +183,17 @@ def run_scope(run_id: str) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 
 class EventLog:
-    """Thread-safe event sink fan-out.
+    """Thread-safe event numbering and the JSONL file sink.
 
-    Events always land in a bounded in-memory ring (introspection,
-    tests); optionally they stream to an append-only JSONL file and to
-    registered subscriber callbacks.  Emission never raises: a broken
-    file sink or subscriber is disarmed rather than failing the
-    workflow that logged.
+    Emission never raises: a broken file sink is disarmed rather than
+    failing the workflow that logged.
     """
 
-    def __init__(self, max_events: int = 50_000) -> None:
-        self._events: Deque[Event] = deque(maxlen=max_events)
+    def __init__(self) -> None:
         self._seq = 0
         self._lock = threading.Lock()
         self._file: Optional[TextIO] = None
         self._file_path: Optional[str] = None
-        self._subscribers: List[Callable[[Event], None]] = []
 
     # -- sinks --------------------------------------------------------------
 
@@ -236,18 +225,6 @@ class EventLog:
         with self._lock:
             return self._file_path
 
-    def subscribe(self, callback: Callable[[Event], None]) -> Callable[[], None]:
-        """Register *callback* for every future event; returns a detacher."""
-        with self._lock:
-            self._subscribers.append(callback)
-
-        def unsubscribe() -> None:
-            with self._lock:
-                if callback in self._subscribers:
-                    self._subscribers.remove(callback)
-
-        return unsubscribe
-
     # -- emission -----------------------------------------------------------
 
     def emit(
@@ -273,46 +250,14 @@ class EventLog:
                 run_id=_run_id,
                 attrs=_jsonable(attrs),
             )
-            self._events.append(event)
             fh = self._file
-            subscribers = list(self._subscribers)
         if fh is not None:
             try:
                 fh.write(json.dumps(event.to_json(), sort_keys=True) + "\n")
                 fh.flush()
             except (OSError, ValueError):
                 self.detach_file()  # dead sink: stop trying, keep running
-        for callback in subscribers:
-            try:
-                callback(event)
-            except Exception:  # noqa: BLE001 - a sink must not fail the run
-                pass
         return event
-
-    # -- introspection ------------------------------------------------------
-
-    def events(
-        self,
-        min_severity: str = "DEBUG",
-        component: Optional[str] = None,
-        run_id: Optional[str] = None,
-    ) -> List[Event]:
-        with self._lock:
-            events = list(self._events)
-        return [
-            e for e in events
-            if severity_at_least(e.severity, min_severity)
-            and (component is None or e.component == component)
-            and (run_id is None or e.run_id == run_id)
-        ]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
 
 
 def _jsonable(attrs: Dict[str, Any]) -> Dict[str, Any]:
@@ -389,20 +334,11 @@ def tail_events(
 # ---------------------------------------------------------------------------
 
 _default_log = EventLog()
-_log_lock = threading.Lock()
 
 
 def get_event_log() -> EventLog:
     """The process-wide event log all instrumented layers emit into."""
     return _default_log
-
-
-def set_event_log(log: Optional[EventLog] = None) -> EventLog:
-    """Swap the process-wide event log (tests); returns the new one."""
-    global _default_log
-    with _log_lock:
-        _default_log = log if log is not None else EventLog()
-        return _default_log
 
 
 def emit_event(

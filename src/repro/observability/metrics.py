@@ -27,7 +27,6 @@ __all__ = [
     "MetricsSnapshot",
     "DEFAULT_BUCKETS",
     "get_registry",
-    "set_registry",
     "snapshot_value",
     "snapshot_histogram_quantile",
 ]
@@ -116,17 +115,6 @@ class Gauge(_Metric):
         with self._lock:
             self._series[key] = value
 
-    def inc(self, amount: float = 1, **labels: Any) -> None:
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0) + amount
-
-    def dec(self, amount: float = 1, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels: Any) -> float:
-        return _match_sum(self.label_names, self.series(), labels)
-
 
 class _HistogramSeries:
     __slots__ = ("bucket_counts", "count", "sum")
@@ -181,34 +169,6 @@ class Histogram(_Metric):
             series.count += 1
             series.sum += value
 
-    def quantile(self, q: float, **labels: Any) -> float:
-        """Estimate the q-quantile (q in [0, 1]) by linear interpolation
-        inside the bucket that holds it.  Partial labels aggregate the
-        matching series first.  Returns ``nan`` with no observations."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        merged = [0] * (len(self.buckets) + 1)
-        total = 0
-        for key, series in self.series().items():
-            if not _labels_match(self.label_names, key, labels):
-                continue
-            for i, c in enumerate(series.bucket_counts):
-                merged[i] += c
-            total += series.count
-        if total == 0:
-            return float("nan")
-        target = q * total
-        cumulative = 0
-        for i, c in enumerate(merged):
-            prev = cumulative
-            cumulative += c
-            if cumulative >= target and c > 0:
-                lo = 0.0 if i == 0 else self.buckets[i - 1]
-                hi = self.buckets[i] if i < len(self.buckets) else self.buckets[-1]
-                frac = (target - prev) / c
-                return lo + (hi - lo) * min(1.0, max(0.0, frac))
-        return self.buckets[-1]
-
     def merge_bucket_counts(
         self,
         labels: Mapping[str, Any],
@@ -245,20 +205,6 @@ class Histogram(_Metric):
                 series.bucket_counts[i] += c
             series.count += int(count)
             series.sum += total
-
-    def stats(self, **labels: Any) -> Dict[str, float]:
-        """Aggregated ``count``/``sum``/``mean`` over matching series."""
-        count = 0
-        total = 0.0
-        for key, series in self.series().items():
-            if _labels_match(self.label_names, key, labels):
-                count += series.count
-                total += series.sum
-        return {
-            "count": count,
-            "sum": total,
-            "mean": (total / count) if count else float("nan"),
-        }
 
 
 def _labels_match(
@@ -425,12 +371,6 @@ class MetricsRegistry:
             }
         return MetricsSnapshot(data)
 
-    def to_prometheus(self) -> str:
-        return self.snapshot().to_prometheus()
-
-    def to_json(self) -> Dict[str, Any]:
-        return self.snapshot().to_json()
-
 
 class MetricsSnapshot:
     """An immutable registry snapshot: renderable, diffable, JSON-able."""
@@ -442,9 +382,6 @@ class MetricsSnapshot:
 
     def to_json(self) -> Dict[str, Any]:
         return json.loads(json.dumps(self._data))  # deep copy, JSON-clean
-
-    def names(self) -> List[str]:
-        return sorted(self._data)
 
     def value(self, name: str, **labels: Any) -> float:
         """Sum of matching counter/gauge series (0 when absent)."""
@@ -592,12 +529,12 @@ def snapshot_histogram_quantile(
 ) -> float:
     """Estimate a histogram quantile from a JSON-ified snapshot.
 
-    Same linear-interpolation estimator as :meth:`Histogram.quantile`,
-    but operating on exported bucket counts (so ``metrics.json`` files
-    from past runs yield p50/p95/p99 too).  Matching series merge first;
+    Interpolates linearly inside the bucket that holds the quantile,
+    operating on exported bucket counts (so ``metrics.json`` files from
+    past runs yield p50/p95/p99 too).  Matching series merge first;
     returns ``nan`` when the metric is absent, not a histogram, or has
     no observations.  The open-ended ``+Inf`` bucket clamps to the last
-    finite bound, mirroring the live estimator.
+    finite bound.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile {q} outside [0, 1]")
@@ -641,20 +578,8 @@ def snapshot_histogram_quantile(
 # ---------------------------------------------------------------------------
 
 _default_registry = MetricsRegistry()
-_registry_lock = threading.Lock()
 
 
 def get_registry() -> MetricsRegistry:
     """The process-wide registry all instrumented layers report into."""
     return _default_registry
-
-
-def set_registry(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Swap the process-wide registry (tests); returns the new one.
-
-    Passing ``None`` installs a fresh empty registry.
-    """
-    global _default_registry
-    with _registry_lock:
-        _default_registry = registry if registry is not None else MetricsRegistry()
-        return _default_registry

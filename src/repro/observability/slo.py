@@ -427,8 +427,3 @@ class SLOMonitor:
     def breached_rules(self) -> List[str]:
         with self._lock:
             return sorted(n for n, b in self._breached.items() if b)
-
-    @property
-    def breach_counts(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._breach_counts)

@@ -44,7 +44,6 @@ __all__ = [
     "get_collector",
     "set_collector",
     "maybe_span",
-    "new_context",
     "record_span",
     "span",
 ]
@@ -177,11 +176,6 @@ class TraceCollector:
         with self._lock:
             return self._dropped
 
-    def clear(self) -> None:
-        with self._lock:
-            self._spans.clear()
-            self._dropped = 0
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
@@ -199,11 +193,6 @@ _context: "contextvars.ContextVar[Optional[SpanContext]]" = contextvars.ContextV
 def current_context() -> Optional[SpanContext]:
     """The active span context of this thread of execution (or None)."""
     return _context.get()
-
-
-def new_context() -> SpanContext:
-    """A fresh root context (new trace) without recording a span."""
-    return SpanContext(_new_id(), _new_id())
 
 
 @contextmanager

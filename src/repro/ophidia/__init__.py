@@ -18,8 +18,6 @@ make that claim measurable (experiment C2).
 from repro.ophidia.storage import IOServer, StoragePool, StorageStats
 from repro.ophidia.primitives import (
     PrimitiveError,
-    clear_primitive_cache,
-    evaluate_primitive,
     parse_primitive,
     primitive_cache_info,
 )
@@ -31,10 +29,8 @@ __all__ = [
     "IOServer",
     "StoragePool",
     "StorageStats",
-    "evaluate_primitive",
     "parse_primitive",
     "primitive_cache_info",
-    "clear_primitive_cache",
     "PrimitiveError",
     "OphidiaServer",
     "Client",

@@ -1,7 +1,7 @@
 """PyOphidia-style client facade.
 
 The real PyOphidia connects to a remote Ophidia Server over HTTPS; this
-client wraps an in-process :class:`~repro.ophidia.server.OphidiaServer`
+client names an in-process :class:`~repro.ophidia.server.OphidiaServer`
 with the same shape of API the paper's Listing 1 relies on::
 
     from repro.ophidia import Client, Cube
@@ -10,16 +10,12 @@ with the same shape of API the paper's Listing 1 relies on::
     Cube.client = client          # ambient client, as in the paper
     cube = Cube.importnc2(src_paths=paths, measure="TREFHTMX")
 
-The low-level :meth:`Client.submit` entry point dispatches named
-operators by string, mirroring ``client.submit('oph_reduce ...')`` usage
-for scripted pipelines.
+Operators are the :class:`~repro.ophidia.datacube.Cube` methods; the
+client only carries the session (server and user).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
-from repro.ophidia.datacube import Cube
 from repro.ophidia.server import OphidiaServer
 
 
@@ -29,100 +25,3 @@ class Client:
     def __init__(self, server: OphidiaServer, username: str = "oph-user") -> None:
         self.server = server
         self.username = username
-        self._connected = True
-        self._cubes: Dict[int, Cube] = {}
-
-    # -- session -----------------------------------------------------------
-
-    @property
-    def connected(self) -> bool:
-        return self._connected
-
-    def disconnect(self) -> None:
-        self._connected = False
-
-    def _check(self) -> None:
-        if not self._connected:
-            raise RuntimeError("client is disconnected")
-
-    # -- cube registry ------------------------------------------------------
-
-    def register(self, cube: Cube) -> int:
-        """Track a cube; returns its id (Ophidia's PID analogue)."""
-        self._cubes[cube.cube_id] = cube
-        return cube.cube_id
-
-    def cube(self, cube_id: int) -> Cube:
-        try:
-            return self._cubes[cube_id]
-        except KeyError:
-            raise KeyError(f"no cube registered with id {cube_id}") from None
-
-    # -- scripted operator dispatch ----------------------------------------------
-
-    def submit(self, operator: str, **params: Any) -> Optional[Cube]:
-        """Execute a named operator; returns the produced cube, if any.
-
-        Supported operators: ``oph_importnc2``, ``oph_apply``,
-        ``oph_reduce``, ``oph_reduce2``, ``oph_intercube``,
-        ``oph_subset``, ``oph_merge``, ``oph_exportnc2``, ``oph_delete``,
-        ``oph_runlength``.
-        """
-        self._check()
-        name = operator.strip().lower()
-        if name == "oph_importnc2":
-            cube = Cube.importnc2(
-                src_paths=params["src_paths"],
-                measure=params["measure"],
-                client=self,
-                concat_dim=params.get("concat_dim", "time"),
-                fragment_dim=params.get("fragment_dim", "lat"),
-                nfrag=params.get("nfrag"),
-                description=params.get("description", ""),
-            )
-            self.register(cube)
-            return cube
-
-        def get_cube() -> Cube:
-            value = params["cube"]
-            return value if isinstance(value, Cube) else self.cube(int(value))
-
-        if name == "oph_apply":
-            out = get_cube().apply(params["query"], params.get("description", ""))
-        elif name == "oph_reduce":
-            out = get_cube().reduce(
-                params["operation"], params.get("dim", "time"),
-                params.get("description", ""),
-            )
-        elif name == "oph_reduce2":
-            out = get_cube().reduce2(
-                params["operation"], params["dim"], int(params["group_size"]),
-                params.get("description", ""),
-            )
-        elif name == "oph_intercube":
-            other = params["other"]
-            other = other if isinstance(other, Cube) else self.cube(int(other))
-            out = get_cube().intercube(
-                other, params.get("operation", "sub"), params.get("description", ""),
-            )
-        elif name == "oph_subset":
-            out = get_cube().subset(
-                params["dim"], int(params["start"]), int(params["stop"]),
-                params.get("description", ""),
-            )
-        elif name == "oph_merge":
-            out = get_cube().merge(params.get("description", ""))
-        elif name == "oph_runlength":
-            out = get_cube().runlength(
-                params.get("dim", "time"), params.get("description", ""),
-            )
-        elif name == "oph_exportnc2":
-            get_cube().exportnc2(params["output_path"], params["output_name"])
-            return None
-        elif name == "oph_delete":
-            get_cube().delete()
-            return None
-        else:
-            raise ValueError(f"unknown operator {operator!r}")
-        self.register(out)
-        return out

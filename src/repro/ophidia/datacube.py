@@ -24,11 +24,10 @@ every base fragment is read once, the chain runs in memory, and only
 the terminal result is written (or nothing at all for gather/export
 barriers).
 
-Forced-evaluation points are: ``reduce``/``reduce2``/``percentile``
-(the fused chain streams into the reducer in the same pass), any
-gather (``to_array``, ``merge``, ``subset``/``reduce`` along the
-fragment dimension, ``explore``, ``exportnc2``, misaligned ``concat``
-operands) and the explicit :meth:`Cube.materialize`.
+Forced-evaluation points are: ``reduce``/``reduce2`` (the fused chain
+streams into the reducer in the same pass), any gather (``to_array``,
+``merge``, ``subset``/``reduce`` along the fragment dimension,
+``exportnc2``) and the explicit :meth:`Cube.materialize`.
 
 Two further rules keep the lazy path byte- and lifecycle-equivalent to
 eager execution:
@@ -765,26 +764,6 @@ class Cube:
             new_dims, description,
         )
 
-    def percentile(
-        self, q: float, dim: str = "time", description: str = ""
-    ) -> "Cube":
-        """Collapse *dim* to its *q*-th percentile (ETCCDI thresholds)."""
-        self._check_alive()
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile {q} outside [0, 100]")
-        axis = self._axis(dim)
-        self._server.log_operator(
-            "oph_percentile", cube_id=self.cube_id, q=q, dim=dim
-        )
-        new_dims = [d for d in self.dims if d.name != dim]
-        if dim == self.fragment_dim:
-            raise ValueError("percentile along the fragment dim is unsupported")
-
-        return self._consume(
-            "oph_percentile", partial(K.stage_percentile, q=q, axis=axis),
-            new_dims, description,
-        )
-
     def reduce2(
         self,
         operation: str,
@@ -979,74 +958,6 @@ class Cube:
             self.dims, description,
         )
 
-    def concat(self, other: "Cube", dim: str = "time",
-               description: str = "") -> "Cube":
-        """Append *other* along *dim* (Ophidia's OPH_CONCATNC pattern).
-
-        The multi-year idiom: each year imports as its own cube and
-        concatenates into the projection-length cube.  All non-*dim*
-        dimensions must match.  Fragment-aligned concrete inputs
-        concatenate fragment-parallel; otherwise (misaligned bounds, or
-        a plan cube on either side) the operands are gathered — concat
-        is a forced-evaluation barrier for lazy inputs.
-        """
-        self._check_alive()
-        other._check_alive()
-        if dim == self.fragment_dim:
-            raise ValueError("concat along the fragment dim is unsupported")
-        if self.dim_names != other.dim_names:
-            raise ValueError(
-                f"dim mismatch: {self.dim_names} vs {other.dim_names}"
-            )
-        axis = self._axis(dim)
-        for i, (a, b) in enumerate(zip(self.shape, other.shape)):
-            if i != axis and a != b:
-                raise ValueError(
-                    f"size mismatch on {self.dim_names[i]!r}: {a} vs {b}"
-                )
-        self._server.log_operator(
-            "oph_concatnc", cube_id=self.cube_id, other=other.cube_id, dim=dim
-        )
-        if self._fragments is None or other._fragments is None:
-            full = np.concatenate([self.to_array(), other.to_array()], axis=axis)
-            cube = Cube.from_array(
-                full, list(self.dim_names), client=_ServerClient(self._server),
-                fragment_dim=self.fragment_dim, nfrag=self.nfrag,
-                measure=self.measure, description=description,
-            )
-            cube.metadata.update(self.metadata)
-            return cube
-        aligned = (
-            other.fragment_dim == self.fragment_dim
-            and other._bounds == self._bounds
-        )
-        frag_axis = self._axis(self.fragment_dim)
-        other_full = None if aligned else other.to_array()
-
-        def work(pair) -> np.ndarray:
-            ref, other_ref = pair
-            a = self._server.pool.load(ref.fragment_id)
-            if other_ref is not None:
-                b = other._server.pool.load(other_ref.fragment_id)
-            else:
-                indexer = [slice(None)] * len(self.shape)
-                indexer[frag_axis] = slice(ref.start, ref.stop)
-                b = other_full[tuple(indexer)]
-            return np.concatenate([a, b], axis=axis)
-
-        pairs = [
-            (ref, other._fragments[i] if aligned else None)
-            for i, ref in enumerate(self._fragments)
-        ]
-        arrays = self._server.sweep(
-            ["oph_concatnc"], work, pairs, cube_id=self.cube_id
-        )
-        new_size = self.dims[axis].size + other.dims[axis].size
-        new_dims = [
-            d if d.name != dim else d.with_size(new_size) for d in self.dims
-        ]
-        return self._derive(new_dims, arrays, self._bounds, description)
-
     def merge(self, description: str = "") -> "Cube":
         """Collapse to a single fragment (Ophidia's OPH_MERGE)."""
         self._check_alive()
@@ -1137,32 +1048,6 @@ class Cube:
                 self._fragments = None
         self._server.log_operator("oph_delete", cube_id=self.cube_id)
         self._deleted = True
-
-    def explore(self, limit: int = 8) -> str:
-        """Human-readable cube preview (Ophidia's OPH_EXPLORECUBE).
-
-        Shows dimensions, fragmentation, value statistics and the first
-        *limit* values in storage order.
-        """
-        self._check_alive()
-        data = self.to_array()
-        flat = data.ravel()
-        head = ", ".join(f"{v:.4g}" for v in flat[:limit])
-        if flat.size > limit:
-            head += ", ..."
-        lines = [
-            f"cube {self.cube_id}: measure={self.measure!r} "
-            f"description={self.description!r}",
-            "dims: " + ", ".join(f"{d.name}[{d.size}]" for d in self.dims),
-            f"fragments: {self.nfrag} along {self.fragment_dim!r}",
-        ]
-        if flat.size:
-            lines.append(
-                f"stats: min={flat.min():.4g} max={flat.max():.4g} "
-                f"mean={flat.mean():.4g}"
-            )
-        lines.append(f"values: [{head}]")
-        return "\n".join(lines)
 
     # -- metadata --------------------------------------------------------
 

@@ -40,7 +40,6 @@ __all__ = [
     "stage_apply",
     "stage_binop",
     "stage_binop_full",
-    "stage_percentile",
     "stage_reduce",
     "stage_reduce2",
     "stage_runlength",
@@ -200,10 +199,3 @@ def stage_reduce2(
     shape = list(data.shape)
     shape[axis:axis + 1] = [n_groups, group_size]
     return np.asarray(REDUCERS[op](data.reshape(shape), axis=axis + 1)), 0
-
-
-def stage_percentile(
-    data: np.ndarray, i: int, *, q: float, axis: int
-) -> Tuple[np.ndarray, int]:
-    """``oph_percentile``: collapse *axis* to its *q*-th percentile."""
-    return np.asarray(np.percentile(data, q, axis=axis)), 0

@@ -339,12 +339,6 @@ class _ASTCache:
                 "size": len(self._entries), "maxsize": self.maxsize,
             }
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
 
 def _parse_uncached(query: str) -> tuple:
     ast = _Parser(_tokenize(query)).parse()
@@ -368,11 +362,6 @@ def parse_primitive(query: str) -> tuple:
 def primitive_cache_info() -> Dict[str, int]:
     """Hit/miss/size counters of the shared AST cache."""
     return _ast_cache.info()
-
-
-def clear_primitive_cache() -> None:
-    """Drop all cached ASTs and reset the counters (tests)."""
-    _ast_cache.clear()
 
 
 def evaluate_ast(ast: tuple, measure: np.ndarray) -> np.ndarray:
@@ -471,13 +460,3 @@ def describe_predicate(ast: tuple):
         out_dtype,
         ast,
     )
-
-
-def evaluate_primitive(query: str, measure: np.ndarray) -> np.ndarray:
-    """Evaluate an ``oph_*`` *query* against the *measure* array.
-
-    The result always has the query's declared output type and the same
-    shape as the input measure.  The parsed AST is memoized, so repeated
-    evaluation of one query (the per-fragment pattern) tokenizes once.
-    """
-    return evaluate_ast(parse_primitive(query), measure)

@@ -60,7 +60,6 @@ __all__ = [
     "SpillHandle",
     "StoragePool",
     "StorageStats",
-    "available_codecs",
     "register_codec",
 ]
 
@@ -95,16 +94,12 @@ def register_codec(
     _CODECS[name] = (compress, decompress)
 
 
-def available_codecs() -> List[str]:
-    return sorted(_CODECS)
-
-
 def _get_codec(name: str) -> Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]:
     try:
         return _CODECS[name]
     except KeyError:
         raise ValueError(
-            f"unknown spill codec {name!r}; available: {available_codecs()}"
+            f"unknown spill codec {name!r}; available: {sorted(_CODECS)}"
         ) from None
 
 
@@ -898,10 +893,6 @@ class StoragePool:
         for s in self.servers:
             agg.add(s.snapshot_stats())
         return agg
-
-    @property
-    def resident_bytes(self) -> int:
-        return sum(s.resident_bytes for s in self.servers)
 
     @property
     def spilled_fragments(self) -> int:

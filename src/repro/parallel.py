@@ -245,11 +245,6 @@ class ProcessPoolBackend:
         self._closed = False
 
     @property
-    def started(self) -> bool:
-        with self._lock:
-            return self._executor is not None
-
-    @property
     def closed(self) -> bool:
         with self._lock:
             return self._closed

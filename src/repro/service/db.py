@@ -178,38 +178,6 @@ class ServiceDB(RunHistory):
             rows = conn.execute("SELECT * FROM tenants ORDER BY name").fetchall()
         return [_tenant(row) for row in rows]
 
-    def set_quota(
-        self,
-        name: str,
-        share: Optional[float] = None,
-        max_running: Optional[int] = None,
-        max_cores: Optional[int] = None,
-    ) -> Tenant:
-        sets, values = [], []
-        if share is not None:
-            if share <= 0:
-                raise ValueError("tenant share must be positive")
-            sets.append("share = ?")
-            values.append(share)
-        if max_running is not None:
-            sets.append("max_running = ?")
-            values.append(max_running)
-        if max_cores is not None:
-            sets.append("max_cores = ?")
-            values.append(max_cores)
-        if sets:
-            values.append(name)
-            with self._connect() as conn:
-                conn.execute("BEGIN IMMEDIATE")
-                cur = conn.execute(
-                    f"UPDATE tenants SET {', '.join(sets)} WHERE name = ?",
-                    values,
-                )
-                if cur.rowcount == 0:
-                    raise KeyError(f"unknown tenant {name!r}")
-                conn.commit()
-        return self.get_tenant(name)
-
     # -- sites --------------------------------------------------------------
 
     def register_site(

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analytics import (
-    compute_coldwave_indices,
     compute_heatwave_indices,
     compute_wave_indices,
     ophidia_wave_pipeline,
@@ -87,7 +86,7 @@ class TestReferenceIndices:
 
     def test_cold_wave_mirror(self):
         daily, baseline = synthetic_year(waves=[(10, 7, 2, 3, -9.0)])
-        idx = compute_coldwave_indices(daily, baseline)
+        idx = compute_wave_indices(daily, baseline, kind="cold")
         assert idx.number[2, 3] == 1
         assert idx.duration_max[2, 3] == 7
         hot = compute_heatwave_indices(daily, baseline)
@@ -147,7 +146,7 @@ class TestOphidiaPipelineEquivalence:
         )
         data_cube, base_cube = self._to_cubes(daily, baseline, client)
         dmax, num, freq = ophidia_wave_pipeline(data_cube, base_cube, kind="cold")
-        ref = compute_coldwave_indices(daily, baseline)
+        ref = compute_wave_indices(daily, baseline, kind="cold")
         np.testing.assert_array_equal(dmax.to_array(), ref.duration_max)
         np.testing.assert_array_equal(num.to_array(), ref.number)
         np.testing.assert_allclose(freq.to_array(), ref.frequency, atol=1e-9)
@@ -214,6 +213,6 @@ class TestIndexProperties:
     def test_heat_cold_symmetry(self, anomaly):
         baseline = np.full(anomaly.shape, 290.0)
         heat = compute_heatwave_indices(baseline + anomaly, baseline)
-        cold = compute_coldwave_indices(baseline - anomaly, baseline)
+        cold = compute_wave_indices(baseline - anomaly, baseline, kind="cold")
         np.testing.assert_array_equal(heat.duration_max, cold.duration_max)
         np.testing.assert_array_equal(heat.number, cold.number)

@@ -102,33 +102,6 @@ class TestPercentileWaveIndices:
         assert idx.number[0, 0] <= 2
 
 
-class TestOphidiaPercentile:
-    def test_cube_percentile_matches_numpy(self):
-        from repro.ophidia import Client, Cube, OphidiaServer
-
-        data = np.random.default_rng(0).normal(size=(30, 6, 4))
-        with OphidiaServer(2, 2) as server:
-            client = Client(server)
-            cube = Cube.from_array(data, ["time", "lat", "lon"], client=client,
-                                   fragment_dim="lat", nfrag=3)
-            p90 = cube.percentile(90.0, dim="time")
-            np.testing.assert_allclose(
-                p90.to_array(), np.percentile(data, 90.0, axis=0)
-            )
-
-    def test_cube_percentile_validation(self):
-        from repro.ophidia import Client, Cube, OphidiaServer
-
-        with OphidiaServer(1, 1) as server:
-            client = Client(server)
-            cube = Cube.from_array(np.zeros((4, 4)), ["time", "lat"],
-                                   client=client, fragment_dim="lat")
-            with pytest.raises(ValueError):
-                cube.percentile(150.0, dim="time")
-            with pytest.raises(ValueError):
-                cube.percentile(50.0, dim="lat")  # fragment dim
-
-
 class TestDynamicScaling:
     def test_add_servers_spreads_new_fragments(self):
         from repro.ophidia import StoragePool

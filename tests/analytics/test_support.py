@@ -1,4 +1,4 @@
-"""Tests for regridding, tiling/scaling, climatology, maps, validation."""
+"""Tests for regridding, tiling/scaling, maps, validation."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from repro.analytics import (
     ValidationError,
-    empirical_baseline,
     patch_center_latlon,
     regrid_bilinear,
     render_ascii_map,
     render_pgm,
     scale_features,
-    smooth_doy_baseline,
-    stitch_patches,
     tile_patches,
     validate_indices,
 )
@@ -73,13 +70,6 @@ class TestRegrid:
 
 
 class TestTiling:
-    def test_tile_and_stitch_roundtrip(self):
-        fields = np.random.default_rng(0).normal(size=(3, 16, 24))
-        patches, origins = tile_patches(fields, 8)
-        assert patches.shape == (6, 3, 8, 8)
-        back = stitch_patches(patches, origins, (16, 24))
-        np.testing.assert_array_equal(back, fields)
-
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
             tile_patches(np.zeros((2, 10, 24)), 8)
@@ -120,40 +110,6 @@ class TestTiling:
         plat, plon = patch_center_latlon((0, 70), (0.5, 1.5), lat, lon)
         assert plat == pytest.approx((lat[0] + lat[1]) / 2)
         assert plon == pytest.approx(((lon[71] + (lon[71] + 5.0)) / 2) % 360)
-
-
-class TestClimatology:
-    def test_empirical_baseline_mean(self):
-        years = [np.full((5, 2, 2), v) for v in (1.0, 3.0)]
-        np.testing.assert_array_equal(empirical_baseline(years), np.full((5, 2, 2), 2.0))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_baseline([np.zeros((5, 2, 2)), np.zeros((4, 2, 2))])
-        with pytest.raises(ValueError):
-            empirical_baseline([])
-
-    def test_smooth_preserves_constant(self):
-        base = np.full((30, 3, 3), 5.0)
-        np.testing.assert_allclose(smooth_doy_baseline(base, 7), base)
-
-    def test_smooth_is_circular(self):
-        base = np.zeros((20, 1))
-        base[0] = 10.0
-        smoothed = smooth_doy_baseline(base, 5)
-        # Mass leaks symmetrically across the year boundary.
-        assert smoothed[-1, 0] == pytest.approx(smoothed[1, 0])
-        assert smoothed[-2, 0] == pytest.approx(smoothed[2, 0])
-        assert smoothed.sum() == pytest.approx(10.0)
-
-    def test_smooth_window_validation(self):
-        base = np.zeros((10, 1))
-        for bad in (0, 2, 4):
-            with pytest.raises(ValueError):
-                smooth_doy_baseline(base, bad)
-        with pytest.raises(ValueError):
-            smooth_doy_baseline(base, 11)
-        np.testing.assert_array_equal(smooth_doy_baseline(base, 1), base)
 
 
 class TestMaps:

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analytics.heatwaves import ophidia_wave_pipeline
 from repro.cluster import SharedFilesystem
-from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
+from repro.observability.metrics import get_registry
 from repro.ophidia import Client, Cube, OphidiaServer
 from repro.ophidia.storage import StorageStats
 
@@ -39,34 +39,30 @@ def run_listing1(root, n_years=1, nfrag=4, **server_kwargs):
     cubes have spilled by then and must come back.  ``stats`` is the
     fragment traffic without the imports."""
     fs = SharedFilesystem(root)
-    previous = get_registry()
-    set_registry(MetricsRegistry())
-    try:
-        with OphidiaServer(n_io_servers=2, n_cores=2, filesystem=fs,
-                           **server_kwargs) as server:
-            client = Client(server)
-            imports, results = StorageStats(), []
-            for year in range(n_years):
-                before = server.storage_stats()
-                daily, baseline = [
-                    Cube.from_array(array, ["time", "lat", "lon"], client=client,
-                                    fragment_dim="lat", nfrag=nfrag)
-                    for array in quiet_year(seed=10 + year)
-                ]
-                imports.add(server.storage_stats().delta(before))
-                results.append(ophidia_wave_pipeline(daily, baseline, kind="heat"))
-            arrays, digests = [], {}
-            for year, indices in enumerate(results):
-                for cube, name in zip(indices, INDICES):
-                    cube.exportnc2("indices", f"y{year}_{name}")
-                    arrays.append(cube.to_array().copy())
-                    digests[f"y{year}_{name}"] = hashlib.sha256(
-                        fs.read_bytes(f"indices/y{year}_{name}.rnc")).hexdigest()
-            stats = server.storage_stats().delta(imports)
-        snapshot = get_registry().snapshot()
-        counters = {key: snapshot.value(name) for key, name in COUNTERS.items()}
-    finally:
-        set_registry(previous)
+    registry_before = get_registry().snapshot()
+    with OphidiaServer(n_io_servers=2, n_cores=2, filesystem=fs,
+                       **server_kwargs) as server:
+        client = Client(server)
+        imports, results = StorageStats(), []
+        for year in range(n_years):
+            before = server.storage_stats()
+            daily, baseline = [
+                Cube.from_array(array, ["time", "lat", "lon"], client=client,
+                                fragment_dim="lat", nfrag=nfrag)
+                for array in quiet_year(seed=10 + year)
+            ]
+            imports.add(server.storage_stats().delta(before))
+            results.append(ophidia_wave_pipeline(daily, baseline, kind="heat"))
+        arrays, digests = [], {}
+        for year, indices in enumerate(results):
+            for cube, name in zip(indices, INDICES):
+                cube.exportnc2("indices", f"y{year}_{name}")
+                arrays.append(cube.to_array().copy())
+                digests[f"y{year}_{name}"] = hashlib.sha256(
+                    fs.read_bytes(f"indices/y{year}_{name}.rnc")).hexdigest()
+        stats = server.storage_stats().delta(imports)
+    snapshot = get_registry().snapshot().delta(registry_before)
+    counters = {key: snapshot.value(name) for key, name in COUNTERS.items()}
     return {"arrays": arrays, "digests": digests, "stats": stats, **counters}
 
 

@@ -84,14 +84,6 @@ class TestNamespace:
         fs.write_bytes("ckpt/t1.pkl", b"\x00\x01\x02")
         assert fs.read_bytes("ckpt/t1.pkl") == b"\x00\x01\x02"
 
-    def test_read_header_counts_read(self, tmp_path):
-        fs = SharedFilesystem(tmp_path)
-        fs.write("a.rnc", small_ds())
-        header = fs.read_header("a.rnc")
-        assert "x" in header["variables"]
-        assert fs.stats.reads == 1
-        assert fs.stats.bytes_read == 0
-
 
 class _RecordingInjector:
     """Captures every op offered to the fault hook; raises on demand."""

@@ -42,13 +42,6 @@ class TestNodeBasics:
         with pytest.raises(ValueError):
             node.release(alloc)
 
-    def test_can_fit(self):
-        node = Node("n1", 2, 4.0)
-        assert node.can_fit(2, 4.0)
-        node.allocate(1, 2.0)
-        assert not node.can_fit(2)
-        assert node.can_fit(1, 2.0)
-
 
 class TestNodeConcurrency:
     def test_concurrent_allocation_never_overcommits(self):

@@ -1,7 +1,6 @@
 """Checkpoint recovery and streaming interfaces."""
 
 import os
-import threading
 import time
 
 import pytest
@@ -10,7 +9,6 @@ from repro.compss import (
     COMPSs,
     CheckpointManager,
     FileDistroStream,
-    ObjectDistroStream,
     StreamClosed,
     compss_barrier,
     compss_wait_on,
@@ -41,12 +39,6 @@ class TestCheckpointManager:
         (name,) = [n for n in os.listdir(tmp_path) if n.endswith(".ckpt")]
         with open(tmp_path / name, "wb") as fh:
             fh.write(b"garbage")
-        assert cm.load("f#0") is None
-
-    def test_clear(self, tmp_path):
-        cm = CheckpointManager(tmp_path)
-        cm.store("f#0", (1,))
-        cm.clear()
         assert cm.load("f#0") is None
 
 
@@ -127,46 +119,6 @@ class TestUnpicklableOutputs:
         assert runs == [1, 1]  # executed both times, no recovery
         leftovers = [n for n in os.listdir(tmp_path) if ".tmp." in n]
         assert leftovers == []
-
-
-class TestObjectStream:
-    def test_publish_poll(self):
-        s = ObjectDistroStream()
-        s.publish(1)
-        s.publish_many([2, 3])
-        assert s.poll() == [1, 2, 3]
-
-    def test_poll_blocks_until_publish(self):
-        s = ObjectDistroStream()
-
-        def later():
-            time.sleep(0.05)
-            s.publish("late")
-
-        threading.Thread(target=later).start()
-        assert s.poll(timeout=2) == ["late"]
-
-    def test_poll_nonblocking_empty(self):
-        s = ObjectDistroStream()
-        assert s.poll(block=False) == []
-
-    def test_closed_and_drained_raises(self):
-        s = ObjectDistroStream()
-        s.publish("x")
-        s.close()
-        assert s.poll() == ["x"]  # drain remaining first
-        with pytest.raises(StreamClosed):
-            s.poll()
-
-    def test_publish_after_close_rejected(self):
-        s = ObjectDistroStream()
-        s.close()
-        with pytest.raises(StreamClosed):
-            s.publish(1)
-
-    def test_poll_timeout_returns_empty(self):
-        s = ObjectDistroStream()
-        assert s.poll(timeout=0.05) == []
 
 
 class TestFileStream:

@@ -68,11 +68,6 @@ class TestFutureEdges:
             gate.set()
             assert compss_wait_on(fut) == 1
 
-    def test_peek_unresolved_raises(self):
-        fut = Future(producer_task_id=None)
-        with pytest.raises(RuntimeError):
-            fut.peek()
-
     def test_result_timeout(self):
         fut = Future(producer_task_id=None)
         with pytest.raises(TimeoutError):

@@ -8,15 +8,10 @@ import pytest
 from repro.compss import COMPSs, compss_wait_on, task
 from repro.compss.api import get_runtime
 from repro.compss.timerwheel import TimerWheel
-from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
+from repro.observability.metrics import get_registry
 
 
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    old = get_registry()
-    set_registry(MetricsRegistry())
-    yield
-    set_registry(old)
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 @task(returns=1)
@@ -108,9 +103,8 @@ class TestEventDrivenDispatch:
             assert compss_wait_on(fut) == 25
             elapsed = time.monotonic() - start
         assert elapsed < 1.5, f"chain took {elapsed:.2f}s — timed polling?"
-        hist = get_registry().get("compss_ready_queue_latency_seconds")
-        assert hist is not None
-        p95 = hist.quantile(0.95)
+        p95 = get_registry().snapshot().quantile(
+            "compss_ready_queue_latency_seconds", 0.95)
         assert p95 < 0.05, f"p95 ready-queue latency {p95:.3f}s"
 
     def test_backoff_expiry_wakes_via_timer(self):

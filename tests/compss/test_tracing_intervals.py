@@ -1,4 +1,4 @@
-"""Tracer interval arithmetic and Gantt edge cases."""
+"""Tracer interval arithmetic."""
 
 import pytest
 
@@ -84,38 +84,3 @@ class TestOverlapGroupSeconds:
             _event("b", 3.0, 5.0, task_id=3, worker=2),
         ])
         assert tracer.overlap_group_seconds("esm", ["a", "b"]) == pytest.approx(2.0)
-
-
-class TestGanttClamp:
-    def _tracer(self):
-        tracer = Tracer()
-        tracer.record(_event("alpha", 0.0, 0.5, task_id=1, worker=0))
-        tracer.record(_event("beta", 0.4, 1.0, task_id=2, worker=1))
-        return tracer
-
-    @pytest.mark.parametrize("width", [0, 1, 7, -5])
-    def test_narrow_width_clamps_to_minimum(self, width):
-        # Regression: width < 8 used to paint zero-width/out-of-bounds
-        # bars; it now renders as an 8-column chart.
-        lines = self._tracer().gantt(width=width).splitlines()
-        bars = [line for line in lines if line.startswith("w")]
-        assert len(bars) == 2
-        for line in bars:
-            assert len(line.split("|")[1]) == 8
-        assert any("a" in line for line in bars)
-        assert any("b" in line for line in bars)
-
-    def test_wide_chart_unchanged(self):
-        lines = self._tracer().gantt(width=40).splitlines()
-        bars = [line for line in lines if line.startswith("w")]
-        assert all(len(line.split("|")[1]) == 40 for line in bars)
-
-    def test_no_events(self):
-        assert Tracer().gantt(width=3) == "(no events)"
-
-    def test_zero_duration_event_paints_one_cell(self):
-        tracer = Tracer()
-        tracer.record(_event("x", 1.0, 1.0))
-        bars = [line for line in tracer.gantt(width=10).splitlines()
-                if line.startswith("w")]
-        assert bars[0].count("x") == 1

@@ -1,10 +1,13 @@
-"""Suite-wide fixtures: the shared TC model and a per-test leak check."""
+"""Suite-wide fixtures: the shared TC model, a fresh metrics registry,
+captured events and a per-test leak check."""
 
 import os
 import time
 
 import pytest
 
+from repro.observability import metrics
+from repro.observability.events import get_event_log, read_events
 from repro.workflow.tasks import ensure_tc_model
 
 
@@ -13,6 +16,25 @@ def tc_model_path(tmp_path_factory):
     """A quickly-trained TC localizer (synthetic patches), trained once
     for every test that runs the workflow with ML on."""
     return ensure_tc_model(None, 16, str(tmp_path_factory.mktemp("tc")))
+
+
+@pytest.fixture
+def fresh_registry(monkeypatch):
+    """An empty process-wide metrics registry for the test's duration."""
+    registry = metrics.MetricsRegistry()
+    monkeypatch.setattr(metrics, "_default_registry", registry)
+    return registry
+
+
+@pytest.fixture
+def captured_events(tmp_path):
+    """Reader of the events the process-wide log emits during the test,
+    taken from a file sink (the log keeps no events in memory)."""
+    log = get_event_log()
+    path = str(tmp_path / "captured-events.jsonl")
+    log.attach_file(path)
+    yield lambda: read_events(path)
+    log.detach_file()
 
 
 def _child_processes():

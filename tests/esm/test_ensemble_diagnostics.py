@@ -1,4 +1,4 @@
-"""Tests for ensembles, online diagnostics, cube concat and trace export."""
+"""Tests for ensembles and online diagnostics."""
 
 import json
 
@@ -15,7 +15,6 @@ from repro.esm import (
     build_member,
     ensemble_statistics,
     member_name,
-    run_ensemble,
 )
 
 
@@ -51,17 +50,6 @@ class TestEnsemble:
         _, d0 = next(m0.iter_year(2030, n_days=1))
         _, d1 = next(m1.iter_year(2030, n_days=1))
         assert not np.array_equal(d0["TREFHT"].data, d1["TREFHT"].data)
-
-    def test_run_ensemble_layout_and_truth(self, tmp_path):
-        fs = SharedFilesystem(tmp_path)
-        cfg = EnsembleConfig(base_config(), n_members=2)
-        truth = run_ensemble(cfg, [2030], fs, n_days=2)
-        assert set(truth) == {"r1i1p1f1", "r2i1p1f1"}
-        for member in truth:
-            files = fs.glob(f"ensemble/{member}", "cmcc_cm3_*.rnc")
-            assert len(files) == 2
-        # Forced events identical across members.
-        assert truth["r1i1p1f1"][2030] == truth["r2i1p1f1"][2030]
 
     def test_ensemble_statistics(self):
         fields = [np.full((2, 2), v) for v in (1.0, 2.0, 3.0)]
@@ -137,84 +125,3 @@ class TestDiagnostics:
         model.run_year(2030, fs, n_days=2, diagnostics=rec)
         payload = json.loads(fs.read_bytes("esm_output/diagnostics_2030.json"))
         assert payload["summary"]["n_days"] == 2
-
-
-class TestCubeConcat:
-    def test_concat_two_years(self):
-        from repro.ophidia import Client, Cube, OphidiaServer
-
-        a = np.random.default_rng(0).normal(size=(5, 4, 6))
-        b = np.random.default_rng(1).normal(size=(3, 4, 6))
-        with OphidiaServer(2, 2) as server:
-            client = Client(server)
-            ca = Cube.from_array(a, ["time", "lat", "lon"], client=client,
-                                 fragment_dim="lat", nfrag=2)
-            cb = Cube.from_array(b, ["time", "lat", "lon"], client=client,
-                                 fragment_dim="lat", nfrag=2)
-            cc = ca.concat(cb, dim="time")
-            assert cc.shape == (8, 4, 6)
-            np.testing.assert_array_equal(cc.to_array(),
-                                          np.concatenate([a, b], axis=0))
-
-    def test_concat_misaligned_fragments(self):
-        from repro.ophidia import Client, Cube, OphidiaServer
-
-        a = np.zeros((2, 4))
-        b = np.ones((3, 4))
-        with OphidiaServer(2, 2) as server:
-            client = Client(server)
-            ca = Cube.from_array(a, ["time", "y"], client=client,
-                                 fragment_dim="y", nfrag=2)
-            cb = Cube.from_array(b, ["time", "y"], client=client,
-                                 fragment_dim="y", nfrag=4)
-            cc = ca.concat(cb, dim="time")
-            np.testing.assert_array_equal(
-                cc.to_array(), np.concatenate([a, b], axis=0)
-            )
-
-    def test_concat_validation(self):
-        from repro.ophidia import Client, Cube, OphidiaServer
-
-        with OphidiaServer(1, 1) as server:
-            client = Client(server)
-            a = Cube.from_array(np.zeros((2, 4)), ["time", "y"], client=client,
-                                fragment_dim="y")
-            bad_dims = Cube.from_array(np.zeros((2, 4)), ["time", "x"],
-                                       client=client, fragment_dim="x")
-            bad_size = Cube.from_array(np.zeros((2, 5)), ["time", "y"],
-                                       client=client, fragment_dim="y")
-            with pytest.raises(ValueError):
-                a.concat(bad_dims, dim="time")
-            with pytest.raises(ValueError):
-                a.concat(bad_size, dim="time")
-            with pytest.raises(ValueError):
-                a.concat(a, dim="y")  # fragment dim
-
-
-class TestChromeTrace:
-    def test_export_structure(self):
-        from repro.compss.tracing import TaskEvent, Tracer
-
-        tr = Tracer()
-        tr.record(TaskEvent(1, "sim", 0, 0.0, 1.5, "COMPLETED"))
-        tr.record(TaskEvent(2, "ana", 1, 1.0, 2.0, "FAILED"))
-        doc = json.loads(tr.to_chrome_trace())
-        events = doc["traceEvents"]
-        assert len(events) == 2
-        assert events[0]["name"] == "sim#1"
-        assert events[0]["ph"] == "X"
-        assert events[0]["dur"] == pytest.approx(1.5e6)
-        assert events[1]["tid"] == 1
-        assert events[1]["cat"] == "FAILED"
-
-    def test_export_from_real_run(self):
-        from repro.compss import COMPSs, compss_wait_on, task
-
-        @task(returns=1)
-        def f(x):
-            return x
-
-        with COMPSs(n_workers=2) as rt:
-            compss_wait_on([f(i) for i in range(3)])
-            doc = json.loads(rt.tracer.to_chrome_trace())
-        assert len(doc["traceEvents"]) == 3

@@ -64,11 +64,6 @@ class TestGrid:
         _, j = g.nearest_index(0.0, 359.9)
         assert j == 0
 
-    def test_coriolis_sign(self):
-        g = Grid(24, 36)
-        assert np.all(g.coriolis[g.lat2d > 5] > 0)
-        assert np.all(g.coriolis[g.lat2d < -5] < 0)
-
 
 class TestForcing:
     def test_scenario_coercion(self):

@@ -169,14 +169,6 @@ class TestOceanAndCoupler:
         )
         assert flux.max() <= 3.0
 
-    def test_ocean_to_atmosphere_ice(self):
-        grid = Grid(24, 36)
-        coupler = Coupler(grid)
-        sst = np.full(grid.shape, 265.0)
-        out = coupler.ocean_to_atmosphere(sst)
-        assert out["icefrac"][grid.ocean_mask].max() == 1.0
-        assert np.all(out["icefrac"][grid.land_mask] == 0.0)
-
 
 class TestFilenames:
     def test_roundtrip(self):

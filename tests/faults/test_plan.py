@@ -46,13 +46,6 @@ class TestFaultPlan:
         assert "exists" not in DEFAULT_FS_OPS
         assert "write" in DEFAULT_FS_OPS and "read" in DEFAULT_FS_OPS
 
-    def test_injects_anything(self):
-        assert not FaultPlan().injects_anything
-        assert FaultPlan(fs_error_rate=0.1).injects_anything
-        assert FaultPlan(
-            node_crashes=(NodeCrash("n1", after_fs_writes=1),)
-        ).injects_anything
-
     def test_describe_mentions_every_fault(self):
         plan = FaultPlan(
             seed=7,

@@ -17,11 +17,8 @@ from repro.hpcwaas import (
     HPCWaaSAPI,
     topology_from_yaml,
 )
-from repro.observability.events import (
-    EventLog, get_event_log, set_event_log,
-)
 from repro.observability.metrics import (
-    MetricsRegistry, get_registry, set_registry,
+    get_registry,
 )
 
 _TOSCA = """
@@ -40,15 +37,7 @@ topology_template:
 """
 
 
-@pytest.fixture(autouse=True)
-def _fresh_telemetry():
-    old_registry = get_registry()
-    old_log = get_event_log()
-    set_registry(MetricsRegistry())
-    set_event_log(EventLog())
-    yield
-    set_registry(old_registry)
-    set_event_log(old_log)
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 @pytest.fixture
@@ -89,7 +78,7 @@ class TestPerInstanceIds:
 
 
 class TestQueueFallback:
-    def test_unconfigured_queue_counts_and_warns(self, cluster):
+    def test_unconfigured_queue_counts_and_warns(self, cluster, captured_events):
         api, wf = _published(
             cluster, lambda c, p: "ok", queue="p_ghost"
         )
@@ -103,11 +92,10 @@ class TestQueueFallback:
         assert snap.value(
             "hpcwaas_queue_fallbacks_total", workflow=wf, declared="p_ghost"
         ) == 1
-        events = get_event_log().events(
-            min_severity="WARNING", component="hpcwaas"
-        )
+        events = [e for e in captured_events() if e.component == "hpcwaas"]
         assert any(
-            e.name == "queue_fallback" and e.attrs["declared"] == "p_ghost"
+            e.name == "queue_fallback" and e.severity == "WARNING"
+            and e.attrs["declared"] == "p_ghost"
             for e in events
         )
 

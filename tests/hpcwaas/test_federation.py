@@ -36,8 +36,6 @@ class TestFederation:
         with pytest.raises(FederationError):
             fed.for_role("gpu")
         with pytest.raises(FederationError):
-            fed.site("mars")
-        with pytest.raises(FederationError):
             fed.assign_role("x", "mars")
 
     def test_duplicate_site_rejected(self, two_sites, tmp_path):

@@ -107,12 +107,6 @@ class TestContainerService:
         assert a.digest != b.digest
         assert svc.builds == 2
 
-    def test_get_by_digest(self):
-        svc = ContainerImageCreationService()
-        image = svc.build("rt", [])
-        assert svc.get(image.digest) is image
-        assert svc.get("nope") is None
-
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             ContainerImageCreationService().build("", [])
@@ -206,7 +200,6 @@ topology_template:
         topo = topology_from_yaml(bad)
         with pytest.raises(Exception):
             orchestrator.deploy(topo, cluster)
-        deployment = orchestrator.get(2) if 2 in orchestrator._deployments else None
         failed = [d for d in orchestrator._deployments.values()
                   if d.state is DeploymentState.FAILED]
         assert failed
@@ -336,9 +329,6 @@ class TestRegistryAndAPI:
             registry.register(WorkflowRecord("w", record.deployment, lambda c, p: 1))
         with pytest.raises(KeyError):
             registry.get("ghost")
-        registry.unregister("w")
-        with pytest.raises(KeyError):
-            registry.unregister("w")
 
     def test_executions_listing(self, cluster, orchestrator):
         _, api, _ = self._published(cluster, orchestrator, lambda c, p: 1)

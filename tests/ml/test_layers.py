@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sigmoid
+from repro.ml import Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.ml.training import numerical_gradient
 
 RNG = np.random.default_rng(0)
@@ -60,12 +60,6 @@ class TestShapesAndSemantics:
         np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
         grad = relu.backward(np.ones(3))
         np.testing.assert_array_equal(grad, [0.0, 0.0, 1.0])
-
-    def test_sigmoid_bounds_and_stability(self):
-        sig = Sigmoid()
-        out = sig.forward(np.array([-1000.0, 0.0, 1000.0]))
-        assert np.all(np.isfinite(out))
-        assert out[1] == pytest.approx(0.5)
 
     def test_dense_shape_validation(self):
         dense = Dense(4, 2, rng=RNG)
@@ -137,9 +131,4 @@ class TestGradientChecks:
         # Keep values away from the kink at 0.
         x = np.random.default_rng(3).normal(size=(4, 5))
         x[np.abs(x) < 0.1] += 0.5
-        self._check_layer(layer, x)
-
-    def test_sigmoid_gradients(self):
-        layer = Sigmoid()
-        x = np.random.default_rng(3).normal(size=(4, 5))
         self._check_layer(layer, x)

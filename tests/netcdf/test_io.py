@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.netcdf import Dataset, read_dataset, read_header, read_variable, write_dataset
+from repro.netcdf import Dataset, read_dataset, read_variable, write_dataset
 from repro.netcdf.io import MAGIC, RNCFormatError
 
 
@@ -63,14 +63,6 @@ class TestRoundTrip:
         np.testing.assert_array_equal(var.data, ds["VORT850"].data)
         assert var.dims == ("time", "lat", "lon")
 
-    def test_read_header_only(self, tmp_path):
-        ds = make_daily_dataset()
-        path = tmp_path / "day.rnc"
-        write_dataset(ds, path)
-        header = read_header(path)
-        assert header["dimensions"]["lat"] == 6
-        assert "PSL" in header["variables"]
-
     def test_returned_arrays_are_writable(self, tmp_path):
         ds = make_daily_dataset()
         path = tmp_path / "day.rnc"
@@ -121,7 +113,7 @@ class TestErrors:
         path = tmp_path / "corrupt.rnc"
         path.write_bytes(MAGIC + len(payload).to_bytes(8, "little") + payload)
         with pytest.raises(RNCFormatError):
-            read_header(path)
+            read_dataset(path)
 
     def test_truncated_payload(self, tmp_path):
         ds = Dataset()

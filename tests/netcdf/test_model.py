@@ -86,12 +86,3 @@ class TestDataset:
         ds.create_variable("a", np.zeros(3, dtype=np.float64), ("x",))
         ds.create_variable("b", np.zeros(3, dtype=np.float32), ("x",))
         assert ds.nbytes == 3 * 8 + 3 * 4
-
-    def test_copy_independent(self):
-        ds = Dataset({"k": 1})
-        ds.create_variable("a", np.zeros(3), ("x",))
-        c = ds.copy()
-        c["a"].data[0] = 5.0
-        c.attrs["k"] = 2
-        assert ds["a"].data[0] == 0.0
-        assert ds.attrs["k"] == 1

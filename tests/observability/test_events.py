@@ -76,24 +76,6 @@ class TestEmission:
                 assert current_run_id() == "inner"
             assert current_run_id() == "outer"
 
-    def test_ring_is_bounded(self):
-        log = EventLog(max_events=3)
-        for i in range(10):
-            log.emit("INFO", "test", f"e{i}")
-        assert len(log) == 3
-        assert [e.name for e in log.events()] == ["e7", "e8", "e9"]
-
-    def test_filtering(self):
-        log = EventLog()
-        log.emit("DEBUG", "ophidia", "op")
-        log.emit("WARNING", "compss", "retry")
-        log.emit("ERROR", "lsf", "crash")
-        assert len(log.events(min_severity="WARNING")) == 2
-        assert [e.name for e in log.events(component="lsf")] == ["crash"]
-        with run_scope("r1"):
-            log.emit("INFO", "workflow", "scoped")
-        assert [e.name for e in log.events(run_id="r1")] == ["scoped"]
-
 
 class TestSinks:
     def test_file_sink_writes_jsonl(self, tmp_path):
@@ -128,24 +110,6 @@ class TestSinks:
         assert event.name == "after-death"
         assert log.file_path is None  # sink disarmed
 
-    def test_subscriber_fanout_and_unsubscribe(self):
-        log = EventLog()
-        seen = []
-        unsubscribe = log.subscribe(lambda e: seen.append(e.name))
-        log.emit("INFO", "test", "a")
-        unsubscribe()
-        log.emit("INFO", "test", "b")
-        assert seen == ["a"]
-
-    def test_broken_subscriber_does_not_raise(self):
-        log = EventLog()
-
-        def boom(event):
-            raise RuntimeError("subscriber bug")
-
-        log.subscribe(boom)
-        assert log.emit("INFO", "test", "x").name == "x"
-
     def test_concurrent_emitters_unique_seq(self, tmp_path):
         log = EventLog()
         log.attach_file(str(tmp_path / "events.jsonl"))
@@ -161,11 +125,9 @@ class TestSinks:
         for t in threads:
             t.join()
         log.detach_file()
-        seqs = [e.seq for e in log.events()]
-        assert len(seqs) == 200
-        assert len(set(seqs)) == 200
         on_disk = read_events(str(tmp_path / "events.jsonl"))
         assert len(on_disk) == 200  # no torn/interleaved lines
+        assert len({e.seq for e in on_disk}) == 200
 
 
 class TestParsing:

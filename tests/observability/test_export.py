@@ -7,9 +7,9 @@ import pytest
 from repro.compss.tracing import TaskEvent
 from repro.observability import (
     MetricsRegistry,
+    SpanContext,
     TraceCollector,
     build_perfetto_trace,
-    new_context,
     record_span,
     render_run_report,
     snapshot_from_json,
@@ -98,7 +98,8 @@ class TestRunReport:
 
     def test_error_spans_counted(self):
         c = TraceCollector()
-        record_span("bad", layer="x", start=0, end=1, parent=new_context(),
+        record_span("bad", layer="x", start=0, end=1,
+                    parent=SpanContext("t" * 16, "s" * 16),
                     status="ERROR", collector=c)
         report = render_run_report(MetricsRegistry().snapshot(), c.spans())
         assert "1 errors" in report

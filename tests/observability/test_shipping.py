@@ -13,12 +13,10 @@ import pickle
 
 import pytest
 
-from repro.observability.events import EventLog, set_event_log
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     get_registry,
-    set_registry,
     snapshot_histogram_quantile,
     snapshot_value,
 )
@@ -32,8 +30,8 @@ from repro.observability.shipping import (
 )
 from repro.observability.spans import (
     Span,
+    SpanContext,
     TraceCollector,
-    new_context,
     set_collector,
     span,
 )
@@ -41,15 +39,11 @@ from repro.observability.resources import ResourceSampler
 
 
 @pytest.fixture
-def fresh_globals():
-    """Isolate the process-wide registry/collector/event log."""
-    registry = set_registry(MetricsRegistry())
+def fresh_globals(fresh_registry):
+    """Isolate the process-wide registry and collector."""
     collector = set_collector(TraceCollector())
-    log = set_event_log(EventLog())
-    yield registry, collector, log
-    set_registry(MetricsRegistry())
+    yield fresh_registry, collector
     set_collector(TraceCollector())
-    set_event_log(EventLog())
 
 
 def _delta_json(registry, before):
@@ -131,7 +125,7 @@ class TestSpanSerialisation:
         assert restored == original
 
     def test_context_round_trip(self):
-        ctx = new_context()
+        ctx = SpanContext("t" * 16, "s" * 16)
         assert deserialize_context(serialize_context(ctx)) == ctx
         assert serialize_context(None) is None
         assert deserialize_context(None) is None
@@ -139,8 +133,8 @@ class TestSpanSerialisation:
 
 class TestTelemetryCapture:
     def test_capture_joins_parent_trace_and_ships_delta(self, fresh_globals):
-        registry, collector, _ = fresh_globals
-        parent = new_context()
+        registry, collector = fresh_globals
+        parent = SpanContext("t" * 16, "s" * 16)
         with TelemetryCapture(
             serialize_context(parent), "worker.kernel",
             attrs={"fragment": 2},
@@ -169,7 +163,7 @@ class TestTelemetryCapture:
     def test_capture_registry_bracketing_excludes_prior_counts(
         self, fresh_globals
     ):
-        registry, _, _ = fresh_globals
+        registry, _ = fresh_globals
         registry.counter("old_total", "pre-existing").inc(10)
         with TelemetryCapture(None, "worker.kernel") as capture:
             registry.counter("new_total", "fresh").inc()
@@ -178,7 +172,7 @@ class TestTelemetryCapture:
         assert snapshot_value(metrics, "new_total") == 1
 
     def test_merge_envelope_folds_metrics_spans_and_drops(self, fresh_globals):
-        parent = new_context()
+        parent = SpanContext("t" * 16, "s" * 16)
         with TelemetryCapture(serialize_context(parent), "worker.kernel") as cap:
             get_registry().counter("shipped_total", "n").inc(2)
         envelope = cap.envelope()
@@ -230,22 +224,25 @@ def _finished_span(name, ctx):
 
 
 class TestDropAccounting:
-    def test_overflow_increments_counter_and_warns_once(self, fresh_globals):
-        registry, _, log = fresh_globals
+    def test_overflow_increments_counter_and_warns_once(
+        self, fresh_globals, captured_events
+    ):
+        registry, _ = fresh_globals
         collector = TraceCollector(max_spans=1)
-        ctx = new_context()
+        ctx = SpanContext("t" * 16, "s" * 16)
         collector.record(_finished_span("a", ctx))
         for _ in range(3):
             collector.record(_finished_span("b", ctx))
         assert collector.dropped == 3
         snap = registry.snapshot().to_json()
         assert snapshot_value(snap, "trace_spans_dropped_total") == 3
-        warnings = [e for e in log.events(min_severity="WARNING")
-                    if e.name == "trace_spans_dropped"]
+        warnings = [e for e in captured_events()
+                    if e.name == "trace_spans_dropped"
+                    and e.severity == "WARNING"]
         assert len(warnings) == 1  # first drop only
 
     def test_note_dropped_accounts_worker_side_losses(self, fresh_globals):
-        registry, _, _ = fresh_globals
+        registry, _ = fresh_globals
         collector = TraceCollector()
         collector.note_dropped(5)
         collector.note_dropped(0)

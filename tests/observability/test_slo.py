@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.observability.events import EventLog, set_event_log
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.slo import (
     SLOMonitor,
@@ -34,13 +33,6 @@ slos:
     labels:
       tier: block
 """
-
-
-@pytest.fixture
-def event_log():
-    log = set_event_log(EventLog())
-    yield log
-    set_event_log(EventLog())
 
 
 class TestParsing:
@@ -150,7 +142,7 @@ class TestPostHoc:
 
 
 class TestMonitor:
-    def test_breach_transition_emits_event_and_counter(self, event_log):
+    def test_breach_transition_emits_event_and_counter(self, captured_events):
         registry = MetricsRegistry()
         gauge = registry.gauge("depth", "queue depth")
         rule = SLORule(name="depth", metric="depth", threshold=5.0,
@@ -170,7 +162,7 @@ class TestMonitor:
         counts = monitor.stop()
 
         assert counts == {"depth": 2}
-        breaches = event_log.events(component="slo")
+        breaches = [e for e in captured_events() if e.component == "slo"]
         names = [e.name for e in breaches]
         assert names.count("slo_breach") == 2
         assert names.count("slo_recovered") == 1
@@ -179,7 +171,7 @@ class TestMonitor:
             "slo_breaches_total", slo="depth", severity="critical"
         ) == 2
 
-    def test_deltas_are_relative_to_start(self, event_log):
+    def test_deltas_are_relative_to_start(self):
         registry = MetricsRegistry()
         counter = registry.counter("ops_total", "")
         counter.inc(100)  # pre-run traffic must not count
@@ -190,7 +182,7 @@ class TestMonitor:
         assert monitor.evaluate_once()[0].value == 10.0
         monitor.stop()
 
-    def test_window_rule_sees_only_recent_traffic(self, event_log):
+    def test_window_rule_sees_only_recent_traffic(self):
         registry = MetricsRegistry()
         counter = registry.counter("errs_total", "")
         rule = SLORule(name="recent-errs", metric="errs_total",
@@ -205,7 +197,7 @@ class TestMonitor:
         assert monitor.breached_rules == []
         monitor.stop()
 
-    def test_stop_runs_final_evaluation(self, event_log):
+    def test_stop_runs_final_evaluation(self):
         registry = MetricsRegistry()
         rule = SLORule(name="depth", metric="depth", threshold=5.0)
         monitor = SLOMonitor([rule], interval=3600.0, registry=registry)
@@ -214,7 +206,7 @@ class TestMonitor:
         counts = monitor.stop()  # sub-interval run still gets checked
         assert counts == {"depth": 1}
 
-    def test_live_thread_detects_breach(self, event_log):
+    def test_live_thread_detects_breach(self):
         registry = MetricsRegistry()
         rule = SLORule(name="depth", metric="depth", threshold=5.0)
         with SLOMonitor([rule], interval=0.01, registry=registry) as monitor:
@@ -224,7 +216,7 @@ class TestMonitor:
                 time.sleep(0.01)
             assert monitor.breached_rules == ["depth"]
 
-    def test_monitor_never_raises_into_the_run(self, event_log):
+    def test_monitor_never_raises_into_the_run(self):
         registry = MetricsRegistry()
         rule = SLORule(name="r", metric="m", threshold=1.0)
         monitor = SLOMonitor([rule], interval=0.01, registry=registry)

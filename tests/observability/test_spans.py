@@ -5,11 +5,11 @@ import threading
 import pytest
 
 from repro.observability import (
+    SpanContext,
     TraceCollector,
     activate,
     current_context,
     maybe_span,
-    new_context,
     record_span,
     span,
 )
@@ -79,7 +79,7 @@ class TestMaybeSpan:
 
 class TestRecordSpan:
     def test_retroactive_span_joins_parent(self, collector):
-        parent = new_context()
+        parent = SpanContext("t" * 16, "s" * 16)
         s = record_span("queue", layer="scheduler", start=1.0, end=2.5,
                         parent=parent, collector=collector)
         assert s is not None
@@ -126,12 +126,13 @@ class TestCollector:
         c = TraceCollector(max_spans=2)
         for _ in range(4):
             record_span("s", layer="x", start=0, end=1,
-                        parent=new_context(), collector=c)
+                        parent=SpanContext("t" * 16, "s" * 16),
+                        collector=c)
         assert len(c) == 2
         assert c.dropped == 2
 
     def test_for_trace_filters(self, collector):
-        a, b = new_context(), new_context()
+        a, b = SpanContext("a" * 16, "1" * 16), SpanContext("b" * 16, "2" * 16)
         record_span("s1", layer="x", start=0, end=1, parent=a,
                     collector=collector)
         record_span("s2", layer="x", start=0, end=1, parent=b,
@@ -145,9 +146,3 @@ class TestCollector:
         with span("s", collector=c):
             pass
         assert len(c) == 1
-
-    def test_clear(self, collector):
-        record_span("s", layer="x", start=0, end=1, parent=new_context(),
-                    collector=collector)
-        collector.clear()
-        assert len(collector) == 0

@@ -1,4 +1,4 @@
-"""Extra coverage for the scripted client dispatch surface."""
+"""Cube rendering through a client session."""
 
 import numpy as np
 import pytest
@@ -17,58 +17,6 @@ def make_cube(client, data=None, dims=("time", "y")):
         data = np.arange(12.0).reshape(6, 2)
     return Cube.from_array(np.asarray(data), list(dims), client=client,
                            fragment_dim=dims[-1])
-
-
-class TestDispatchOperators:
-    def test_reduce2_via_submit(self, client):
-        cube = make_cube(client)
-        out = client.submit("oph_reduce2", cube=cube, operation="sum",
-                            dim="time", group_size=3)
-        np.testing.assert_array_equal(
-            out.to_array(), np.arange(12.0).reshape(2, 3, 2).sum(axis=1)
-        )
-
-    def test_runlength_via_submit(self, client):
-        mask = np.array([[1, 0], [1, 0], [0, 1], [1, 1]])
-        cube = make_cube(client, mask)
-        out = client.submit("oph_runlength", cube=cube, dim="time")
-        expected = np.array([[0, 0], [2, 0], [0, 0], [1, 2]])
-        np.testing.assert_array_equal(out.to_array(), expected)
-
-    def test_subset_via_submit(self, client):
-        cube = make_cube(client)
-        out = client.submit("oph_subset", cube=cube, dim="time", start=1, stop=4)
-        assert out.shape == (3, 2)
-
-    def test_merge_via_submit(self, client):
-        cube = make_cube(client)
-        out = client.submit("oph_merge", cube=cube)
-        assert out.nfrag == 1
-
-    def test_intercube_via_submit_by_id(self, client):
-        a = make_cube(client)
-        b = make_cube(client)
-        client.register(a)
-        client.register(b)
-        out = client.submit("oph_intercube", cube=a.cube_id, other=b.cube_id,
-                            operation="sub")
-        np.testing.assert_array_equal(out.to_array(), np.zeros((6, 2)))
-
-    def test_results_registered(self, client):
-        cube = make_cube(client)
-        out = client.submit("oph_apply", cube=cube,
-                            query="oph_mul_scalar('OPH_DOUBLE','OPH_DOUBLE',measure,2)")
-        assert client.cube(out.cube_id) is out
-
-    def test_unknown_cube_id(self, client):
-        with pytest.raises(KeyError):
-            client.cube(10**6)
-
-    def test_operator_log_covers_dispatch(self, client):
-        cube = make_cube(client)
-        client.submit("oph_reduce", cube=cube, operation="max", dim="time")
-        ops = [e["operator"] for e in client.server.operator_log]
-        assert "oph_reduce" in ops
 
 
 class TestCubeRepr:

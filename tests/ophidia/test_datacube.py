@@ -282,36 +282,6 @@ class TestImportNC:
             Cube.importnc2([], measure="x", client=client)
 
 
-class TestClientDispatch:
-    def test_submit_pipeline(self, tmp_path):
-        fs = SharedFilesystem(tmp_path)
-        with OphidiaServer(2, 2, filesystem=fs) as server:
-            client = Client(server)
-            ds = Dataset()
-            ds.create_variable("v", np.arange(24.0).reshape(2, 3, 4),
-                               ("time", "lat", "lon"))
-            fs.write("in.rnc", ds)
-            c = client.submit("oph_importnc2", src_paths="in.rnc", measure="v")
-            r = client.submit("oph_reduce", cube=c, operation="max", dim="time")
-            assert client.cube(r.cube_id) is r
-            np.testing.assert_array_equal(
-                r.to_array(), np.arange(24.0).reshape(2, 3, 4).max(axis=0)
-            )
-            client.submit("oph_exportnc2", cube=r, output_path="out",
-                          output_name="maxmap")
-            assert fs.exists("out/maxmap.rnc")
-            client.submit("oph_delete", cube=c)
-
-    def test_submit_unknown_operator(self, client):
-        with pytest.raises(ValueError):
-            client.submit("oph_nope")
-
-    def test_disconnected_client_rejected(self, client):
-        client.disconnect()
-        with pytest.raises(RuntimeError):
-            client.submit("oph_merge", cube=1)
-
-
 @st.composite
 def cube_payloads(draw):
     t = draw(st.integers(1, 6))

@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ophidia import PrimitiveError, evaluate_primitive
+from repro.ophidia import PrimitiveError
+from repro.ophidia.primitives import evaluate_ast, parse_primitive
+
+
+def evaluate_primitive(query, measure):
+    """Parse and evaluate *query*, as an operator does per fragment."""
+    return evaluate_ast(parse_primitive(query), measure)
 
 
 class TestPredicate:
@@ -208,27 +214,22 @@ class TestNestingAndErrors:
 
 class TestASTCache:
     def test_repeated_queries_hit_the_cache(self):
-        from repro.ophidia import (
-            clear_primitive_cache,
-            parse_primitive,
-            primitive_cache_info,
-        )
+        from repro.ophidia import parse_primitive, primitive_cache_info
 
-        clear_primitive_cache()
-        query = "oph_predicate('OPH_INT','OPH_INT',measure,'x','>0','1','0')"
+        # A query no other test parses, so its first parse is a miss.
+        query = "oph_predicate('OPH_INT','OPH_INT',measure,'x','>4242','1','0')"
+        before = primitive_cache_info()
         first = parse_primitive(query)
         info = primitive_cache_info()
-        assert info["misses"] == 1 and info["hits"] == 0
+        assert info["misses"] == before["misses"] + 1
+        assert info["hits"] == before["hits"]
         for _ in range(5):
             assert parse_primitive(query) is first
         info = primitive_cache_info()
-        assert info["misses"] == 1 and info["hits"] == 5
-        assert info["size"] == 1
+        assert info["misses"] == before["misses"] + 1
+        assert info["hits"] == before["hits"] + 5
 
     def test_cached_evaluation_matches_uncached(self):
-        from repro.ophidia import clear_primitive_cache
-
-        clear_primitive_cache()
         measure = np.array([1.0, -2.0, 3.0])
         query = "oph_mul_scalar('OPH_DOUBLE','OPH_DOUBLE',measure,2)"
         cold = evaluate_primitive(query, measure)
@@ -236,10 +237,9 @@ class TestASTCache:
         np.testing.assert_array_equal(cold, warm)
 
     def test_cache_is_bounded_lru(self):
-        from repro.ophidia import clear_primitive_cache, parse_primitive
+        from repro.ophidia import parse_primitive
         from repro.ophidia.primitives import _ast_cache
 
-        clear_primitive_cache()
         for k in range(_ast_cache.maxsize + 10):
             parse_primitive(
                 f"oph_sum_scalar('OPH_DOUBLE','OPH_DOUBLE',measure,{k})"
@@ -249,9 +249,8 @@ class TestASTCache:
     def test_parallel_parsing_is_consistent(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.ophidia import clear_primitive_cache, parse_primitive
+        from repro.ophidia import parse_primitive
 
-        clear_primitive_cache()
         query = "oph_predicate('OPH_INT','OPH_INT',measure,'x','>=6','x','0')"
         with ThreadPoolExecutor(max_workers=8) as pool:
             asts = list(pool.map(lambda _: parse_primitive(query), range(64)))

@@ -8,23 +8,12 @@ fragment silently stays hot.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
 from repro.ophidia import Client, Cube, OphidiaServer
 
 PRED = "oph_predicate('OPH_FLOAT','OPH_INT',measure,'x','{cond}','{t}','{e}')"
-
-
-@pytest.fixture
-def fresh_registry():
-    old = get_registry()
-    reg = MetricsRegistry()
-    set_registry(reg)
-    yield reg
-    set_registry(old)
 
 
 def run_pipeline(data, baseline, cond, then_v, else_v, *, nfrag, server_kwargs):

@@ -1,0 +1,122 @@
+"""Run every entry point of the program once at toy size, for
+``tests/test_reach.py``: the ``bench/workloads.py`` workloads at smoke
+size, the CLI sub-commands (those CI runs plus one of each other, the
+service demo workflows included) and the examples at the sizes
+``tests/test_examples.py`` uses.  Arguments: WORKDIR TC_MODEL_PATH.
+"""
+
+import contextlib
+import io
+import json
+import os
+import runpy
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SMALL = ("--n-lat", 8, "--n-lon", 12)
+
+
+def cli(*argv, expect=(0,)):
+    """``repro.cli.main`` in-process; returns what it printed."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main([str(a) for a in argv])
+    if rc not in expect:
+        raise SystemExit(f"repro {' '.join(map(str, argv))}: exit {rc}")
+    return out.getvalue()
+
+
+def run_bench_workloads(work):
+    sys.path.insert(0, os.path.join(REPO, "bench"))
+    from workloads import WORKLOADS, Region, size_of
+
+    # dag_fanout checks its task count against the process-wide metrics
+    # registry, so it runs before anything else in this process counts
+    # tasks (bench/ runs every repetition in a fresh process instead).
+    for name in sorted(WORKLOADS, key=lambda name: name != "dag_fanout"):
+        workload, size = WORKLOADS[name], size_of(WORKLOADS[name], True)
+        inputs, rep = f"{work}/bench/{name}/in", f"{work}/bench/{name}/rep"
+        for path in (inputs, rep):
+            os.makedirs(path)
+        workload.setup(12, size, inputs)
+        outcome = workload.run(size, workload.load(size, inputs), rep, Region(False))
+        if not all(outcome.checks.values()):
+            raise SystemExit(f"bench workload {name}: checks {outcome.checks}")
+
+
+def run_cli(work):
+    db, events, svc = f"{work}/runs.db", f"{work}/events.jsonl", f"{work}/svc.db"
+    rules = {name: f"{work}/{name}.yaml" for name in ("tight", "loose", "malformed")}
+    for name, text in zip(rules, ("max: 0.000001", "max: 100000", "[unterminated")):
+        with open(rules[name], "w") as fh:
+            fh.write("slos:\n  - name: makespan\n    metric: "
+                     f"workflow_makespan_seconds\n    {text}\n    severity: critical\n")
+    metrics = f"{work}/perf/results/metrics.json"
+
+    cli("metrics", "--selftest")
+    cli("info")
+    cli("run-distributed", "--days", 5, "--n-lat", 16, "--n-lon", 24,
+        "--min-length", 3, "--scratch", f"{work}/dist")
+    cli("run", "--years", 2030, 2031, "--days", 8, *SMALL, "--min-length", 4,
+        "--pace", 0.02, "--scratch", f"{work}/perf", "--trace-out",
+        f"{work}/trace.json", "--runs-db", db, "--events-out", events)
+    cli("analyze", "--from", f"{work}/trace.json")
+    cli("run", "--years", 2030, 2031, "--days", 8, *SMALL, "--min-length", 4,
+        "--scratch", f"{work}/fast", "--runs-db", db)
+    cli("history", "list", "--db", db)
+    fast, paced = (r["run_id"] for r in json.loads(cli(
+        "history", "list", "--db", db, "--kind", "run", "--format", "json")))
+    cli("history", "compare", fast, paced, "--db", db, "--fail-on-drift",
+        "--report-out", f"{work}/compare.json", expect=(0, 1))
+    cli("history", "show", fast, "--db", db)
+    cli("slo", "check", "--rules", rules["tight"], "--run", fast, "--db", db, expect=(1,))
+    cli("slo", "check", "--rules", rules["loose"], "--run", fast, "--db", db)
+    cli("slo", "check", "--rules", rules["loose"], "--from", metrics)
+    cli("slo", "check", "--rules", rules["malformed"], "--from", metrics, expect=(2,))
+    cli("tail", events, "--level", "WARNING")
+    cli("run", "--years", 2032, "--days", 6, *SMALL, "--min-length", 3,
+        "--backend", "process", "--scratch", f"{work}/proc", "--runs-db", db,
+        "--events-out", events)
+    cli("top", "--db", db, "--events", events, "--once")
+    cli("metrics", "--from", metrics)
+    cli("report", f"{work}/perf/results/run_summary.json")
+    cli("run", "--days", 6, *SMALL, "--min-length", 3, "--slo", rules["loose"],
+        "--ophidia-memory-budget-mb", 0.01, "--no-cache", "--scratch", f"{work}/tiered")
+    cli("chaos", "--seed", 7, "--kill-node", "local1", "--fs-error-rate", 0.05,
+        "--days", 6, "--scratch", f"{work}/chaos", "--report-out", f"{work}/chaos.json")
+    cli("simulate", f"{work}/sim", "--days", 8, *SMALL)
+    cli("indices", f"{work}/sim", "--min-length", 3)
+    cli("service", "init", "--db", svc)
+    cli("service", "add-tenant", "atmos", "--db", svc)
+    cli("submit", "atmos", "esm-ensemble-member", "--cores", 2,
+        "--param", "n_days=2", "--db", svc)
+    cli("submit", "atmos", "heatwave-analytics", "--param", "n_days=12", "--db", svc)
+    cli("service", "run", "--db", svc, "--scratch", f"{work}/svc", "--timeout", 120)
+    cli("service", "tenants", "--db", svc)
+    cli("service", "jobs", "--db", svc)
+
+
+def run_examples(tc_model):
+    for argv in (
+        ["quickstart.py", "--days", "6", "--no-ml"],
+        ["heatwave_indices.py", "--days", "20"],
+        ["streaming_overlap.py", "--days", "6", "--years", "1", "--pace", "0.01"],
+        ["hpcwaas_deployment.py", "--days", "5"],
+        ["distributed_federation.py", "--days", "4", "--years", "2030"],
+        ["fault_tolerance.py"],
+        ["ensemble_analysis.py", "--members", "2", "--days", "20"],
+        ["percentile_indices.py", "--hist-years", "3", "--days", "30"],
+        ["scenario_comparison.py", "--days", "20", "--decades", "2"],
+        ["tc_detection.py", "--days", "6", "--model", tc_model],
+    ):
+        sys.argv = [os.path.join(REPO, "examples", argv[0])] + argv[1:]
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(sys.argv[0], run_name="__main__")
+
+
+if __name__ == "__main__":
+    run_bench_workloads(sys.argv[1])
+    run_cli(sys.argv[1])
+    run_examples(sys.argv[2])

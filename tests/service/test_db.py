@@ -83,17 +83,6 @@ class TestTenants:
         with pytest.raises(KeyError):
             db.get_tenant("ghost")
 
-    def test_set_quota(self, db):
-        db.add_tenant("alice")
-        updated = db.set_quota("alice", share=3.0, max_running=1, max_cores=2)
-        assert (updated.share, updated.max_running, updated.max_cores) == (
-            3.0, 1, 2
-        )
-        with pytest.raises(KeyError):
-            db.set_quota("ghost", share=1.0)
-        with pytest.raises(ValueError):
-            db.set_quota("alice", share=-1.0)
-
 
 class TestSites:
     def test_register_is_upsert(self, db):

@@ -13,9 +13,8 @@ import pytest
 
 from repro.cluster import laptop_like
 from repro.hpcwaas import Alien4Cloud, HPCWaaSAPI, topology_from_yaml
-from repro.observability.events import EventLog, get_event_log, set_event_log
 from repro.observability.metrics import (
-    MetricsRegistry, get_registry, set_registry,
+    get_registry,
 )
 from repro.service import (
     FairShare,
@@ -41,15 +40,7 @@ topology_template:
 """
 
 
-@pytest.fixture(autouse=True)
-def _fresh_telemetry():
-    old_registry = get_registry()
-    old_log = get_event_log()
-    set_registry(MetricsRegistry())
-    set_event_log(EventLog())
-    yield
-    set_registry(old_registry)
-    set_event_log(old_log)
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 @pytest.fixture

@@ -12,20 +12,13 @@ import time
 import pytest
 
 from repro.cluster import laptop_like
-from repro.observability.metrics import (
-    MetricsRegistry, get_registry, set_registry,
-)
+from repro.observability.metrics import get_registry
 from repro.service import JobState, ServiceDB, WorkflowService
 
 from tests.service.test_service import publish, wait_until
 
 
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    old = get_registry()
-    set_registry(MetricsRegistry())
-    yield
-    set_registry(old)
+pytestmark = pytest.mark.usefixtures("fresh_registry")
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from repro.hpcwaas import YAMLError, parse_yaml
 from repro.netcdf import Dataset, read_dataset, write_dataset
 from repro.netcdf.io import MAGIC, RNCFormatError
-from repro.ophidia import PrimitiveError, evaluate_primitive
+from repro.ophidia import PrimitiveError, parse_primitive
+from repro.ophidia.primitives import evaluate_ast
 
 
 class TestRNCFuzz:
@@ -74,7 +75,7 @@ class TestPrimitiveFuzz:
     @settings(max_examples=200, deadline=None)
     def test_random_query_strings(self, query):
         try:
-            evaluate_primitive(query, np.ones(4))
+            evaluate_ast(parse_primitive(query), np.ones(4))
         except PrimitiveError:
             pass
 
@@ -87,7 +88,7 @@ class TestPrimitiveFuzz:
     @settings(max_examples=300, deadline=None)
     def test_primitive_shaped_noise(self, query):
         try:
-            result = evaluate_primitive(query, np.arange(4.0))
+            result = evaluate_ast(parse_primitive(query), np.arange(4.0))
         except PrimitiveError:
             return
         assert result.shape == (4,)  # success implies a well-formed result

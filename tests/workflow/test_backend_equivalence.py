@@ -49,7 +49,7 @@ def _listing1_digest(backend: str) -> bytes:
         for cube in (
             durations.reduce("max", dim="time"),
             durations.reduce("sum", dim="time"),
-            anomaly.subset("time", 10, 50).percentile(90.0, dim="time"),
+            anomaly.subset("time", 10, 50).reduce("mean", dim="time"),
         ):
             arr = cube.to_array()
             digest.update(str(arr.dtype).encode())
