@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
+
+from repro.stencil import maximum_filter, minimum_filter
 
 
 @dataclass(frozen=True)
@@ -101,24 +102,15 @@ def detect_tc_candidates(
     if psl.shape != vort.shape or psl.shape != wind_speed.shape:
         raise ValueError("field shapes must match")
 
-    footprint = np.ones((neighbourhood, neighbourhood), dtype=bool)
-    local_min = ndimage.minimum_filter(
-        psl, footprint=footprint, mode=("nearest", "wrap")
-    )
-    vort_max = ndimage.maximum_filter(
-        np.abs(vort), footprint=footprint, mode=("nearest", "wrap")
-    )
-    wind_max = ndimage.maximum_filter(
-        wind_speed, footprint=footprint, mode=("nearest", "wrap")
-    )
+    modes = ("nearest", "wrap")
+    local_min = minimum_filter(psl, neighbourhood, mode=modes)
+    wind_max = maximum_filter(wind_speed, neighbourhood, mode=modes)
 
     lat2d = np.broadcast_to(np.asarray(lat)[:, None], psl.shape)
     cyclonic_sign = np.where(lat2d >= 0, 1.0, -1.0)
     # Cyclonic vorticity is positive in the NH, negative in the SH.
     signed_ok = (
-        ndimage.maximum_filter(
-            vort * cyclonic_sign, footprint=footprint, mode=("nearest", "wrap")
-        )
+        maximum_filter(vort * cyclonic_sign, neighbourhood, mode=modes)
         >= vorticity_threshold
     )
 

@@ -537,11 +537,17 @@ def _parse_params(pairs) -> dict:
 
 def _cmd_service(args) -> int:
     """The multi-tenant workflow service control plane."""
-    from repro.service import JobState
-
     db = _open_service_db(args)
     if db is None:
         return 2
+    # runs.db is released on return, not when the last job thread that
+    # shares the connection lets go of it.
+    with db:
+        return _service_command(args, db)
+
+
+def _service_command(args, db) -> int:
+    from repro.service import JobState
 
     if args.service_command == "init":
         print(f"service database ready: {db.path} "

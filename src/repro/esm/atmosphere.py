@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from repro.esm.events import ColdWaveEvent, HeatWaveEvent, TropicalCycloneEvent
 from repro.esm.forcing import GHGScenario, warming_offset
 from repro.esm.grid import Grid
 from repro.netcdf.cf import DAYS_PER_YEAR
+from repro.stencil import gaussian_filter
 
 KELVIN = 273.15
 #: Northern-hemisphere day-of-year of peak summer temperature.
@@ -146,8 +146,8 @@ class Atmosphere:
     def _correlated_noise(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-variance spatially-correlated field (periodic in longitude)."""
         white = rng.standard_normal(self.grid.shape)
-        smooth = ndimage.gaussian_filter(
-            white, sigma=self.noise_length_cells, mode=("nearest", "wrap")
+        smooth = gaussian_filter(
+            white, self.noise_length_cells, mode=("nearest", "wrap")
         )
         std = smooth.std()
         return smooth / std if std > 0 else smooth

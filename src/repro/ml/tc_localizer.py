@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.analytics.tiling import patch_center_latlon, scale_features, tile_patches
 from repro.ml.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
@@ -27,6 +26,7 @@ from repro.ml.losses import localization_loss
 from repro.ml.network import Sequential
 from repro.ml.optim import Adam
 from repro.ml.training import TrainingHistory, train
+from repro.stencil import gaussian_filter
 
 #: The channel order the localizer is trained on.
 CHANNELS = ("T850", "PSL", "WSPDSRFAV", "VORT850")
@@ -51,7 +51,7 @@ def _background(rng: np.random.Generator, patch: int) -> np.ndarray:
     fields = []
     for scale in _BACKGROUND_SCALES:
         white = rng.standard_normal((patch, patch))
-        fields.append(ndimage.gaussian_filter(white, sigma=scale, mode="wrap"))
+        fields.append(gaussian_filter(white, scale, mode="wrap"))
     t850 = 270.0 + 6.0 * fields[0]
     psl = 1013.0 + 4.0 * fields[1]
     wspd = np.abs(6.0 + 3.0 * fields[2])
@@ -67,7 +67,7 @@ def _background_batch(whites: np.ndarray) -> np.ndarray:
     to filtering each ``(P, P)`` field on its own.
     """
     fields = [
-        ndimage.gaussian_filter(whites[:, c], sigma=(0.0, s, s), mode="wrap")
+        gaussian_filter(whites[:, c], (0.0, s, s), mode="wrap")
         for c, s in enumerate(_BACKGROUND_SCALES)
     ]
     t850 = 270.0 + 6.0 * fields[0]

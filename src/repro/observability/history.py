@@ -19,8 +19,16 @@ The store is deliberately boring and robust:
 * **concurrent-writer safe** — WAL journal mode, ``BEGIN IMMEDIATE``
   transactions and a busy timeout, so parallel processes can all
   record into one database;
-* one connection per operation — no long-lived handles to leak across
-  forks or threads.
+* **one connection per file per process** — every :class:`RunHistory`
+  (or :class:`repro.service.ServiceDB`) of one absolute path in one
+  process shares a single connection, its PRAGMAs and its migration
+  check, serialised by a lock, so a service's job threads cost no
+  connects.  The share is keyed by ``(os.getpid(), path)``: a forked
+  child never touches its parent's connection, it opens its own.  The
+  connection is closed by :meth:`RunHistory.close` or when the last
+  instance of that path goes away, and then SQLite removes the ``-wal``
+  and ``-shm`` files.  Reads run outside any transaction, and a block
+  that raises rolls back, so no operation leaves a transaction open.
 
 ``compare`` diffs two runs' headline metrics using per-metric-name
 tolerance specs
@@ -34,11 +42,13 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import threading
 import time
 import uuid
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
     "RunHistory",
@@ -231,31 +241,113 @@ class RunRecord:
         return extract_headline_metrics(self.metrics) if self.metrics else {}
 
 
+def _close(conn: sqlite3.Connection, pid: int) -> None:
+    if os.getpid() == pid:  # never close a connection a fork inherited
+        conn.close()
+
+
+class _Store:
+    """This process's one connection to one ``runs.db`` file."""
+
+    def __init__(self, path: str, timeout: float) -> None:
+        self.path = path
+        self.timeout = timeout
+        self.lock = threading.RLock()
+        self.migrated = False
+        self.conn: Optional[sqlite3.Connection] = None
+        self._release: Optional[weakref.finalize] = None
+
+    def connection(self) -> sqlite3.Connection:
+        """The open connection (opened on first use); hold ``lock``."""
+        if self.conn is None:
+            conn = sqlite3.connect(
+                self.path, timeout=self.timeout, check_same_thread=False
+            )
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
+            conn.row_factory = sqlite3.Row
+            self.conn = conn
+            # Runs when the last instance drops the store, at interpreter
+            # exit, or from close(), whichever comes first.
+            self._release = weakref.finalize(self, _close, conn, os.getpid())
+        return self.conn
+
+    def close(self) -> None:
+        with self.lock:
+            if self._release is not None:
+                self._release()
+            self.conn = self._release = None
+
+
+_STORES: "weakref.WeakValueDictionary[Tuple[int, str], _Store]" = (
+    weakref.WeakValueDictionary()
+)
+_STORES_LOCK = threading.Lock()
+
+
+def _reset_stores_lock() -> None:
+    global _STORES_LOCK
+    _STORES_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_stores_lock)
+
+
+def _shared_store(path: str, timeout: float) -> _Store:
+    key = (os.getpid(), path)
+    with _STORES_LOCK:
+        store = _STORES.get(key)
+        if store is None:
+            store = _STORES[key] = _Store(path, timeout)
+    return store
+
+
 class RunHistory:
-    """The ``runs.db`` store.  Safe for concurrent writers (WAL)."""
+    """The ``runs.db`` store.  Safe for concurrent writers (WAL).
+
+    Instances of one path share one connection per process (see the
+    module docstring); the first instance's *timeout* is the one used.
+    """
 
     def __init__(self, path: str, timeout: float = 30.0) -> None:
         self.path = os.path.abspath(path)
-        self.timeout = timeout
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
+        self._store = _shared_store(self.path, timeout)
         with self._connect() as conn:
-            self._migrate(conn)
+            if not self._store.migrated:
+                self._migrate(conn)
+                self._store.migrated = True
 
     # -- connections --------------------------------------------------------
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
-        conn = sqlite3.connect(self.path, timeout=self.timeout)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
-            conn.row_factory = sqlite3.Row
-            yield conn
-        finally:
-            conn.close()
+        """The shared connection, held exclusively for the block."""
+        with self._store.lock:
+            conn = self._store.connection()
+            try:
+                yield conn
+            finally:
+                if conn.in_transaction:  # a write that raised
+                    conn.rollback()
+
+    def close(self) -> None:
+        """Close this process's connection to the file now.
+
+        Every instance of the path shares it; the next operation on any
+        of them reopens it.
+        """
+        self._store.close()
+
+    def __enter__(self) -> "RunHistory":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def _migrate(self, conn: sqlite3.Connection) -> None:
         version = conn.execute("PRAGMA user_version").fetchone()[0]
@@ -265,6 +357,8 @@ class RunHistory:
                 f"build supports ({SCHEMA_VERSION}); upgrade the code, not "
                 "the database"
             )
+        if version == SCHEMA_VERSION:
+            return
         # Idempotent DDL (IF NOT EXISTS throughout), so two processes
         # racing through first-open both succeed; executescript commits
         # implicitly.  A fresh database gets the full current schema;
@@ -294,19 +388,32 @@ class RunHistory:
         trace_id: str = "",
     ) -> str:
         """Insert a ``running`` row at workflow start; returns *run_id*."""
+        self._insert(run_id, kind, params, trace_id, {"status": "running"})
+        return run_id
+
+    def _insert(
+        self,
+        run_id: str,
+        kind: str,
+        params: Optional[Mapping[str, Any]],
+        trace_id: str,
+        columns: Mapping[str, Any],
+    ) -> None:
         params = dict(params or {})
+        row = {
+            "run_id": run_id, "kind": kind, "started_at": time.time(),
+            "git_rev": git_revision(), "params_digest": params_digest(params),
+            "trace_id": trace_id,
+            "params_json": json.dumps(params, sort_keys=True, default=str),
+            **columns,
+        }
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             conn.execute(
-                "INSERT OR REPLACE INTO runs (run_id, kind, status, "
-                "started_at, git_rev, params_digest, trace_id, params_json) "
-                "VALUES (?, ?, 'running', ?, ?, ?, ?, ?)",
-                (run_id, kind, time.time(), git_revision(),
-                 params_digest(params), trace_id,
-                 json.dumps(params, sort_keys=True, default=str)),
+                f"INSERT OR REPLACE INTO runs ({', '.join(row)}) "
+                f"VALUES ({', '.join('?' * len(row))})", list(row.values()),
             )
             conn.commit()
-        return run_id
 
     def record_end(
         self,
@@ -320,25 +427,16 @@ class RunHistory:
         extra: Optional[Mapping[str, Any]] = None,
     ) -> None:
         """Close a run's row with its outcome and telemetry snapshots."""
-        sets = ["status = ?", "wall_clock_s = ?", "error = ?"]
-        values: List[Any] = [status, wall_clock_s, error[:2000]]
-        if metrics is not None:
-            sets.append("metrics_json = ?")
-            values.append(json.dumps(metrics, default=str))
-        if profile is not None:
-            sets.append("profile_json = ?")
-            values.append(json.dumps(_profile_summary(profile), default=str))
+        columns = _outcome_columns(status, wall_clock_s, metrics, profile,
+                                   error, extra)
         if trace_id is not None:
-            sets.append("trace_id = ?")
-            values.append(trace_id)
-        if extra is not None:
-            sets.append("extra_json = ?")
-            values.append(json.dumps(dict(extra), default=str))
-        values.append(run_id)
+            columns["trace_id"] = trace_id
+        sets = ", ".join(f"{name} = ?" for name in columns)
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
             cur = conn.execute(
-                f"UPDATE runs SET {', '.join(sets)} WHERE run_id = ?", values
+                f"UPDATE runs SET {sets} WHERE run_id = ?",
+                [*columns.values(), run_id],
             )
             if cur.rowcount == 0:
                 raise KeyError(f"unknown run_id {run_id!r} in {self.path}")
@@ -357,13 +455,10 @@ class RunHistory:
         extra: Optional[Mapping[str, Any]] = None,
         run_id: Optional[str] = None,
     ) -> str:
-        """One-shot insert of a finished run."""
+        """One-shot insert of a finished run (one statement, one commit)."""
         rid = run_id or new_run_id()
-        self.record_start(rid, kind, params, trace_id=trace_id)
-        self.record_end(
-            rid, status, wall_clock_s=wall_clock_s, metrics=metrics,
-            profile=profile, error=error, extra=extra,
-        )
+        self._insert(rid, kind, params, trace_id, _outcome_columns(
+            status, wall_clock_s, metrics, profile, error, extra))
         return rid
 
     # -- reads --------------------------------------------------------------
@@ -446,6 +541,28 @@ def _profile_summary(profile: Mapping[str, Any]) -> Dict[str, Any]:
     if isinstance(by_name, list):
         summary["by_name"] = by_name[:15]
     return summary
+
+
+def _outcome_columns(
+    status: str,
+    wall_clock_s: Optional[float],
+    metrics: Optional[Mapping[str, Any]],
+    profile: Optional[Mapping[str, Any]],
+    error: str,
+    extra: Optional[Mapping[str, Any]],
+) -> Dict[str, Any]:
+    """The ``runs`` columns a finished run sets (absent snapshots stay)."""
+    columns: Dict[str, Any] = {
+        "status": status, "wall_clock_s": wall_clock_s, "error": error[:2000],
+    }
+    if metrics is not None:
+        columns["metrics_json"] = json.dumps(metrics, default=str)
+    if profile is not None:
+        columns["profile_json"] = json.dumps(_profile_summary(profile),
+                                             default=str)
+    if extra is not None:
+        columns["extra_json"] = json.dumps(dict(extra), default=str)
+    return columns
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ this repository by extending the PR-6 ``runs.db`` schema (see
   in-process service, see :class:`repro.service.WorkflowService`).
 
 Everything inherits the history store's concurrency discipline — WAL
-journal, ``BEGIN IMMEDIATE``, one connection per operation — so
-``repro submit`` in one process and a draining ``repro service run`` in
-another cooperate on the same file.
+journal, ``BEGIN IMMEDIATE``, one shared connection per file per
+process — so ``repro submit`` in one process and a draining ``repro
+service run`` in another cooperate on the same file.  Every write
+of a job returns its row with ``RETURNING *``, so a lifecycle
+transition is one statement and one commit.
 """
 
 from __future__ import annotations
@@ -235,26 +237,31 @@ class ServiceDB(RunHistory):
         site: str = "",
         job_id: Optional[str] = None,
     ) -> ServiceJob:
-        """Append a SUBMITTED job row (the ``repro submit`` verb)."""
-        self.get_tenant(tenant)  # unknown tenant -> KeyError
+        """Append a SUBMITTED job row (the ``repro submit`` verb).
+
+        An unknown *tenant* raises :class:`KeyError`; the check is part
+        of the INSERT, so a submission is one statement.
+        """
         if cores < 1:
             raise ValueError("jobs need >= 1 core")
         if memory_gb < 0:
             raise ValueError("memory request must be non-negative")
-        jid = job_id or new_job_id()
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            conn.execute(
+            row = conn.execute(
                 "INSERT INTO service_jobs (job_id, tenant, workflow, site, "
                 "state, cores, memory_gb, params_json, submitted_at) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (jid, tenant, workflow, site, JobState.SUBMITTED.value,
-                 cores, memory_gb,
+                "SELECT ?, ?, ?, ?, ?, ?, ?, ?, ? WHERE EXISTS "
+                "(SELECT 1 FROM tenants WHERE name = ?) RETURNING *",
+                (job_id or new_job_id(), tenant, workflow, site,
+                 JobState.SUBMITTED.value, cores, memory_gb,
                  json.dumps(dict(params or {}), sort_keys=True, default=str),
-                 time.time()),
-            )
+                 time.time(), tenant),
+            ).fetchone()
+            if row is None:
+                raise KeyError(f"unknown tenant {tenant!r}")
             conn.commit()
-        return self.get_job(jid)
+        return _job(row)
 
     def get_job(self, job_id: str) -> ServiceJob:
         with self._connect() as conn:
@@ -319,14 +326,15 @@ class ServiceDB(RunHistory):
         values.append(job_id)
         with self._connect() as conn:
             conn.execute("BEGIN IMMEDIATE")
-            cur = conn.execute(
-                f"UPDATE service_jobs SET {', '.join(sets)} WHERE job_id = ?",
+            row = conn.execute(
+                f"UPDATE service_jobs SET {', '.join(sets)} WHERE job_id = ? "
+                "RETURNING *",
                 values,
-            )
-            if cur.rowcount == 0:
+            ).fetchone()
+            if row is None:
                 raise KeyError(f"unknown job {job_id!r}")
             conn.commit()
-        return self.get_job(job_id)
+        return _job(row)
 
     def job_counts(self, tenant: Optional[str] = None) -> Dict[str, int]:
         """State -> count, optionally for one tenant."""

@@ -265,7 +265,7 @@ class WorkflowService:
         """Per-tenant outcome summary (counts, turnaround, usage)."""
         tenants: Dict[str, Any] = {}
         for tenant in self.db.list_tenants():
-            jobs = self.db.jobs(tenant=tenant.name)
+            jobs = self.list_jobs(tenant.name)
             turnarounds = [
                 j.turnaround_s for j in jobs if j.turnaround_s is not None
             ]

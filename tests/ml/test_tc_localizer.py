@@ -141,7 +141,7 @@ class TestVectorizedDataset:
         np.testing.assert_array_equal(fast.centers, slow.centers)
 
     def test_batched_background_matches_per_sample_filter(self):
-        from scipy import ndimage
+        ndimage = pytest.importorskip("scipy.ndimage")
 
         from repro.ml.tc_localizer import _BACKGROUND_SCALES, _background_batch
 
