@@ -24,7 +24,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.ophidia.datacube import Cube, _run_lengths
+from repro.ophidia.datacube import Cube
+from repro.ophidia.kernels import run_lengths
 
 #: ETCCDI-style parameters.
 DEFAULT_THRESHOLD_K = 5.0
@@ -68,7 +69,7 @@ def wave_exceedance_mask(
 
 def wave_durations(mask: np.ndarray, time_axis: int = 0) -> np.ndarray:
     """Completed-run lengths along the time axis (see Ophidia runlength)."""
-    return _run_lengths(np.asarray(mask, dtype=bool), time_axis)
+    return run_lengths(np.asarray(mask, dtype=bool), time_axis)
 
 
 def compute_wave_indices(

@@ -11,26 +11,32 @@ The method surface mirrors PyOphidia's ``cube.Cube``: ``importnc2``,
 ``runlength`` (the consecutive-run operator behind heat-wave durations)
 and metadata management.
 
-Lazy evaluation and operator fusion
------------------------------------
-On a lazy server (the default, ``OphidiaServer(lazy=True)``) the
-elementwise operators — ``apply``, ``transform``, ``subset`` along a
-non-fragment dimension, ``runlength`` and ``intercube`` — do not write
+One execution path: plans, fused at forced evaluation
+-----------------------------------------------------
+The elementwise operators — ``apply``, ``transform``, ``subset`` along a
+non-fragment dimension, ``runlength`` and ``intercube`` — write no
 fragments.  Each returns a *plan cube*: a cube whose fragments are
 described by a per-fragment expression (a chain of plan steps rooted at
 a concrete cube) rather than stored arrays.  At a forced-evaluation
-point the whole chain is fused into a single pooled fragment sweep:
-every base fragment is read once, the chain runs in memory, and only
-the terminal result is written (or nothing at all for gather/export
-barriers).
+point the whole chain compiles into one kernel and runs as a single
+pooled fragment sweep: every base fragment is read once, the chain runs
+in memory, and only the terminal result is written (or nothing at all
+for a gather).  The forced-evaluation points are:
 
-Forced-evaluation points are: ``reduce``/``reduce2`` (the fused chain
-streams into the reducer in the same pass), any gather (``to_array``,
-``merge``, ``subset``/``reduce`` along the fragment dimension,
-``exportnc2``) and the explicit :meth:`Cube.materialize`.
+* ``reduce``/``reduce2`` along a non-fragment dimension — the chain
+  streams into the reducer in the same sweep, which stores the result;
+* gathers — ``to_array``, ``exportnc2``, and ``merge``, ``subset`` or
+  ``reduce`` along the fragment dimension (these three re-fragment the
+  gathered array into a new concrete cube);
+* :meth:`Cube.materialize`, which stores the chain's result in place.
 
-Two further rules keep the lazy path byte- and lifecycle-equivalent to
-eager execution:
+``OphidiaServer(lazy=False)`` keeps this one path and forces after
+every elementwise operator (a materialisation with ``reason="eager"``):
+each operator then costs its own sweep and fragment write, the
+per-operator reference that fusion (claim C8) is measured against.
+
+Two further rules keep fused execution byte- and lifecycle-equivalent
+to that per-operator execution:
 
 * **Reuse materialisation** — when a chain is forced and an ancestor
   plan cube has already been evaluated once (a shared intermediate like
@@ -61,6 +67,9 @@ from repro.ophidia.pruning import compile_prune_plan
 from repro.ophidia.server import OphidiaServer
 from repro.parallel import FragmentKernel
 
+#: A per-fragment kernel stage (protocol in :mod:`repro.ophidia.kernels`).
+_Stage = Callable[..., Tuple[np.ndarray, int]]
+
 
 def _chunk_axis_for(names: Sequence[str], fragment_dim: str) -> int:
     """The storage chunk axis for a cube's fragments.
@@ -76,6 +85,24 @@ def _chunk_axis_for(names: Sequence[str], fragment_dim: str) -> int:
     if frag_axis != 0:
         return 0
     return 1 if len(names) > 1 else 0
+
+
+def _store_fragments(
+    server: OphidiaServer,
+    arrays: Sequence[np.ndarray],
+    bounds: Sequence[Tuple[int, int]],
+    dim_names: Sequence[str],
+    fragment_dim: str,
+) -> Tuple["_FragmentRef", ...]:
+    """Write one array per fragment bound into *server*'s pool, in order."""
+    chunk_axis = _chunk_axis_for(dim_names, fragment_dim)
+    return tuple(
+        _FragmentRef(
+            server.pool.store(np.ascontiguousarray(arr), chunk_axis=chunk_axis),
+            start, stop,
+        )
+        for arr, (start, stop) in zip(arrays, bounds)
+    )
 
 
 @dataclass(frozen=True)
@@ -134,12 +161,6 @@ def _flush_avoided(meter: _AvoidedMeter) -> None:
             "ophidia_materialize_bytes_avoided_total",
             "Intermediate bytes kept in memory instead of written to the pool",
         ).inc(meter.total)
-
-
-# Historical homes of the operator tables; they now live in
-# :mod:`repro.ophidia.kernels` so both execution backends share them.
-_REDUCERS = K.REDUCERS
-_INTERCUBE_OPS = K.INTERCUBE_OPS
 
 
 class Cube:
@@ -302,16 +323,12 @@ class Cube:
         else:
             axis = first.dims.index(concat_dim)
             data = np.concatenate([v.data for v in variables], axis=axis)
-
-        dims = []
-        for i, name in enumerate(first.dims):
-            dims.append(DimensionInfo(name, data.shape[i]))
         server.log_operator(
             "oph_importnc2", measure=measure, files=len(src_paths),
             description=description,
         )
         return cls.from_array(
-            data, dims=[d.name for d in dims], client=client,
+            data, dims=list(first.dims), client=client,
             fragment_dim=fragment_dim, nfrag=nfrag, measure=measure,
             description=description,
         )
@@ -328,7 +345,23 @@ class Cube:
         description: str = "",
     ) -> "Cube":
         """Create a cube from an in-memory array (a 'randcube' analogue)."""
-        server = cls._resolve_server(client)
+        return cls._split(
+            cls._resolve_server(client), data, dims, fragment_dim, nfrag,
+            measure, description,
+        )
+
+    @staticmethod
+    def _split(
+        server: OphidiaServer,
+        data: np.ndarray,
+        dims: Sequence[str],
+        fragment_dim: Optional[str],
+        nfrag: Optional[int],
+        measure: str,
+        description: str,
+        metadata: Optional[Dict[str, Any]] = None,
+    ) -> "Cube":
+        """Partition *data* into *nfrag* fragments stored on *server*."""
         data = np.asarray(data)
         if data.ndim != len(dims):
             raise ValueError(f"{data.ndim}-d array with {len(dims)} dims")
@@ -341,41 +374,57 @@ class Cube:
         axis = list(dims).index(fragment_dim)
         size = data.shape[axis]
         nfrag = max(1, min(nfrag, size)) if size else 1
+        edges = np.linspace(0, size, nfrag + 1).astype(int)
+        bounds = [(int(s), int(e)) for s, e in zip(edges[:-1], edges[1:])]
+        lead = (slice(None),) * axis
+        refs = _store_fragments(
+            server, [data[lead + (slice(s, e),)] for s, e in bounds], bounds,
+            dims, fragment_dim,
+        )
+        dim_infos = [DimensionInfo(name, n) for name, n in zip(dims, data.shape)]
+        return Cube(server, dim_infos, fragment_dim, refs, measure, description,
+                    metadata)
 
-        bounds = np.linspace(0, size, nfrag + 1).astype(int)
-        chunk_axis = _chunk_axis_for(dims, fragment_dim)
-        refs = []
-        for i in range(nfrag):
-            start, stop = int(bounds[i]), int(bounds[i + 1])
-            indexer = [slice(None)] * data.ndim
-            indexer[axis] = slice(start, stop)
-            fid = server.pool.store(
-                np.ascontiguousarray(data[tuple(indexer)]),
-                chunk_axis=chunk_axis,
-            )
-            refs.append(_FragmentRef(fid, start, stop))
-
-        dim_infos = [DimensionInfo(name, data.shape[i]) for i, name in enumerate(dims)]
-        return cls(server, dim_infos, fragment_dim, refs, measure, description)
-
-    # ------------------------------------------------------------------
-    # Lazy plan machinery
-    # ------------------------------------------------------------------
-
-    def _lazy_derive(
+    def _refragment(
         self,
-        step: _PlanStep,
-        new_dims: Sequence[DimensionInfo],
+        data: np.ndarray,
         description: str,
-        measure: Optional[str] = None,
+        dims: Optional[Sequence[str]] = None,
+        fragment_dim: Optional[str] = None,
+        nfrag: Optional[int] = None,
     ) -> "Cube":
-        """Defer *step*: return a plan cube chained onto this one."""
-        with self._server.operation(step.op, cube_id=self.cube_id, lazy=True):
-            return Cube(
+        """Store a gathered array as a new concrete cube on this server,
+        keeping this cube's measure and metadata."""
+        return Cube._split(
+            self._server, data, dims or self.dim_names,
+            fragment_dim or self.fragment_dim, nfrag, self.measure,
+            description, self.metadata,
+        )
+
+    # ------------------------------------------------------------------
+    # Plan machinery
+    # ------------------------------------------------------------------
+
+    def _chain_step(
+        self, step: _PlanStep, new_dims: Sequence[DimensionInfo], description: str
+    ) -> "Cube":
+        """Return a plan cube running *step* on top of this one.
+
+        Every elementwise operator builds its result here.  On an eager
+        server (``lazy=False``) the new cube is forced at once, so each
+        operator costs its own sweep and fragment write.
+        """
+        lazy = self._server.lazy
+        with self._server.operation(step.op, cube_id=self.cube_id, lazy=lazy):
+            cube = Cube(
                 self._server, new_dims, self.fragment_dim, None,
-                measure or self.measure, description, dict(self.metadata),
+                self.measure, description, self.metadata,
                 plan_input=self, plan_step=step, bounds=self._bounds,
             )
+        if not lazy:
+            with self._server._plan_lock:
+                cube._materialize_locked(reason="eager")
+        return cube
 
     def _plan_chain(self) -> Tuple["Cube", List[Tuple["Cube", _PlanStep]]]:
         """Walk back to the concrete base; steps are returned base→self.
@@ -383,8 +432,8 @@ class Cube:
         Deleted plan cubes are walked *through*: deleting an
         unmaterialised intermediate frees nothing, so downstream
         consumers keep evaluating from the base sources (mirroring how
-        eager pipelines delete intermediates without affecting already-
-        derived cubes).
+        per-operator pipelines delete intermediates without affecting
+        already-derived cubes).
         """
         steps: List[Tuple[Cube, _PlanStep]] = []
         cube: Cube = self
@@ -419,8 +468,7 @@ class Cube:
         load` instead of a plain fragment read.
         """
         base, steps = self._plan_chain()
-        if base._deleted:
-            raise RuntimeError(f"cube {base.cube_id} has been deleted")
+        base._check_alive()
         if reuse:
             for cube, _ in reversed(steps[:-1]):
                 if (
@@ -443,7 +491,7 @@ class Cube:
 
         frag_axis = base._axis(base.fragment_dim)
         bounds = self._bounds
-        stages: List[Callable[..., Tuple[np.ndarray, int]]] = []
+        stages: List[_Stage] = []
         # Consumed steps execute inside the prune plan's loader; they
         # keep their place in the fused-op accounting (the sweep still
         # runs them, chunk-wise) but compile no kernel stage and
@@ -519,74 +567,70 @@ class Cube:
 
     def _run_kernel_sweep(
         self,
-        ops: Sequence[str],
-        refs: Sequence[_FragmentRef],
-        stages: Sequence[Callable[..., Tuple[np.ndarray, int]]],
-        n_metered: int,
-        prune=None,
+        plan: Tuple[Sequence[_FragmentRef], List[_Stage], List[str], Any],
         indices: Optional[Sequence[int]] = None,
+        terminal: Optional[Tuple[str, _Stage]] = None,
+        stored: bool = False,
         **attrs: Any,
     ) -> List[np.ndarray]:
-        """Execute a compiled kernel over *refs* on the server's backend.
+        """Sweep a resolved *plan* (from :meth:`_resolved_locked`) once.
 
-        The first *n_metered* chain outputs count toward avoided
-        materialisations (*n_metered* counts the whole fused chain,
-        including any steps a *prune* plan consumed — the split between
-        the plan's loader and the kernel happens here).  The process
-        backend (when configured and the kernel pickles) receives
-        preloaded input arrays — or cold-fragment spill handles, which
-        hydrate inside the workers — and returns the accumulated
-        avoided-bytes count alongside the results; the thread path
-        meters through a shared :class:`_AvoidedMeter`.  Both flush the
-        same counter, so the fusion metrics do not depend on the
-        backend.
+        *terminal* is an ``(op, stage)`` pair appended after the chain
+        (a reduction); *indices* restricts the sweep to the fragments at
+        those positions (fragment-level subset pruning): intercube
+        stages index their preloaded operands by fragment position, so
+        positions must survive the selection.
 
-        *indices* carries the fragments' original positions when only a
-        subset of a cube's fragments is swept (fragment-level subset
-        pruning): intercube stages index their preloaded operands by
-        fragment position, so positions must survive the selection.
+        Every chain output counts toward avoided materialisations except
+        the last one when it is *stored* (materialisation writes it);
+        the chain includes the steps a prune plan consumed, and the
+        split between the plan's loader and the kernel happens here.
+        The process backend (when configured and the kernel pickles)
+        receives preloaded input arrays — or cold-fragment spill
+        handles, which hydrate inside the workers — and returns the
+        accumulated avoided-bytes count alongside the results; the
+        thread path meters through a shared :class:`_AvoidedMeter`.
+        Both flush the same counter, so the fusion metrics do not depend
+        on the backend.
         """
-        plan_metered = 0
-        kernel_metered = n_metered
-        if prune is not None:
-            plan_metered = min(prune.consumed, n_metered)
-            kernel_metered = max(0, n_metered - prune.consumed)
-        kernel = FragmentKernel(tuple(stages), kernel_metered)
+        refs, stages, ops, prune = plan
+        consumed = prune.consumed if prune is not None else 0
+        n_metered = len(stages) + consumed - stored
+        if terminal is not None:
+            ops, stages = ops + [terminal[0]], stages + [terminal[1]]
+        plan_metered = min(consumed, n_metered)
+        kernel = FragmentKernel(tuple(stages), n_metered - plan_metered)
         pool = self._server.pool
         meter = _AvoidedMeter()
-        items = (
-            list(zip(indices, refs)) if indices is not None
-            else list(enumerate(refs))
-        )
-        if self._server.process_kernel_ready(kernel):
-            if prune is not None:
-                # The pruned prefix runs chunk-wise in the parent (the
-                # thread pool parallelises across fragments); only the
-                # surviving dense tail ships to the workers.
-                def load_input(item):
-                    i, ref = item
-                    data, avoided = prune.load(ref, i, plan_metered)
-                    meter.add(avoided)
-                    return data
+        if indices is None:
+            indices = range(len(refs))
+        items = [(i, refs[i]) for i in indices]
 
-                inputs = self._server.map_fragments(load_input, items)
-            else:
-                inputs = [pool.load_handle(ref.fragment_id) for ref in refs]
+        def load(item):
+            i, ref = item
+            if prune is None:
+                return pool.load_handle(ref.fragment_id)
+            data, avoided = prune.load(ref, i, plan_metered)
+            meter.add(avoided)
+            return data
+
+        if self._server.process_kernel_ready(kernel):
+            # A pruned prefix runs chunk-wise in the parent (the thread
+            # pool parallelises across fragments); only the surviving
+            # dense tail ships to the workers.
+            inputs = (
+                [load(item) for item in items] if prune is None
+                else self._server.map_fragments(load, items)
+            )
             arrays, avoided = self._server.sweep_kernel(
-                ops, kernel, inputs, indices=[i for i, _ in items],
+                ops, kernel, inputs, indices=list(indices),
                 cube_id=self.cube_id, **attrs,
             )
             meter.add(avoided)
         else:
 
             def work(item):
-                i, ref = item
-                if prune is not None:
-                    data, extra = prune.load(ref, i, plan_metered)
-                    meter.add(extra)
-                else:
-                    data = pool.load_handle(ref.fragment_id)
-                out, avoided = kernel.run(data, i)
+                out, avoided = kernel.run(load(item), item[0])
                 meter.add(avoided)
                 return out
 
@@ -610,22 +654,14 @@ class Cube:
     def _materialize_locked(self, reason: str) -> None:
         if self._fragments is not None:
             return
-        refs, stages, ops, prune = self._resolved_locked(reuse=False)
-        n_chain = len(stages) + (prune.consumed if prune is not None else 0)
-        # The final chain output is about to be stored, so it does not
-        # count as an avoided materialisation.
+        # The sweep runs the chain's own operators; the store is not one
+        # more fused operator (``oph_materialize`` is logged below).
         arrays = self._run_kernel_sweep(
-            ops + ["oph_materialize"], refs, stages,
-            n_metered=max(0, n_chain - 1), prune=prune, reason=reason,
+            self._resolved_locked(reuse=False), stored=True, reason=reason,
         )
-        pool = self._server.pool
-        chunk_axis = _chunk_axis_for(self.dim_names, self.fragment_dim)
-        self._fragments = tuple(
-            _FragmentRef(
-                pool.store(np.ascontiguousarray(arr), chunk_axis=chunk_axis),
-                start, stop,
-            )
-            for arr, (start, stop) in zip(arrays, self._bounds)
+        self._fragments = _store_fragments(
+            self._server, arrays, self._bounds, self.dim_names,
+            self.fragment_dim,
         )
         get_registry().counter(
             "ophidia_cubes_materialized_total",
@@ -640,69 +676,60 @@ class Cube:
     # Core operators
     # ------------------------------------------------------------------
 
-    def _derive(
-        self,
-        new_dims: Sequence[DimensionInfo],
-        fragment_arrays: Sequence[np.ndarray],
-        frag_bounds: Sequence[Tuple[int, int]],
-        description: str,
-        measure: Optional[str] = None,
-        fragment_dim: Optional[str] = None,
-    ) -> "Cube":
-        chunk_axis = _chunk_axis_for(
-            [d.name for d in new_dims], fragment_dim or self.fragment_dim
-        )
-        refs = [
-            _FragmentRef(
-                self._server.pool.store(arr, chunk_axis=chunk_axis), start, stop
-            )
-            for arr, (start, stop) in zip(fragment_arrays, frag_bounds)
-        ]
-        return Cube(
-            self._server, new_dims, fragment_dim or self.fragment_dim, refs,
-            measure or self.measure, description, dict(self.metadata),
-        )
-
     def _consume(
         self,
         terminal_op: str,
-        terminal_stage: Callable[..., Tuple[np.ndarray, int]],
+        terminal_stage: _Stage,
         new_dims: Sequence[DimensionInfo],
         description: str,
-        measure: Optional[str] = None,
     ) -> "Cube":
         """Run the fused chain plus *terminal_stage* in one sweep; store it.
 
-        This is both the eager execution path (empty chain, single
-        operator) and the lazy barrier path (the chain streams into the
-        terminal operator without materialising intermediates).
+        The reduction path: the chain (empty on a concrete cube) streams
+        into the terminal operator without materialising intermediates.
         *terminal_stage* follows the kernel stage protocol
         (:mod:`repro.ophidia.kernels`); only the chain stages before it
         are metered as avoided materialisations.
         """
-        refs, stages, ops, prune = self._resolved()
-        n_chain = len(stages) + (prune.consumed if prune is not None else 0)
         arrays = self._run_kernel_sweep(
-            ops + [terminal_op], refs, list(stages) + [terminal_stage],
-            n_metered=n_chain, prune=prune,
+            self._resolved(), terminal=(terminal_op, terminal_stage)
         )
-        return self._derive(new_dims, arrays, self._bounds, description, measure)
+        refs = _store_fragments(
+            self._server, arrays, self._bounds, [d.name for d in new_dims],
+            self.fragment_dim,
+        )
+        return Cube(
+            self._server, new_dims, self.fragment_dim, refs, self.measure,
+            description, self.metadata,
+        )
+
+    def _gather(self, keep: Optional[Sequence[int]] = None) -> List[np.ndarray]:
+        """This cube's fragment arrays — all, or those at positions *keep*.
+
+        A plan cube's fused chain streams into the gather without
+        writing any fragments; a concrete cube resolves to its own
+        fragments with no stages, which are loaded as they are.
+        """
+        plan = self._resolved()
+        refs, _, ops, _ = plan
+        if ops:
+            return self._run_kernel_sweep(plan, indices=keep)
+        if keep is not None:
+            refs = [refs[i] for i in keep]
+        pool = self._server.pool
+        return self._server.map_fragments(
+            lambda ref: pool.load(ref.fragment_id), refs
+        )
 
     def apply(self, query: str, description: str = "") -> "Cube":
         """Elementwise transform through an ``oph_*`` primitive expression."""
         self._check_alive()
         # Parse once per operator call — not per fragment — and surface
-        # malformed queries at the call site even on the lazy path.
+        # malformed queries at the call site, before any evaluation.
         ast = parse_primitive(query)
         self._server.log_operator("oph_apply", cube_id=self.cube_id, query=query)
-        if self._server.lazy:
-            return self._lazy_derive(
-                _PlanStep("oph_apply", "apply", (query, ast)),
-                self.dims, description,
-            )
-        return self._consume(
-            "oph_apply", partial(K.stage_apply, ast=ast),
-            self.dims, description,
+        return self._chain_step(
+            _PlanStep("oph_apply", "apply", (query, ast)), self.dims, description
         )
 
     def transform(
@@ -713,14 +740,8 @@ class Cube:
         self._server.log_operator(
             "oph_transform", cube_id=self.cube_id, fn=getattr(fn, "__name__", "fn")
         )
-        if self._server.lazy:
-            return self._lazy_derive(
-                _PlanStep("oph_transform", "transform", (fn,)),
-                self.dims, description,
-            )
-        return self._consume(
-            "oph_transform", partial(K.stage_transform, fn=fn),
-            self.dims, description,
+        return self._chain_step(
+            _PlanStep("oph_transform", "transform", (fn,)), self.dims, description
         )
 
     def reduce(
@@ -728,10 +749,10 @@ class Cube:
     ) -> "Cube":
         """Collapse *dim* with *operation* (max/min/sum/mean/std/var)."""
         self._check_alive()
-        reducer = _REDUCERS.get(operation)
+        reducer = K.REDUCERS.get(operation)
         if reducer is None:
             raise ValueError(
-                f"unknown reduce operation {operation!r}; expected {sorted(_REDUCERS)}"
+                f"unknown reduce operation {operation!r}; expected {sorted(K.REDUCERS)}"
             )
         axis = self._axis(dim)
         self._server.log_operator(
@@ -747,17 +768,12 @@ class Cube:
             out = reducer(full, axis=axis) if full.size else np.zeros(
                 tuple(d.size for d in new_dims)
             )
-            new_fragment_dim = new_dims[-1].name if new_dims else None
-            if new_fragment_dim is None:
+            if not new_dims:
                 raise ValueError("cannot reduce the last remaining dimension")
-            cube = Cube.from_array(
-                out, [d.name for d in new_dims],
-                client=_ServerClient(self._server),
-                fragment_dim=new_fragment_dim, measure=self.measure,
-                description=description,
+            return self._refragment(
+                out, description, dims=[d.name for d in new_dims],
+                fragment_dim=new_dims[-1].name,
             )
-            cube.metadata.update(self.metadata)
-            return cube
 
         return self._consume(
             "oph_reduce", partial(K.stage_reduce, op=operation, axis=axis),
@@ -777,8 +793,7 @@ class Cube:
         with ``time=730`` and ``group_size=365`` yields ``time=2``.
         """
         self._check_alive()
-        reducer = _REDUCERS.get(operation)
-        if reducer is None:
+        if operation not in K.REDUCERS:
             raise ValueError(f"unknown reduce operation {operation!r}")
         axis = self._axis(dim)
         size = self.dims[axis].size
@@ -812,11 +827,10 @@ class Cube:
         """Elementwise binary operation with another cube of identical dims."""
         self._check_alive()
         other._check_alive()
-        op = _INTERCUBE_OPS.get(operation)
-        if op is None:
+        if operation not in K.INTERCUBE_OPS:
             raise ValueError(
                 f"unknown intercube operation {operation!r}; "
-                f"expected {sorted(_INTERCUBE_OPS)}"
+                f"expected {sorted(K.INTERCUBE_OPS)}"
             )
         if self.dim_names != other.dim_names or self.shape != other.shape:
             raise ValueError(
@@ -827,31 +841,10 @@ class Cube:
             "oph_intercube", cube_id=self.cube_id, other=other.cube_id,
             operation=operation,
         )
-        if self._server.lazy:
-            return self._lazy_derive(
-                _PlanStep("oph_intercube", "intercube", (other, operation)),
-                self.dims, description,
-            )
-        aligned = (
-            other.fragment_dim == self.fragment_dim
-            and other._bounds == self._bounds
+        return self._chain_step(
+            _PlanStep("oph_intercube", "intercube", (other, operation)),
+            self.dims, description,
         )
-        axis = self._axis(self.fragment_dim)
-        if aligned:
-            opool = other._server.pool
-            operands = tuple(
-                opool.load(ref.fragment_id) for ref in other._fragments
-            )
-            stage = partial(
-                K.stage_binop, op_name=operation,
-                operands=operands, operand_stages=(),
-            )
-        else:
-            stage = partial(
-                K.stage_binop_full, op_name=operation,
-                full=other.to_array(), frag_axis=axis, bounds=self._bounds,
-            )
-        return self._consume("oph_intercube", stage, self.dims, description)
 
     def subset(self, dim: str, start: int, stop: int, description: str = "") -> "Cube":
         """Slice ``[start, stop)`` along *dim* (index space)."""
@@ -882,23 +875,8 @@ class Cube:
                     "ophidia_fragments_pruned_total",
                     "Whole fragments skipped via fragment-bound pruning",
                 ).inc(len(bounds) - len(keep))
-            refs, stages, ops, prune = self._resolved()
-            sel_refs = [refs[i] for i in keep]
-            if ops:
-                n_chain = len(stages) + (
-                    prune.consumed if prune is not None else 0
-                )
-                parts = self._run_kernel_sweep(
-                    ops, sel_refs, stages, n_metered=n_chain,
-                    prune=prune, indices=keep,
-                )
-            else:
-                pool = self._server.pool
-                parts = self._server.map_fragments(
-                    lambda ref: pool.load(ref.fragment_id), sel_refs
-                )
             sliced = []
-            for i, arr in zip(keep, parts):
+            for i, arr in zip(keep, self._gather(keep)):
                 s, e = bounds[i]
                 lo, hi = max(start, s) - s, min(stop, e) - s
                 if lo > 0 or hi < e - s:
@@ -910,26 +888,13 @@ class Cube:
                 sliced[0] if len(sliced) == 1
                 else np.concatenate(sliced, axis=axis)
             )
-            cube = Cube.from_array(
-                out, list(self.dim_names), client=_ServerClient(self._server),
-                fragment_dim=self.fragment_dim, nfrag=self.nfrag,
-                measure=self.measure, description=description,
-            )
-            cube.metadata.update(self.metadata)
-            return cube
+            return self._refragment(out, description, nfrag=self.nfrag)
 
         new_dims = [
             d if d.name != dim else d.with_size(stop - start) for d in self.dims
         ]
-        if self._server.lazy:
-            return self._lazy_derive(
-                _PlanStep("oph_subset", "subset", (axis, start, stop)),
-                new_dims, description,
-            )
-
-        return self._consume(
-            "oph_subset",
-            partial(K.stage_subset, axis=axis, start=start, stop=stop),
+        return self._chain_step(
+            _PlanStep("oph_subset", "subset", (axis, start, stop)),
             new_dims, description,
         )
 
@@ -948,14 +913,8 @@ class Cube:
             raise ValueError("runlength along the fragment dim is unsupported")
         axis = self._axis(dim)
         self._server.log_operator("oph_runlength", cube_id=self.cube_id, dim=dim)
-        if self._server.lazy:
-            return self._lazy_derive(
-                _PlanStep("oph_runlength", "runlength", (axis,)),
-                self.dims, description,
-            )
-        return self._consume(
-            "oph_runlength", partial(K.stage_runlength, axis=axis),
-            self.dims, description,
+        return self._chain_step(
+            _PlanStep("oph_runlength", "runlength", (axis,)), self.dims, description
         )
 
     def merge(self, description: str = "") -> "Cube":
@@ -964,13 +923,7 @@ class Cube:
         self._server.log_operator("oph_merge", cube_id=self.cube_id)
         with self._server.operation("oph_merge", cube_id=self.cube_id):
             full = self.to_array()
-        cube = Cube.from_array(
-            full, list(self.dim_names), client=_ServerClient(self._server),
-            fragment_dim=self.fragment_dim, nfrag=1, measure=self.measure,
-            description=description or self.description,
-        )
-        cube.metadata.update(self.metadata)
-        return cube
+        return self._refragment(full, description or self.description, nfrag=1)
 
     # ------------------------------------------------------------------
     # Materialisation / export / lifecycle
@@ -983,29 +936,10 @@ class Cube:
         chain streams into the gather without writing any fragments.
         """
         self._check_alive()
-        axis = self._axis(self.fragment_dim)
-        if self._fragments is not None:
-            parts = self._server.map_fragments(
-                lambda ref: self._server.pool.load(ref.fragment_id),
-                self._fragments,
-            )
-        else:
-            refs, stages, ops, prune = self._resolved()
-            if ops:
-                n_chain = len(stages) + (
-                    prune.consumed if prune is not None else 0
-                )
-                parts = self._run_kernel_sweep(
-                    ops, refs, stages, n_metered=n_chain, prune=prune
-                )
-            else:
-                pool = self._server.pool
-                parts = self._server.map_fragments(
-                    lambda ref: pool.load(ref.fragment_id), refs
-                )
+        parts = self._gather()
         if len(parts) == 1:
             return parts[0]
-        return np.concatenate(parts, axis=axis)
+        return np.concatenate(parts, axis=self._axis(self.fragment_dim))
 
     def exportnc2(self, output_path: str, output_name: str) -> str:
         """Write the cube as an RNC dataset; returns the file's path."""
@@ -1064,15 +998,3 @@ class Cube:
             f"<Cube {self.cube_id} {self.measure}[{dims}] nfrag={self.nfrag}"
             f"{lazy} {self.description!r}>"
         )
-
-
-class _ServerClient:
-    """Minimal client shim so cube-internal operators can build cubes."""
-
-    def __init__(self, server: OphidiaServer) -> None:
-        self.server = server
-
-
-# Historical home of the run-length kernel; now in
-# :mod:`repro.ophidia.kernels`.
-_run_lengths = K.run_lengths

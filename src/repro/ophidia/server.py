@@ -47,13 +47,15 @@ class OphidiaServer:
         Paths are then relative to the filesystem root; absolute host
         paths are used when no filesystem is attached.
     lazy:
-        When True (the default), elementwise operators build a deferred
-        per-fragment expression plan instead of materialising; chains of
-        such operators are fused into a single pooled fragment pass at
-        the next forced-evaluation point (reduction, merge, export,
-        gather or explicit :meth:`Cube.materialize`).  ``lazy=False``
-        restores fully eager execution: every operator reads, computes
-        and writes its fragments immediately.
+        Elementwise operators always build a deferred per-fragment
+        expression plan.  When True (the default), chains of them fuse
+        into a single pooled fragment pass at the next forced-evaluation
+        point (reduction, merge, export, gather or explicit
+        :meth:`Cube.materialize`).  ``lazy=False`` forces every
+        elementwise operator as it is called (a materialisation counted
+        with ``reason="eager"``), so each one reads, computes and writes
+        its fragments in its own sweep: the per-operator reference of
+        claim C8.
     backend:
         ``"thread"`` (default) runs fragment sweeps on the in-process
         thread pool; ``"process"`` adds a spawn-based
@@ -210,8 +212,8 @@ class OphidiaServer:
         """Uniform pass accounting shared by both sweep entry points.
 
         A sweep over ``len(ops)`` operators counts one pass run and
-        ``len(ops) - 1`` passes avoided (eager execution would have
-        swept once per operator).  Fused sweeps additionally log an
+        ``len(ops) - 1`` passes avoided (per-operator execution would
+        have swept once per operator).  Fused sweeps additionally log an
         ``oph_executeplan`` provenance entry naming the fused operators,
         and the span carries ``fused_ops``/``fusion_length``/``backend``
         attributes so plans are visible in the exported trace.
@@ -260,8 +262,8 @@ class OphidiaServer:
     ) -> List[Any]:
         """One fragment-parallel pass executing *ops* on the thread pool.
 
-        Every thread-backed operator execution — eager single-op or a
-        fused lazy chain — goes through here; picklable kernels on a
+        Every thread-backed operator execution — a single operator or a
+        fused chain — goes through here; picklable kernels on a
         process-backed server go through :meth:`sweep_kernel` instead,
         with identical accounting.
         """

@@ -2,6 +2,7 @@
 captured events and a per-test leak check."""
 
 import os
+import threading
 import time
 
 import pytest
@@ -58,21 +59,32 @@ def _child_processes():
             if "resource_tracker" not in cmd}
 
 
+def _non_daemon_threads():
+    """Live non-daemon threads; in this code base only the
+    ``ophidia-core_*`` pools of ``OphidiaServer`` start any."""
+    return {t for t in threading.enumerate() if not t.daemon}
+
+
 @pytest.fixture(autouse=True)
 def _no_leaked_shm_or_children():
-    """A test leaves no new ``/dev/shm`` segment and no live child
-    process (the two leak checks ``bench/`` makes per repetition)."""
+    """A test leaves no new ``/dev/shm`` segment, no live child process
+    (the two leak checks ``bench/`` makes per repetition) and no live
+    non-daemon thread (an ``OphidiaServer`` that was never shut down)."""
     shm_before = set(os.listdir("/dev/shm"))
     children_before = set(_child_processes())
+    threads_before = _non_daemon_threads()
     yield
     # A pool worker told to exit may need a moment to be reaped.
     deadline = time.monotonic() + 2.0
     while True:
         leaked = {pid: cmd for pid, cmd in _child_processes().items()
                   if pid not in children_before}
-        if not leaked or time.monotonic() > deadline:
+        threads = _non_daemon_threads() - threads_before
+        if not (leaked or threads) or time.monotonic() > deadline:
             break
         time.sleep(0.02)
     assert not leaked, f"child processes left running: {leaked}"
+    assert not threads, (
+        f"non-daemon threads left running: {sorted(t.name for t in threads)}")
     shm_leaked = sorted(set(os.listdir("/dev/shm")) - shm_before)
     assert not shm_leaked, f"/dev/shm segments left behind: {shm_leaked}"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.cluster import SharedFilesystem
 from repro.netcdf import Dataset
 from repro.ophidia import Client, Cube, OphidiaServer
-from repro.ophidia.datacube import _run_lengths
+from repro.ophidia.kernels import run_lengths
 
 
 @pytest.fixture
@@ -169,12 +169,12 @@ class TestOperators:
 class TestRunLength:
     def test_run_lengths_basic(self):
         mask = np.array([1, 1, 0, 1, 1, 1, 0, 1], dtype=bool)
-        out = _run_lengths(mask, axis=0)
+        out = run_lengths(mask, axis=0)
         np.testing.assert_array_equal(out, [0, 2, 0, 0, 0, 3, 0, 1])
 
     def test_run_lengths_2d_axis0(self):
         mask = np.array([[1, 0], [1, 1], [0, 1]], dtype=bool)
-        out = _run_lengths(mask, axis=0)
+        out = run_lengths(mask, axis=0)
         np.testing.assert_array_equal(out, [[0, 0], [2, 0], [0, 2]])
 
     def test_runlength_cube(self, client):
@@ -194,7 +194,7 @@ class TestRunLength:
     @settings(max_examples=60, deadline=None)
     def test_run_lengths_invariants(self, bits):
         mask = np.array(bits, dtype=bool)
-        out = _run_lengths(mask, axis=0)
+        out = run_lengths(mask, axis=0)
         # Sum of completed run lengths equals total True count.
         assert out.sum() == mask.sum()
         # Non-zero entries only where a run ends.

@@ -2,9 +2,10 @@
 
 The contract under test: on a lazy server, chains of elementwise
 operators fuse into one pooled fragment sweep whose results are
-byte-identical to eager execution, with strictly fewer fragment writes;
-errors surface at the forced-evaluation point without corrupting
-fragment state; shared intermediates materialise exactly once.
+byte-identical to eager (force-after-every-operator) execution and to a
+plain NumPy replay, with strictly fewer fragment writes; errors surface
+at the forced-evaluation point without corrupting fragment state;
+shared intermediates materialise exactly once.
 """
 
 import numpy as np
@@ -42,18 +43,22 @@ def base_cube(client, data, nfrag=3):
     )
 
 
-def apply_spec(cube, spec, client):
-    """Replay one operator spec drawn by hypothesis onto *cube*."""
+NUMPY_BINOPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+
+
+def apply_spec(cube, ref, spec, client):
+    """Replay one operator spec drawn by hypothesis onto *cube*, and the
+    same operation in plain NumPy onto the reference array *ref*."""
     kind = spec[0]
     if kind == "apply":
-        return cube.apply(MUL.format(k=spec[1]))
+        return cube.apply(MUL.format(k=spec[1])), ref * spec[1]
     if kind == "transform":
-        return cube.transform(_sin)
+        return cube.transform(_sin), np.sin(ref)
     if kind == "subset":
         tsize = cube.shape[0]
         start = int(spec[1] * (tsize - 1))
         stop = min(tsize, start + max(1, int(spec[2] * tsize)))
-        return cube.subset("time", start, stop)
+        return cube.subset("time", start, stop), ref[start:stop]
     if kind == "intercube":
         _, op, seed, nfrag_other = spec
         other_data = np.random.default_rng(seed).normal(size=cube.shape)
@@ -61,7 +66,7 @@ def apply_spec(cube, spec, client):
             other_data, list(cube.dim_names), client=client,
             fragment_dim="lat", nfrag=nfrag_other,
         )
-        return cube.intercube(other, op)
+        return cube.intercube(other, op), NUMPY_BINOPS[op](ref, other_data)
     raise AssertionError(spec)
 
 
@@ -102,15 +107,19 @@ class TestLazyEagerEquivalence:
         for lazy in (False, True):
             with OphidiaServer(n_io_servers=2, n_cores=2, lazy=lazy) as server:
                 client = Client(server)
-                cube = base_cube(client, data, nfrag=nfrag)
+                cube, ref = base_cube(client, data, nfrag=nfrag), data
                 for spec in steps:
-                    cube = apply_spec(cube, spec, client)
+                    cube, ref = apply_spec(cube, ref, spec, client)
                 if reduce_spec is not None:
-                    cube = cube.reduce(reduce_spec[0], dim=reduce_spec[1])
+                    op, dim = reduce_spec
+                    cube = cube.reduce(op, dim=dim)
+                    ref = getattr(np, op)(ref, axis=("time", "lat").index(dim))
                 results.append(cube.to_array().copy())
-        eager, lazy = results
-        assert eager.dtype == lazy.dtype
-        np.testing.assert_array_equal(eager, lazy)
+        # Both servers run the planner; the NumPy replay is the oracle
+        # outside the code under test.
+        for got in results:
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -125,10 +134,10 @@ class TestLazyEagerEquivalence:
         for lazy in (False, True):
             with OphidiaServer(n_io_servers=2, n_cores=2, lazy=lazy) as server:
                 client = Client(server)
-                cube = base_cube(client, data, nfrag=nfrag)
+                cube, ref = base_cube(client, data, nfrag=nfrag), data
                 before = server.storage_stats().fragment_writes
                 for spec in steps:
-                    cube = apply_spec(cube, spec, client)
+                    cube, ref = apply_spec(cube, ref, spec, client)
                 cube.to_array()
                 writes.append(server.storage_stats().fragment_writes - before)
         eager_writes, lazy_writes = writes
@@ -230,6 +239,18 @@ class TestPlanLifecycle:
         np.testing.assert_array_equal(base.to_array(), data)
 
 
+def fusion_count_and_sum():
+    """Observations and summed lengths of ``ophidia_plan_fusion_length``."""
+    family = get_registry().snapshot().to_json().get(
+        "ophidia_plan_fusion_length", {"series": []})
+    return (sum(e["count"] for e in family["series"]),
+            sum(e["sum"] for e in family["series"]))
+
+
+def executeplan_entries(server):
+    return [e for e in server.operator_log if e["operator"] == "oph_executeplan"]
+
+
 class TestFusionAccounting:
     def test_fused_sweep_counts_passes_and_logs_plan(self, lazy_client):
         server = lazy_client.server
@@ -245,24 +266,37 @@ class TestFusionAccounting:
         assert runs.value() == runs0 + 1
         assert avoided.value() == avoided0 + 2
         assert saved.value() > saved0
-        entry = [e for e in server.operator_log
-                 if e["operator"] == "oph_executeplan"][-1]
+        entry = executeplan_entries(server)[-1]
         assert entry["fused"] == ["oph_apply", "oph_transform", "oph_apply"]
 
     def test_fusion_length_histogram_observes_chain(self, lazy_client):
-        def count_and_sum():
-            family = get_registry().snapshot().to_json().get(
-                "ophidia_plan_fusion_length", {"series": []})
-            return (sum(e["count"] for e in family["series"]),
-                    sum(e["sum"] for e in family["series"]))
-
-        count0, sum0 = count_and_sum()
+        count0, sum0 = fusion_count_and_sum()
         base = base_cube(lazy_client, np.ones((3, 4, 2)))
         base.apply(MUL.format(k=2)).apply(MUL.format(k=3)).reduce("sum", dim="time")
-        count1, sum1 = count_and_sum()
+        count1, sum1 = fusion_count_and_sum()
         assert count1 == count0 + 1
         # Two fused applies plus the reduce terminal in one sweep.
         assert sum1 == sum0 + 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_materialize_counts_only_the_chain(self, lazy_client, k):
+        """Storing a k-operator chain is one sweep of k operators: k-1
+        passes avoided, fusion length k, and no fused-plan entry for a
+        single operator (the store itself is not a fused operator)."""
+        server = lazy_client.server
+        avoided = get_registry().counter("ophidia_fragment_passes_avoided_total")
+        chain = base_cube(lazy_client, np.ones((3, 4, 2)))
+        for factor in range(2, 2 + k):
+            chain = chain.apply(MUL.format(k=factor))
+        avoided0, fusion0 = avoided.value(), fusion_count_and_sum()
+        plans0 = len(executeplan_entries(server))
+        chain.materialize()
+        assert avoided.value() == avoided0 + k - 1
+        assert fusion_count_and_sum() == (fusion0[0] + 1, fusion0[1] + k)
+        plans = executeplan_entries(server)
+        assert len(plans) == plans0 + (k > 1)
+        if k > 1:
+            assert plans[-1]["fused"] == ["oph_apply"] * k
 
     def test_fused_plan_emits_span_with_fused_ops(self, lazy_client):
         base = base_cube(lazy_client, np.ones((3, 4, 2)))
