@@ -220,7 +220,7 @@ def _metrics_selftest() -> int:
     assert len(spans) == 3
     assert len({s.trace_id for s in spans}) == 1
 
-    trace = json.loads(build_perfetto_trace(spans, []))
+    trace = json.loads(build_perfetto_trace(spans))
     assert any(ev.get("ph") == "X" for ev in trace["traceEvents"])
     report = render_run_report(snap, spans, title="selftest")
     assert "selftest" in report

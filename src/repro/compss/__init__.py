@@ -50,7 +50,7 @@ from repro.compss.scheduler import (
 from repro.compss.failures import OnFailure, TaskFailedError, TaskCancelledError
 from repro.compss.checkpoint import CheckpointManager
 from repro.compss.streams import FileDistroStream, StreamClosed
-from repro.compss.tracing import Tracer, TaskEvent
+from repro.compss.tracing import Tracer
 from repro.compss.mpi import mpi, MiniComm, MPIError
 
 __all__ = [
@@ -64,6 +64,6 @@ __all__ = [
     "OnFailure", "TaskFailedError", "TaskCancelledError",
     "CheckpointManager",
     "FileDistroStream", "StreamClosed",
-    "Tracer", "TaskEvent",
+    "Tracer",
     "mpi", "MiniComm", "MPIError",
 ]

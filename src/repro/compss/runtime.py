@@ -34,7 +34,7 @@ from repro.compss.parameter import Direction
 from repro.compss.scheduler import FIFOPolicy, InstrumentedPolicy, SchedulerPolicy
 from repro.compss.task_graph import TaskGraph, TaskNode, TaskState
 from repro.compss.timerwheel import TimerWheel
-from repro.compss.tracing import TaskEvent, Tracer
+from repro.compss.tracing import Tracer
 from repro.observability.events import emit_event
 from repro.observability.metrics import get_registry
 from repro.observability.spans import activate, current_context, maybe_span, record_span
@@ -155,6 +155,8 @@ class COMPSsRuntime:
         self.config = config or RuntimeConfig()
         self.graph = TaskGraph()
         self.tracer = Tracer()
+        #: Monotonic start; provenance times task attempts from here.
+        self.started_at = _time.monotonic()
         #: Telemetry wrapper: counts every scheduling decision in the
         #: shared registry without the policy implementations knowing.
         self._policy = InstrumentedPolicy(self.config.scheduler)
@@ -538,15 +540,19 @@ class COMPSsRuntime:
                 attrs={"task_id": node.task_id, "worker_id": worker_id,
                        "category": "queue", "function": node.func_name},
             )
+        # The attempt's compute span is its only record: built traced or
+        # not and kept by the tracer, which passes it on to the
+        # collector only inside a trace.
+        error: Optional[BaseException] = None
         with activate(node.trace_ctx):
             with maybe_span(
                 f"{node.func_name}#{node.task_id}", layer="compss",
                 attrs={"task_id": node.task_id, "worker_id": worker_id,
                        "attempt": node.attempts, "category": "compute",
                        "function": node.func_name},
+                collector=self.tracer,
             ) as handle:
                 transfer_plan = self._plan_transfers(node, worker_id)
-                start = self.tracer.now()
                 try:
                     injector = self.config.fault_injector or _ambient_fault_injector
                     if injector is not None:
@@ -580,17 +586,11 @@ class COMPSsRuntime:
                 except BaseException as exc:  # noqa: BLE001 - policy decides
                     handle.set_status("ERROR")
                     handle.set_attr("error", repr(exc))
-                    self.tracer.record(TaskEvent(
-                        node.task_id, node.func_name, worker_id,
-                        start, self.tracer.now(), "FAILED",
-                    ))
-                    self._handle_failure(node, exc)
-                    return
-                self.tracer.record(TaskEvent(
-                    node.task_id, node.func_name, worker_id,
-                    start, self.tracer.now(), "COMPLETED",
-                ))
-            self._complete(node, result, mat_args, mat_kwargs)
+                    error = exc
+            if error is not None:
+                self._handle_failure(node, error)
+            else:
+                self._complete(node, result, mat_args, mat_kwargs)
 
     @staticmethod
     def _materialise(value: Any) -> Any:

@@ -1,30 +1,25 @@
 """Exporters: merged Chrome/Perfetto traces and plain-text run reports.
 
-:func:`build_perfetto_trace` merges the span tree recorded by the
-:class:`~repro.observability.spans.TraceCollector` with the per-task
-schedule recorded by the COMPSs
-:class:`~repro.compss.tracing.Tracer` into one trace-event JSON that
-loads in ``chrome://tracing`` or https://ui.perfetto.dev:
+:func:`build_perfetto_trace` renders the span tree recorded by the
+:class:`~repro.observability.spans.TraceCollector` as one trace-event
+JSON that loads in ``chrome://tracing`` or https://ui.perfetto.dev:
 
 * pid 1 ("spans") — one lane per executing thread; nested spans render
   as call stacks, with the layer in the event category.
-* pid 2 ("compss schedule") — one lane per COMPSs worker, the classic
-  Extrae/Paraver-style task gantt.
-
-Both sides share the ``time.monotonic`` clock: span timestamps are
-absolute monotonic, tracer events are relative to the tracer's epoch,
-so passing ``tracer_epoch`` aligns them exactly.
+* pid 2 ("compss schedule") — the COMPSs task-attempt spans again, one
+  lane per worker: the classic Extrae/Paraver-style task gantt.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.observability.metrics import (
     MetricsSnapshot,
     snapshot_histogram_quantile,
 )
+from repro.observability.profile import task_attempts
 from repro.observability.spans import Span
 
 __all__ = [
@@ -37,25 +32,15 @@ _SPAN_PID = 1
 _TASKS_PID = 2
 
 
-def build_perfetto_trace(
-    spans: Sequence[Span],
-    task_events: Optional[Iterable[Any]] = None,
-    tracer_epoch: Optional[float] = None,
-    dropped: int = 0,
-) -> str:
-    """Merge spans and COMPSs task events into trace-event JSON.
+def build_perfetto_trace(spans: Sequence[Span], dropped: int = 0) -> str:
+    """Render spans, and their COMPSs task attempts again as the pid-2
+    schedule, into trace-event JSON.
 
-    *task_events* are :class:`~repro.compss.tracing.TaskEvent` records;
-    *tracer_epoch* is the tracer's ``epoch`` (monotonic seconds), needed
-    to place them on the spans' clock.  Timestamps are shifted so the
-    trace starts at 0.  *dropped* (the collector's drop count) is
-    stamped into the trace as metadata so a truncated trace says so.
+    Timestamps are shifted so the trace starts at 0.  *dropped* (the
+    collector's drop count) is stamped into the trace as metadata so a
+    truncated trace says so.
     """
-    task_events = list(task_events or [])
-    starts: List[float] = [s.start for s in spans]
-    if task_events and tracer_epoch is not None:
-        starts.extend(tracer_epoch + e.start for e in task_events)
-    t0 = min(starts) if starts else 0.0
+    t0 = min((s.start for s in spans), default=0.0)
 
     events: List[Dict[str, Any]] = [
         {"ph": "M", "pid": _SPAN_PID, "name": "process_name",
@@ -92,25 +77,24 @@ def build_perfetto_trace(
         events.append({"ph": "M", "pid": _SPAN_PID, "tid": tid,
                        "name": "thread_name", "args": {"name": name}})
 
-    if task_events:
-        epoch = tracer_epoch if tracer_epoch is not None else t0
+    attempts = task_attempts(spans)
+    if attempts:
         events.append({"ph": "M", "pid": _TASKS_PID, "name": "process_name",
                        "args": {"name": "compss schedule"}})
-        workers = sorted({e.worker_id for e in task_events})
-        for w in workers:
+        for w in sorted({s.attrs["worker_id"] for s in attempts}):
             events.append({"ph": "M", "pid": _TASKS_PID, "tid": w,
                            "name": "thread_name",
                            "args": {"name": f"worker-{w}"}})
-        for e in task_events:
+        for s in attempts:
             events.append({
-                "name": f"{e.func_name}#{e.task_id}",
-                "cat": e.state,
+                "name": s.name,
+                "cat": s.status,
                 "ph": "X",
-                "ts": round((epoch + e.start - t0) * 1e6, 3),
-                "dur": round(max(e.duration, 0.0) * 1e6, 3),
+                "ts": round((s.start - t0) * 1e6, 3),
+                "dur": round(max(s.duration, 0.0) * 1e6, 3),
                 "pid": _TASKS_PID,
-                "tid": e.worker_id,
-                "args": {"task_id": e.task_id, "state": e.state},
+                "tid": s.attrs["worker_id"],
+                "args": {"task_id": s.attrs["task_id"], "status": s.status},
             })
 
     return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})

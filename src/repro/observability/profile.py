@@ -1,12 +1,11 @@
 """Post-hoc workflow profiler: critical path, timelines, what-ifs.
 
-A finished run leaves two artefacts behind: the span tree recorded by
-the :class:`~repro.observability.spans.TraceCollector` (every layer —
-COMPSs tasks, scheduler queueing, transfers, filesystem I/O, Ophidia
-sweeps, batch jobs — parents into one ``workflow.run`` root) and the
-per-task schedule recorded by the COMPSs
-:class:`~repro.compss.tracing.Tracer`.  This module turns them into the
-quantities a performance engineer actually acts on:
+A finished run leaves its span tree behind, recorded by the
+:class:`~repro.observability.spans.TraceCollector`: every layer —
+COMPSs task attempts, scheduler queueing, transfers, filesystem I/O,
+Ophidia sweeps, batch jobs — parents into one ``workflow.run`` root.
+This module turns it into the quantities a performance engineer
+actually acts on:
 
 * **critical path** — the chain of span segments that bounds the
   makespan.  The walk descends from the root span: within any span's
@@ -18,9 +17,10 @@ quantities a performance engineer actually acts on:
   segment is attributed to a cost category (queue / transfer / compute /
   io / orchestration) from its span's attributes.
 * **utilization timelines** — per-worker busy/idle/blocked intervals
-  derived from the task schedule ("blocked" = idle while ready work was
-  waiting in the scheduler queue), plus straggler detection and the
-  ESM-simulation / analytics overlap fraction (the paper's C1 claim).
+  derived from the task-attempt spans ("blocked" = idle while ready
+  work was waiting in the scheduler queue), plus straggler detection
+  and the ESM-simulation / analytics overlap fraction (the paper's C1
+  claim).
 * **what-if estimates** — the predicted makespan if the top-k critical
   contributors were free, so each perf PR knows where to aim first.
 
@@ -49,14 +49,13 @@ from repro.observability.spans import Span
 __all__ = [
     "CATEGORIES",
     "ProfileError",
-    "ProfileTaskEvent",
     "WorkflowProfile",
     "categorize_span",
     "profile_from_perfetto",
     "profile_spans",
     "render_profile",
     "spans_from_perfetto",
-    "task_events_from_perfetto",
+    "task_attempts",
 ]
 
 #: Cost categories every critical-path segment is attributed to.
@@ -76,22 +75,6 @@ _PERFETTO_META_KEYS = ("trace_id", "span_id", "parent_id", "layer", "status")
 
 class ProfileError(ValueError):
     """The trace is unusable for profiling (empty, or no root span)."""
-
-
-@dataclass(frozen=True)
-class ProfileTaskEvent:
-    """A task attempt on the *span* clock (used for timelines/overlap)."""
-
-    task_id: int
-    func_name: str
-    worker_id: int
-    start: float
-    end: float
-    state: str
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +106,13 @@ def categorize_span(span: Span) -> str:
     return "orchestration"
 
 
+def task_attempts(spans: Iterable[Span]) -> List[Span]:
+    """The COMPSs task-attempt spans among *spans*: one per execution,
+    each with ``task_id``, ``function`` and ``worker_id`` attributes."""
+    return [s for s in spans
+            if s.layer == "compss" and s.attrs.get("category") == "compute"]
+
+
 def _name_key(name: str) -> str:
     """Aggregation key for a span name: the task-id suffix is stripped
     (``tc_inference#42`` → ``tc_inference``) so repeated invocations of
@@ -131,7 +121,7 @@ def _name_key(name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Interval helpers (self-contained: profiles also run on parsed traces)
+# Interval helpers (also the COMPSs tracer's overlap metric)
 # ---------------------------------------------------------------------------
 
 def _merge(intervals: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]]:
@@ -304,21 +294,16 @@ def _pick_root(spans: Sequence[Span]) -> Span:
 
 def profile_spans(
     spans: Sequence[Span],
-    task_events: Iterable[Any] = (),
-    tracer_epoch: Optional[float] = None,
     esm_functions: Iterable[str] = ("esm_simulation",),
     analytics_functions: Optional[Iterable[str]] = None,
     what_if_top_k: int = 5,
     straggler_factor: float = 3.0,
 ) -> WorkflowProfile:
-    """Profile one finished run from its span tree and task schedule.
+    """Profile one finished run from its span tree.
 
-    *task_events* are tracer ``TaskEvent``-shaped records; with
-    *tracer_epoch* given they are shifted from tracer-relative onto the
-    spans' monotonic clock (exactly how the Perfetto exporter aligns
-    them), otherwise they are assumed to share the spans' clock already.
-    *analytics_functions* defaults to every task function that is not an
-    ESM function.
+    The task schedule is read from the COMPSs task-attempt spans (see
+    :func:`task_attempts`).  *analytics_functions* defaults to every
+    task function that is not an ESM function.
     """
     spans = list(spans)
     if not spans:
@@ -374,16 +359,8 @@ def profile_spans(
         })
 
     # -- task schedule: timelines, stragglers, overlap ----------------------
-    events: List[ProfileTaskEvent] = []
-    for e in task_events:
-        shift = tracer_epoch if tracer_epoch is not None else 0.0
-        events.append(ProfileTaskEvent(
-            task_id=int(e.task_id), func_name=str(e.func_name),
-            worker_id=int(e.worker_id),
-            start=shift + float(e.start), end=shift + float(e.end),
-            state=str(e.state),
-        ))
-    executed = [e for e in events if e.duration > 0.0]
+    attempts = task_attempts(spans)
+    executed = [e for e in attempts if e.duration > 0.0]
 
     workers: Dict[str, Dict[str, Any]] = {}
     stragglers: List[Dict[str, Any]] = []
@@ -403,9 +380,9 @@ def profile_spans(
             (s.start, s.end) for s in spans
             if s.layer == "scheduler" or s.name.startswith("queue:")
         )
-        by_worker: Dict[int, List[ProfileTaskEvent]] = {}
+        by_worker: Dict[int, List[Span]] = {}
         for e in executed:
-            by_worker.setdefault(e.worker_id, []).append(e)
+            by_worker.setdefault(e.attrs["worker_id"], []).append(e)
         for wid in sorted(by_worker):
             evts = by_worker[wid]
             busy = _merge((e.start, e.end) for e in evts)
@@ -426,17 +403,17 @@ def profile_spans(
 
         by_func: Dict[str, List[float]] = {}
         for e in executed:
-            by_func.setdefault(e.func_name, []).append(e.duration)
+            by_func.setdefault(e.attrs["function"], []).append(e.duration)
         medians = {
             fn: sorted(ds)[len(ds) // 2] for fn, ds in by_func.items()
         }
         for e in executed:
-            median = medians[e.func_name]
+            median = medians[e.attrs["function"]]
             if (e.duration > straggler_factor * median
                     and e.duration > _STRAGGLER_FLOOR_S):
                 stragglers.append({
-                    "task": f"{e.func_name}#{e.task_id}",
-                    "worker": e.worker_id,
+                    "task": e.name,
+                    "worker": e.attrs["worker_id"],
                     "duration_s": e.duration,
                     "median_s": median,
                     "factor": e.duration / median if median > 0 else float("inf"),
@@ -445,12 +422,14 @@ def profile_spans(
 
         esm = frozenset(esm_functions)
         if analytics_functions is None:
-            analytics = {e.func_name for e in executed} - esm
+            analytics = {e.attrs["function"] for e in executed} - esm
         else:
             analytics = set(analytics_functions)
-        esm_iv = _merge((e.start, e.end) for e in executed if e.func_name in esm)
+        esm_iv = _merge(
+            (e.start, e.end) for e in executed if e.attrs["function"] in esm)
         ana_iv = _merge(
-            (e.start, e.end) for e in executed if e.func_name in analytics
+            (e.start, e.end) for e in executed
+            if e.attrs["function"] in analytics
         )
         esm_busy = _length(esm_iv)
         overlap_s = _overlap(esm_iv, ana_iv)
@@ -475,7 +454,7 @@ def profile_spans(
         overlap=overlap,
         task_window_s=task_window_s,
         n_spans=len(spans),
-        n_task_events=len(events),
+        n_task_events=len(attempts),
     )
 
 
@@ -517,31 +496,6 @@ def spans_from_perfetto(payload: Mapping[str, Any]) -> List[Span]:
     return spans
 
 
-def task_events_from_perfetto(payload: Mapping[str, Any]) -> List[ProfileTaskEvent]:
-    """Rebuild the COMPSs schedule (pid-2) from an exported trace.
-
-    The exporter already placed these on the spans' (shifted) clock, so
-    the events feed :func:`profile_spans` with ``tracer_epoch=None``.
-    """
-    events: List[ProfileTaskEvent] = []
-    for ev in payload.get("traceEvents", ()):
-        if ev.get("ph") != "X" or ev.get("pid") != 2:
-            continue
-        args = dict(ev.get("args") or {})
-        name = str(ev.get("name", ""))
-        func = _TASK_SUFFIX.sub("", name)
-        start = float(ev["ts"]) / 1e6
-        events.append(ProfileTaskEvent(
-            task_id=int(args.get("task_id", 0)),
-            func_name=func,
-            worker_id=int(ev.get("tid", 0)),
-            start=start,
-            end=start + float(ev.get("dur", 0.0)) / 1e6,
-            state=str(args.get("state", ev.get("cat", ""))),
-        ))
-    return events
-
-
 def profile_from_perfetto(payload: Mapping[str, Any], **kwargs: Any) -> WorkflowProfile:
     """Profile an exported ``trace.json`` (Perfetto trace-event JSON).
 
@@ -550,9 +504,7 @@ def profile_from_perfetto(payload: Mapping[str, Any], **kwargs: Any) -> Workflow
     spans = spans_from_perfetto(payload)
     if not spans:
         raise ProfileError("trace.json contains no span events (pid 1)")
-    return profile_spans(
-        spans, task_events_from_perfetto(payload), tracer_epoch=None, **kwargs
-    )
+    return profile_spans(spans, **kwargs)
 
 
 # ---------------------------------------------------------------------------

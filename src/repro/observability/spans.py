@@ -30,9 +30,9 @@ import contextvars
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, ContextManager, Dict, Iterator, List, Optional
 
 __all__ = [
     "Span",
@@ -213,14 +213,13 @@ def activate(context: Optional[SpanContext]) -> Iterator[Optional[SpanContext]]:
 # Span creation
 # ---------------------------------------------------------------------------
 
-@contextmanager
 def span(
     name: str,
     layer: str = "app",
     attrs: Optional[Dict[str, Any]] = None,
     new_trace: bool = False,
     collector: Optional[TraceCollector] = None,
-) -> Iterator[SpanHandle]:
+) -> ContextManager[SpanHandle]:
     """Record a span around the enclosed block; propagates context.
 
     The span parents to the active context unless *new_trace* forces a
@@ -230,12 +229,42 @@ def span(
     """
     parent = None if new_trace else _context.get()
     if parent is None:
-        trace_id, parent_id = _new_id(), None
+        parent = SpanContext(_new_id(), "")
+    return _timed(name, layer, attrs, parent, collector)
+
+
+def maybe_span(
+    name: str,
+    layer: str = "app",
+    attrs: Optional[Dict[str, Any]] = None,
+    collector: Optional[Any] = None,
+) -> ContextManager[SpanHandle]:
+    """Like :func:`span`, but a no-op when no trace is active.
+
+    Instrumented hot paths use this so only correlated (in-trace) work
+    is recorded.  With a *collector* (anything with ``record(span)``)
+    the span is built and handed to it either way; outside a trace it
+    is *untraced* — empty ids, no context entered, so the spans nested
+    in it stay no-ops.  The COMPSs tracer keeps every task attempt so.
+    """
+    parent = _context.get()
+    if parent is None and collector is None:
+        return nullcontext(SpanHandle(SpanContext("", ""), {}, recording=False))
+    return _timed(name, layer, attrs, parent, collector)
+
+
+@contextmanager
+def _timed(name: str, layer: str, attrs: Optional[Dict[str, Any]],
+           parent: Optional[SpanContext], collector: Any) -> Iterator[SpanHandle]:
+    """Time the enclosed block into one :class:`Span` under *parent*
+    (``None``: untraced) and hand it to *collector* (default: the
+    process-wide one)."""
+    if parent is None:
+        context, token = SpanContext("", ""), None
     else:
-        trace_id, parent_id = parent.trace_id, parent.span_id
-    context = SpanContext(trace_id, _new_id())
-    handle = SpanHandle(context, dict(attrs or {}))
-    token = _context.set(context)
+        context = SpanContext(parent.trace_id, _new_id())
+        token = _context.set(context)
+    handle = SpanHandle(context, dict(attrs or {}), recording=token is not None)
     thread = threading.current_thread()
     start = time.monotonic()
     try:
@@ -245,33 +274,17 @@ def span(
         raise
     finally:
         end = time.monotonic()
-        _context.reset(token)
+        if token is not None:
+            _context.reset(token)
         # Not ``or``: an empty TraceCollector is falsy via __len__.
         sink = collector if collector is not None else get_collector()
         sink.record(Span(
-            name=name, trace_id=trace_id, span_id=context.span_id,
-            parent_id=parent_id, layer=layer, start=start, end=end,
+            name=name, trace_id=context.trace_id, span_id=context.span_id,
+            parent_id=(parent.span_id or None) if parent is not None else None,
+            layer=layer, start=start, end=end,
             status=handle._status, attrs=handle._attrs,
             thread_id=thread.ident or 0, thread_name=thread.name,
         ))
-
-
-@contextmanager
-def maybe_span(
-    name: str,
-    layer: str = "app",
-    attrs: Optional[Dict[str, Any]] = None,
-) -> Iterator[SpanHandle]:
-    """Like :func:`span`, but a no-op when no trace is active.
-
-    Instrumented hot paths use this so only correlated (in-trace) work
-    is recorded.
-    """
-    if _context.get() is None:
-        yield SpanHandle(SpanContext("", ""), {}, recording=False)
-        return
-    with span(name, layer=layer, attrs=attrs) as handle:
-        yield handle
 
 
 def record_span(

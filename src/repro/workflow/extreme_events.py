@@ -369,7 +369,7 @@ def _run_placed(
                    "n_workers": p.n_workers, "scheduler": p.scheduler},
         ) as root:
             trace_id = root.context.trace_id
-            summary, runtime = _run_traced(
+            summary = _run_traced(
                 sim.filesystem, fs, federation, p, pace_seconds
             )
     except BaseException as exc:
@@ -398,8 +398,7 @@ def _run_placed(
     trace_spans = get_collector().for_trace(trace_id)
     try:
         profile = profile_spans(
-            trace_spans, runtime.tracer.events,
-            tracer_epoch=runtime.tracer.epoch,
+            trace_spans,
             esm_functions=("esm_simulation",),
             analytics_functions=ANALYTICS_TASKS,
         ).to_json()
@@ -431,11 +430,7 @@ def _run_placed(
         summary["spans_dropped"] = dropped_spans
     _write_artifact(
         fs, f"{p.results_dir}/trace.json",
-        build_perfetto_trace(
-            trace_spans,
-            runtime.tracer.events, tracer_epoch=runtime.tracer.epoch,
-            dropped=dropped_spans,
-        ).encode(),
+        build_perfetto_trace(trace_spans, dropped=dropped_spans).encode(),
     )
     if profile is not None:
         _write_artifact(
@@ -461,8 +456,8 @@ def _run_placed(
 def _run_traced(
     sim_fs, fs, federation: Optional[Federation], p: WorkflowParams,
     pace_seconds: float,
-) -> "tuple[Dict[str, Any], Any]":
-    """The traced workflow body; returns (summary, runtime).
+) -> Dict[str, Any]:
+    """The traced workflow body; returns the run summary.
 
     The ESM writes to *sim_fs* and the collector watches it; *fs* (the
     analytics site) holds everything else.  When the two differ, each
@@ -747,4 +742,4 @@ def _run_traced(
             collector.close()
         server.shutdown()
 
-    return summary, runtime
+    return summary

@@ -89,8 +89,9 @@ def collect_activities(runtime: COMPSsRuntime) -> List[Dict[str, Any]]:
     """One PROV activity per task, joined with its trace events."""
     events_by_task: Dict[int, List] = {}
     for event in runtime.tracer.events:
-        events_by_task.setdefault(event.task_id, []).append(event)
+        events_by_task.setdefault(event.attrs["task_id"], []).append(event)
 
+    t0 = runtime.started_at
     activities = []
     for node in runtime.graph.tasks():
         record: Dict[str, Any] = {
@@ -107,9 +108,9 @@ def collect_activities(runtime: COMPSsRuntime) -> List[Dict[str, Any]]:
         events = events_by_task.get(node.task_id)
         if events:
             last = max(events, key=lambda e: e.end)
-            record["startedAt_s"] = round(min(e.start for e in events), 6)
-            record["endedAt_s"] = round(last.end, 6)
-            record["worker"] = last.worker_id
+            record["startedAt_s"] = round(min(e.start for e in events) - t0, 6)
+            record["endedAt_s"] = round(last.end - t0, 6)
+            record["worker"] = last.attrs["worker_id"]
         activities.append(record)
     return activities
 

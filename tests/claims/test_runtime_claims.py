@@ -1,8 +1,9 @@
-"""C3, C5, A2 (locality half) and E2 as count/order invariants of the
-COMPSs runtime.  No test here compares durations: concurrency is
+"""C3, C5, C9, A2 (locality half) and E2 as count/order invariants of
+the COMPSs runtime.  No test here compares durations: concurrency is
 forced with barriers and read back from the tracer's recorded events.
 """
 
+import random
 import threading
 
 import pytest
@@ -55,7 +56,7 @@ class TestC3TransparentParallelism:
         events = rt.tracer.events
         assert len(events) == N_TASKS
         assert peak_concurrency(events) == min(n_workers, N_TASKS)
-        assert len({e.worker_id for e in events}) == n_workers
+        assert len({e.attrs["worker_id"] for e in events}) == n_workers
 
 
 class TestC5FaultTolerance:
@@ -74,11 +75,12 @@ class TestC5FaultTolerance:
 
         with COMPSs(n_workers=4) as rt:
             results = compss_wait_on([flaky(i) for i in range(n_jobs)])
-            states = [e.state for e in rt.tracer.events]
+            statuses = [e.status for e in rt.tracer.events]
         assert results == [i + 100 for i in range(n_jobs)]
-        assert states.count("FAILED") == n_failures
-        assert states.count("COMPLETED") == n_jobs
-        assert len(states) == n_jobs + n_failures
+        # One record per attempt: 12 successes + 4 failed attempts.
+        assert len(statuses) == n_jobs + n_failures == 16
+        assert statuses.count("ERROR") == n_failures
+        assert statuses.count("OK") == n_jobs
 
     def test_checkpoint_restart_recovers_the_completed_prefix(self, tmp_path):
         n_jobs, crash_at = 12, 8
@@ -104,6 +106,45 @@ class TestC5FaultTolerance:
         assert states.get("RECOVERED") == crash_at
         assert states.get("COMPLETED") == n_jobs - crash_at
         assert executed == n_jobs - crash_at
+
+
+def test_c9_dag_fanout_closed_form(fresh_registry):
+    """20 supersteps of 4 branches + 1 join after one seed task: the
+    value is the recurrence t <- (4 t + sum(row)) mod 2**31, and every
+    one of the 101 tasks ran exactly once."""
+    width, modulus, token = 4, 2 ** 31, 12345
+    rng = random.Random(9)
+    addends = [[rng.randrange(modulus) for _ in range(width)]
+               for _ in range(20)]
+
+    @task(returns=1)
+    def seed_task(x):
+        return x
+
+    @task(returns=1)
+    def branch(x, addend):
+        return x + addend
+
+    @task(returns=1)
+    def join(a, b, c, d):
+        return (a + b + c + d) % modulus
+
+    with COMPSs(n_workers=width) as rt:
+        value = seed_task(token)
+        for row in addends:
+            value = join(*[branch(value, addend) for addend in row])
+        value = compss_wait_on(value)
+        events = rt.tracer.events
+
+    expected = token
+    for row in addends:
+        expected = (width * expected + sum(row)) % modulus
+    assert value == expected
+    assert len(events) == 1 + 20 * (width + 1) == 101
+    assert all(e.status == "OK" for e in events)
+    completed = fresh_registry.snapshot().value(
+        "compss_tasks_total", state="COMPLETED")
+    assert completed == 101
 
 
 class TestA2LocalityPolicy:
@@ -166,6 +207,6 @@ class TestE2Containers:
         bare, _ = run_bag(n_workers, n_tasks)
         boxed, rt = run_bag(n_workers, n_tasks, body=contained)
         assert boxed == bare
-        assert len({e.worker_id for e in rt.tracer.events}) == n_workers
+        assert len({e.attrs["worker_id"] for e in rt.tracer.events}) == n_workers
         assert runtime.cold_starts == n_workers
         assert runtime.warm_starts == n_tasks - n_workers

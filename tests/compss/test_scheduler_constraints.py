@@ -225,17 +225,54 @@ class TestTracing:
             compss_wait_on([work() for _ in range(4)])
             events = rt.tracer.events
             assert len(events) == 4
-            assert all(e.state == "COMPLETED" for e in events)
+            assert all(e.status == "OK" for e in events)
             assert rt.tracer.makespan() >= 0.02
-            assert rt.tracer.total_busy_time() >= 0.08 * 0.5
+            assert sum(e.duration for e in events) >= 0.08 * 0.5
             assert 0 < rt.tracer.worker_utilisation(2) <= 1.0
 
     def test_overlap_metric(self):
-        from repro.compss.tracing import TaskEvent, Tracer
+        from repro.compss.tracing import Tracer
+        from repro.observability import Span
+
+        def attempt(task_id, func, worker, start, end):
+            return Span(f"{func}#{task_id}", "", "", None, "compss", start,
+                        end, attrs={"task_id": task_id, "worker_id": worker,
+                                    "category": "compute", "function": func})
 
         tr = Tracer()
-        tr.record(TaskEvent(1, "sim", 0, 0.0, 10.0, "COMPLETED"))
-        tr.record(TaskEvent(2, "ana", 1, 4.0, 6.0, "COMPLETED"))
-        tr.record(TaskEvent(3, "ana", 1, 9.0, 12.0, "COMPLETED"))
+        tr.record(attempt(1, "sim", 0, 0.0, 10.0))
+        tr.record(attempt(2, "ana", 1, 4.0, 6.0))
+        tr.record(attempt(3, "ana", 1, 9.0, 12.0))
         assert tr.overlap_group_seconds("sim", ["ana"]) == pytest.approx(3.0)
         assert tr.makespan() == pytest.approx(12.0)
+
+    def test_one_record_per_attempt_traced(self):
+        from repro.observability import get_collector, span
+
+        @task(returns=1)
+        def work(x):
+            return x + 1
+
+        with span("root", layer="workflow") as root:
+            with COMPSs(n_workers=2) as rt:
+                compss_wait_on([work(i) for i in range(6)])
+        in_trace = get_collector().for_trace(root.context.trace_id)
+        events = rt.tracer.events
+        assert len(events) == 6
+        for event in events:
+            assert any(event is s for s in in_trace)
+
+    def test_one_record_per_attempt_untraced(self):
+        from repro.observability import get_collector
+
+        @task(returns=1)
+        def work(x):
+            return x + 1
+
+        n_spans = len(get_collector())
+        with COMPSs(n_workers=2) as rt:
+            compss_wait_on([work(i) for i in range(6)])
+        assert len(get_collector()) == n_spans
+        events = rt.tracer.events
+        assert sorted(e.attrs["task_id"] for e in events) == list(range(1, 7))
+        assert all(e.trace_id == "" and e.status == "OK" for e in events)

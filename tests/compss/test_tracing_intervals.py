@@ -1,17 +1,19 @@
-"""Tracer interval arithmetic."""
+"""Tracer interval arithmetic (the profiler's interval helpers)."""
 
 import pytest
 
-from repro.compss.tracing import (
-    TaskEvent,
-    Tracer,
-    _interval_overlap,
-    _merge_intervals,
-)
+from repro.compss.tracing import Tracer
+from repro.observability import Span
+from repro.observability.profile import _merge as _merge_intervals
+from repro.observability.profile import _overlap as _interval_overlap
 
 
 def _event(func, start, end, task_id=1, worker=0):
-    return TaskEvent(task_id, func, worker, start, end, "COMPLETED")
+    """An untraced task-attempt span, as the runtime builds one."""
+    return Span(name=f"{func}#{task_id}", trace_id="", span_id="",
+                parent_id=None, layer="compss", start=start, end=end,
+                attrs={"task_id": task_id, "worker_id": worker,
+                       "category": "compute", "function": func})
 
 
 class TestMergeIntervals:
@@ -32,7 +34,8 @@ class TestMergeIntervals:
         assert _merge_intervals([(0, 10), (2, 3)]) == [(0, 10)]
 
     def test_single_point_intervals(self):
-        assert _merge_intervals([(1, 1), (1, 1), (2, 2)]) == [(1, 1), (2, 2)]
+        # Zero-length intervals cover no time, so the union drops them.
+        assert _merge_intervals([(1, 1), (1, 1), (2, 2)]) == []
 
 
 class TestIntervalOverlap:

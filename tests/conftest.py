@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.observability import metrics
+from repro.observability import metrics, spans
 from repro.observability.events import get_event_log, read_events
 from repro.workflow.tasks import ensure_tc_model
 
@@ -68,12 +68,19 @@ def _non_daemon_threads():
 @pytest.fixture(autouse=True)
 def _no_leaked_shm_or_children():
     """A test leaves no new ``/dev/shm`` segment, no live child process
-    (the two leak checks ``bench/`` makes per repetition) and no live
-    non-daemon thread (an ``OphidiaServer`` that was never shut down)."""
+    (the two leak checks ``bench/`` makes per repetition), no live
+    non-daemon thread (an ``OphidiaServer`` that was never shut down)
+    and no open span context, which would silently turn later
+    "untraced" runs into traced ones."""
+    assert spans.current_context() is None, (
+        f"test started inside span context {spans.current_context()}")
     shm_before = set(os.listdir("/dev/shm"))
     children_before = set(_child_processes())
     threads_before = _non_daemon_threads()
     yield
+    leaked_context = spans.current_context()
+    # Cleared either way, so the tests after this one start untraced.
+    spans._context.set(None)
     # A pool worker told to exit may need a moment to be reaped.
     deadline = time.monotonic() + 2.0
     while True:
@@ -88,3 +95,4 @@ def _no_leaked_shm_or_children():
         f"non-daemon threads left running: {sorted(t.name for t in threads)}")
     shm_leaked = sorted(set(os.listdir("/dev/shm")) - shm_before)
     assert not shm_leaked, f"/dev/shm segments left behind: {shm_leaked}"
+    assert leaked_context is None, f"span context left open: {leaked_context}"

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.compss.tracing import TaskEvent
 from repro.observability import (
     MetricsRegistry,
     SpanContext,
@@ -37,11 +36,15 @@ class TestPerfettoTrace:
             assert e["dur"] >= 0
             assert e["args"]["trace_id"]
 
-    def test_task_events_get_their_own_process(self, spans):
-        tasks = [TaskEvent(1, "esm_simulation", 0, 0.0, 1.0, "COMPLETED")]
-        trace = json.loads(
-            build_perfetto_trace(spans, tasks, tracer_epoch=spans[0].start)
-        )
+    def test_task_events_get_their_own_process(self):
+        c = TraceCollector()
+        with span("root", layer="workflow", collector=c):
+            with span("esm_simulation#1", layer="compss", collector=c,
+                      attrs={"task_id": 1, "worker_id": 0,
+                             "category": "compute",
+                             "function": "esm_simulation"}):
+                pass
+        trace = json.loads(build_perfetto_trace(c.spans()))
         task_events = [
             e for e in trace["traceEvents"]
             if e.get("ph") == "X" and e["pid"] == 2
@@ -62,7 +65,7 @@ class TestPerfettoTrace:
         assert any(e["name"] == "thread_name" for e in meta)
 
     def test_empty_inputs(self):
-        trace = json.loads(build_perfetto_trace([], []))
+        trace = json.loads(build_perfetto_trace([]))
         assert all(e.get("ph") == "M" for e in trace["traceEvents"])
 
 

@@ -17,11 +17,7 @@ from repro.observability import (
     profile_spans,
     render_profile,
 )
-from repro.observability.profile import (
-    ProfileError,
-    ProfileTaskEvent,
-    categorize_span,
-)
+from repro.observability.profile import ProfileError, categorize_span
 
 
 def mk_span(name, span_id, parent_id, start, end, layer="compss",
@@ -31,10 +27,11 @@ def mk_span(name, span_id, parent_id, start, end, layer="compss",
                 status=status, attrs=attrs)
 
 
-def mk_event(task_id, func, worker, start, end, state="COMPLETED"):
-    return ProfileTaskEvent(task_id=task_id, func_name=func,
-                            worker_id=worker, start=start, end=end,
-                            state=state)
+def mk_event(task_id, func, worker, start, end):
+    """A COMPSs task-attempt span under the root ``r``."""
+    return mk_span(f"{func}#{task_id}", f"e{task_id}", "r", start, end,
+                   task_id=task_id, worker_id=worker, category="compute",
+                   function=func)
 
 
 @pytest.fixture()
@@ -157,7 +154,7 @@ class TestTimelines:
 
     def test_busy_idle_utilisation(self):
         root, events = self.make()
-        prof = profile_spans([root], events)
+        prof = profile_spans([root, *events])
         w0 = prof.workers["worker-0"]
         w1 = prof.workers["worker-1"]
         assert prof.task_window_s == pytest.approx(10.0)
@@ -172,7 +169,7 @@ class TestTimelines:
         # ready work waited in the scheduler during [3, 7]
         queue = mk_span("queue:analyze#2", "q", "r", 3.0, 7.0,
                         layer="scheduler")
-        prof = profile_spans([root, queue], events)
+        prof = profile_spans([root, queue, *events])
         # worker 0 idle [4,6] ∩ waiting [3,7] = 2s blocked
         assert prof.workers["worker-0"]["blocked_s"] == pytest.approx(2.0)
         # worker 1 idle [2,10] ∩ [3,7] = 4s
@@ -180,7 +177,7 @@ class TestTimelines:
 
     def test_overlap_fraction(self):
         root, events = self.make()
-        prof = profile_spans([root], events,
+        prof = profile_spans([root, *events],
                              esm_functions=("esm_simulation",))
         # esm busy [0,4]; analytics busy [0,2] u [6,10] -> overlap [0,2]
         assert prof.overlap["esm_busy_s"] == pytest.approx(4.0)
@@ -194,17 +191,17 @@ class TestTimelines:
         events = [mk_event(i, "f", 0, i * 1.0, i * 1.0 + 0.1)
                   for i in range(9)]
         events.append(mk_event(9, "f", 1, 50.0, 60.0))  # 100x the median
-        prof = profile_spans([root], events)
+        prof = profile_spans([root, *events])
         assert len(prof.stragglers) == 1
         assert prof.stragglers[0]["task"] == "f#9"
         assert prof.stragglers[0]["worker"] == 1
 
-    def test_tracer_epoch_shifts_events(self):
+    def test_attempts_share_the_span_clock(self):
         root = mk_span("workflow.run", "r", None, 100.0, 110.0,
                        layer="workflow")
-        events = [mk_event(1, "esm_simulation", 0, 0.0, 4.0),
-                  mk_event(2, "analyze", 0, 2.0, 6.0)]
-        prof = profile_spans([root], events, tracer_epoch=100.0)
+        events = [mk_event(1, "esm_simulation", 0, 100.0, 104.0),
+                  mk_event(2, "analyze", 0, 102.0, 106.0)]
+        prof = profile_spans([root, *events])
         assert prof.workers["worker-0"]["first_start_s"] == pytest.approx(0.0)
         assert prof.overlap["overlap_s"] == pytest.approx(2.0)
 
@@ -234,12 +231,10 @@ class TestSerialisation:
 
 class TestPerfettoRoundTrip:
     def test_profile_agrees_after_export_import(self, diamond):
-        events = [mk_event(1, "esm_simulation", 0, 1.0, 4.0),
-                  mk_event(2, "analyze", 1, 2.0, 7.0)]
-        direct = profile_spans(diamond, events, tracer_epoch=0.0)
-        payload = json.loads(build_perfetto_trace(
-            diamond, events, tracer_epoch=0.0))
-        rt = profile_from_perfetto(payload)
+        spans = diamond + [mk_event(1, "esm_simulation", 0, 1.0, 4.0),
+                           mk_event(2, "analyze", 1, 2.0, 7.0)]
+        direct = profile_spans(spans)
+        rt = profile_from_perfetto(json.loads(build_perfetto_trace(spans)))
         # export rounds to microseconds and shifts t0; derived
         # quantities agree to that precision
         assert rt.makespan_s == pytest.approx(direct.makespan_s, abs=1e-5)
@@ -250,9 +245,43 @@ class TestPerfettoRoundTrip:
         assert {s["name"] for s in rt.critical_path} == {
             s["name"] for s in direct.critical_path}
 
+    def test_profile_needs_only_the_span_process(self):
+        """The pid-2 schedule lane is a view: dropping it from a traced
+        run's trace.json changes nothing the profiler reports."""
+        import time
+
+        from repro.compss import COMPSs, compss_wait_on, task
+        from repro.observability import get_collector, span
+
+        @task(returns=1)
+        def esm_simulation():
+            time.sleep(0.05)
+            return 0
+
+        @task(returns=1)
+        def analyze(x):
+            time.sleep(0.005)
+            return x
+
+        with span("workflow.run", layer="workflow") as root:
+            with COMPSs(n_workers=2) as rt:
+                compss_wait_on([esm_simulation()]
+                               + [analyze(i) for i in range(9)])
+        payload = json.loads(build_perfetto_trace(
+            get_collector().for_trace(root.context.trace_id)))
+        full = profile_from_perfetto(payload)
+        payload["traceEvents"] = [
+            e for e in payload["traceEvents"] if e.get("pid") != 2]
+        spans_only = profile_from_perfetto(payload)
+        assert len(rt.tracer.events) == 10
+        assert spans_only.n_task_events == full.n_task_events == 10
+        assert spans_only.workers == full.workers
+        assert len(spans_only.workers) == 2
+        assert spans_only.overlap == full.overlap
+
     def test_span_attrs_survive_export(self, diamond):
         diamond[1].attrs["category"] = "transfer"
-        payload = json.loads(build_perfetto_trace(diamond, []))
+        payload = json.loads(build_perfetto_trace(diamond))
         rt = profile_from_perfetto(payload)
         by_cat = rt.categories
         assert by_cat.get("transfer", 0.0) == pytest.approx(1.0)
@@ -263,7 +292,7 @@ class TestPerfettoRoundTrip:
 
     def test_status_and_nan_free(self, diamond):
         diamond[3].status = "ERROR"
-        payload = json.loads(build_perfetto_trace(diamond, []))
+        payload = json.loads(build_perfetto_trace(diamond))
         rt = profile_from_perfetto(payload)
         err = [s for s in rt.critical_path if s["name"] == "c#3"]
         assert err and err[0]["status"] == "ERROR"
