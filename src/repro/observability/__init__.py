@@ -9,7 +9,7 @@ workflow run yields:
 
 * a Prometheus-text / JSON metrics snapshot (``repro metrics``), and
 * one correlated Chrome/Perfetto trace spanning every layer
-  (``repro run --trace-out trace.json``).
+  (``<scratch>/results/trace.json`` after ``repro run``).
 
 See ``docs/OBSERVABILITY.md`` for the metric names, the span taxonomy
 and what consumes them.
@@ -41,7 +41,6 @@ from repro.observability.spans import (
 )
 from repro.observability.export import (
     build_perfetto_trace,
-    render_run_report,
     snapshot_from_json,
 )
 from repro.observability.profile import (
@@ -121,7 +120,6 @@ __all__ = [
     "span",
     "snapshot_histogram_quantile",
     "build_perfetto_trace",
-    "render_run_report",
     "snapshot_from_json",
     "WorkflowProfile",
     "profile_spans",

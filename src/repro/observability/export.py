@@ -1,4 +1,4 @@
-"""Exporters: merged Chrome/Perfetto traces and plain-text run reports.
+"""Exporters: merged Chrome/Perfetto traces and metrics snapshots from JSON.
 
 :func:`build_perfetto_trace` renders the span tree recorded by the
 :class:`~repro.observability.spans.TraceCollector` as one trace-event
@@ -15,16 +15,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Sequence
 
-from repro.observability.metrics import (
-    MetricsSnapshot,
-    snapshot_histogram_quantile,
-)
+from repro.observability.metrics import MetricsSnapshot
 from repro.observability.profile import task_attempts
 from repro.observability.spans import Span
 
 __all__ = [
     "build_perfetto_trace",
-    "render_run_report",
     "snapshot_from_json",
 ]
 
@@ -118,66 +114,3 @@ def _looks_like_snapshot(payload: Dict[str, Any]) -> bool:
         isinstance(v, dict) and "kind" in v and "series" in v
         for v in payload.values()
     )
-
-
-def render_run_report(
-    snapshot: MetricsSnapshot,
-    spans: Sequence[Span] = (),
-    title: str = "Run report",
-    dropped: int = 0,
-) -> str:
-    """Plain-text run summary: headline metrics plus per-layer span time."""
-    lines = [title, "=" * len(title), ""]
-
-    data = snapshot.to_json()
-    if data:
-        lines.append("metrics")
-        lines.append("-------")
-        for name in sorted(data):
-            family = data[name]
-            for entry in family["series"]:
-                labels = entry["labels"]
-                label_txt = (
-                    "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-                    if labels else ""
-                )
-                if family["kind"] == "histogram":
-                    count = entry["count"]
-                    mean = entry["sum"] / count if count else 0.0
-                    quantiles = ""
-                    if count:
-                        p50, p95, p99 = (
-                            snapshot_histogram_quantile(data, name, q, **labels)
-                            for q in (0.50, 0.95, 0.99)
-                        )
-                        quantiles = (
-                            f" p50={p50:.4f}s p95={p95:.4f}s p99={p99:.4f}s"
-                        )
-                    lines.append(
-                        f"  {name}{label_txt}  count={count} "
-                        f"sum={entry['sum']:.4f}s mean={mean:.4f}s{quantiles}"
-                    )
-                else:
-                    lines.append(f"  {name}{label_txt}  {entry['value']}")
-        lines.append("")
-
-    if spans:
-        by_layer: Dict[str, List[Span]] = {}
-        for s in spans:
-            by_layer.setdefault(s.layer, []).append(s)
-        lines.append("spans by layer")
-        lines.append("--------------")
-        for layer in sorted(by_layer):
-            group = by_layer[layer]
-            total = sum(s.duration for s in group)
-            errors = sum(1 for s in group if s.status != "OK")
-            lines.append(
-                f"  {layer:<12} {len(group):>5} spans  "
-                f"{total:>9.3f}s total" + (f"  {errors} errors" if errors else "")
-            )
-        trace_ids = {s.trace_id for s in spans}
-        lines.append("")
-        lines.append(f"traces: {len(trace_ids)}  spans: {len(spans)}")
-    if dropped:
-        lines.append(f"WARNING: {dropped} spans dropped (collector full)")
-    return "\n".join(lines) + "\n"

@@ -25,8 +25,8 @@ actually acts on:
   contributors were free, so each perf PR knows where to aim first.
 
 Both the in-process objects and an exported ``trace.json`` (the
-Perfetto trace written by ``repro run --trace-out``) are accepted; the
-two routes agree to export rounding (sub-microsecond).
+Perfetto trace ``repro run`` writes under ``<scratch>/results/``) are
+accepted; the two routes agree to export rounding (sub-microsecond).
 """
 
 from __future__ import annotations

@@ -117,14 +117,49 @@ class WorkflowParams:
 
     @classmethod
     def from_dict(cls, params: Dict[str, Any]) -> "WorkflowParams":
-        """Build from a loose dict (HPCWaaS invocation params)."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(params) - known
+        """Build from a loose dict (HPCWaaS invocation, service job or
+        CLI ``--param`` pairs): the one gate for parameters from outside
+        the program.  Each value must match its field's type; a wrong
+        one raises :class:`ValueError` naming the field.
+        """
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(params) - set(types)
         if unknown:
             raise ValueError(f"unknown workflow parameters: {sorted(unknown)}")
         kwargs = dict(params)
-        if "years" in kwargs:
-            kwargs["years"] = [int(y) for y in kwargs["years"]]
+        years = kwargs.get("years")
+        if isinstance(years, int) and not isinstance(years, bool):
+            kwargs["years"] = [years]
+        elif isinstance(years, list) and all(
+            isinstance(y, str) and y.isdigit() for y in years
+        ):
+            kwargs["years"] = [int(y) for y in years]
+        for name, value in kwargs.items():
+            if not _TYPE_CHECKS[types[name]](value):
+                raise ValueError(
+                    f"workflow parameter {name!r} must be {types[name]}, "
+                    f"got {value!r}"
+                )
+            if types[name] == "float":
+                kwargs[name] = float(value)
         if "tc_target_grid" in kwargs:
             kwargs["tc_target_grid"] = tuple(kwargs["tc_target_grid"])
         return cls(**kwargs)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: ``from_dict`` value checks, keyed by the (string) field annotation.
+_TYPE_CHECKS = {
+    "bool": lambda v: isinstance(v, bool),
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "str": lambda v: isinstance(v, str),
+    "Optional[str]": lambda v: v is None or isinstance(v, str),
+    "List[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "Tuple[int, int]": lambda v: (
+        isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))
+    ),
+}

@@ -307,7 +307,6 @@ class RunControlPlane:
 def run_extreme_events_workflow(
     cluster: Cluster,
     params: "WorkflowParams | Dict[str, Any]",
-    pace_seconds: float = 0.0,
 ) -> Dict[str, Any]:
     """Execute the full case study on *cluster*; returns the run summary.
 
@@ -317,7 +316,7 @@ def run_extreme_events_workflow(
     metrics (makespan and ESM/analytics overlap — claim C1).
     """
     # A single cluster is a federation of one: both roles on one site.
-    return _run_placed(cluster, cluster, None, params, pace_seconds)
+    return _run_placed(cluster, cluster, None, params)
 
 
 def run_distributed_extreme_events(
@@ -344,7 +343,6 @@ def _run_placed(
     ana: Cluster,
     federation: Optional[Federation],
     params: "WorkflowParams | Dict[str, Any]",
-    pace_seconds: float = 0.0,
 ) -> Dict[str, Any]:
     """The one driver: run, then export telemetry to the analytics site."""
     p = params if isinstance(params, WorkflowParams) else WorkflowParams.from_dict(params)
@@ -369,9 +367,7 @@ def _run_placed(
                    "n_workers": p.n_workers, "scheduler": p.scheduler},
         ) as root:
             trace_id = root.context.trace_id
-            summary = _run_traced(
-                sim.filesystem, fs, federation, p, pace_seconds
-            )
+            summary = _run_traced(sim.filesystem, fs, federation, p)
     except BaseException as exc:
         control.fail(exc)
         raise
@@ -455,7 +451,6 @@ def _run_placed(
 
 def _run_traced(
     sim_fs, fs, federation: Optional[Federation], p: WorkflowParams,
-    pace_seconds: float,
 ) -> Dict[str, Any]:
     """The traced workflow body; returns the run summary.
 
@@ -512,7 +507,7 @@ def _run_traced(
                 truth_f = tasks.esm_simulation(
                     sim_fs, list(p.years), p.n_days, p.n_lat, p.n_lon,
                     p.scenario, p.seed, p.output_dir,
-                    pace_seconds or p.pace_seconds, p.esm_restart_every,
+                    p.pace_seconds, p.esm_restart_every,
                 )
                 baseline_path_f = tasks.write_baseline(
                     fs, p.n_lat, p.n_lon, p.scenario, p.seed, p.n_days,

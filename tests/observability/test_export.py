@@ -1,4 +1,4 @@
-"""Exporter tests: Perfetto merge, snapshot rebuild, run report."""
+"""Exporter tests: Perfetto merge, snapshot rebuild."""
 
 import json
 
@@ -6,11 +6,8 @@ import pytest
 
 from repro.observability import (
     MetricsRegistry,
-    SpanContext,
     TraceCollector,
     build_perfetto_trace,
-    record_span,
-    render_run_report,
     snapshot_from_json,
     span,
 )
@@ -85,24 +82,3 @@ class TestSnapshotFromJson:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             snapshot_from_json({"foo": "bar"})
-
-
-class TestRunReport:
-    def test_report_lists_metrics_and_layers(self, spans):
-        registry = MetricsRegistry()
-        registry.counter("ops_total", labels=("op",)).inc(op="read")
-        registry.histogram("lat_seconds").observe(0.1)
-        report = render_run_report(registry.snapshot(), spans, title="T")
-        assert report.startswith("T\n=\n")
-        assert "ops_total{op=read}  1" in report
-        assert "count=1" in report
-        assert "workflow" in report and "compss" in report
-        assert "traces: 1  spans: 2" in report
-
-    def test_error_spans_counted(self):
-        c = TraceCollector()
-        record_span("bad", layer="x", start=0, end=1,
-                    parent=SpanContext("t" * 16, "s" * 16),
-                    status="ERROR", collector=c)
-        report = render_run_report(MetricsRegistry().snapshot(), c.spans())
-        assert "1 errors" in report

@@ -91,10 +91,6 @@ class TestCorrelatedTrace:
 
 
 class TestMetricsCLI:
-    def test_selftest(self, capsys):
-        assert main(["metrics", "--selftest"]) == 0
-        assert "OK" in capsys.readouterr().out
-
     def test_dump_global_registry_prometheus(self, run, capsys):
         # The module fixture ran a workflow in-process, so the global
         # registry is non-empty — the acceptance criterion for `metrics`.

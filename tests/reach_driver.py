@@ -13,7 +13,7 @@ import runpy
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SMALL = ("--n-lat", 8, "--n-lon", 12)
+SMALL = ("--param", "n_lat=8", "--param", "n_lon=12")
 
 
 def cli(*argv, expect=(0,)):
@@ -53,40 +53,49 @@ def run_cli(work):
         with open(rules[name], "w") as fh:
             fh.write("slos:\n  - name: makespan\n    metric: "
                      f"workflow_makespan_seconds\n    {text}\n    severity: critical\n")
+    with open(rules["loose"], "a") as fh:
+        fh.write("  - name: task-p95\n    metric: compss_task_duration_seconds\n"
+                 "    quantile: 0.95\n    max: 100000\n")
     metrics = f"{work}/perf/results/metrics.json"
 
-    cli("metrics", "--selftest")
     cli("info")
-    cli("run-distributed", "--days", 5, "--n-lat", 16, "--n-lon", 24,
-        "--min-length", 3, "--scratch", f"{work}/dist")
-    cli("run", "--years", 2030, 2031, "--days", 8, *SMALL, "--min-length", 4,
-        "--pace", 0.02, "--scratch", f"{work}/perf", "--trace-out",
-        f"{work}/trace.json", "--runs-db", db, "--events-out", events)
-    cli("analyze", "--from", f"{work}/trace.json")
-    cli("run", "--years", 2030, 2031, "--days", 8, *SMALL, "--min-length", 4,
-        "--scratch", f"{work}/fast", "--runs-db", db)
+    cli("run-distributed", "--param", "n_days=5", "--param", "n_lat=16",
+        "--param", "n_lon=24", "--param", "min_length_days=3",
+        "--scratch", f"{work}/dist")
+    years = ("--param", "years=[2030, 2031]", "--param", "n_days=8", *SMALL,
+             "--param", "min_length_days=4", "--param", f"runs_db={db}")
+    cli("run", *years, "--param", "pace_seconds=0.02", "--param",
+        f"events_path={events}", "--scratch", f"{work}/perf")
+    cli("analyze", "--from", f"{work}/perf/results/trace.json")
+    cli("run", *years, "--scratch", f"{work}/fast")
     cli("history", "list", "--db", db)
     fast, paced = (r["run_id"] for r in json.loads(cli(
         "history", "list", "--db", db, "--kind", "run", "--format", "json")))
-    cli("history", "compare", fast, paced, "--db", db, "--fail-on-drift",
-        "--report-out", f"{work}/compare.json", expect=(0, 1))
+    for fmt in ("text", "json"):
+        cli("history", "compare", fast, paced, "--db", db, "--fail-on-drift",
+            "--format", fmt, expect=(0, 1))
     cli("history", "show", fast, "--db", db)
     cli("slo", "check", "--rules", rules["tight"], "--run", fast, "--db", db, expect=(1,))
     cli("slo", "check", "--rules", rules["loose"], "--run", fast, "--db", db)
     cli("slo", "check", "--rules", rules["loose"], "--from", metrics)
     cli("slo", "check", "--rules", rules["malformed"], "--from", metrics, expect=(2,))
     cli("tail", events, "--level", "WARNING")
-    cli("run", "--years", 2032, "--days", 6, *SMALL, "--min-length", 3,
-        "--backend", "process", "--scratch", f"{work}/proc", "--runs-db", db,
-        "--events-out", events)
+    cli("run", "--param", "years=2032", "--param", "n_days=6", *SMALL,
+        "--param", "min_length_days=3", "--param", "execution_backend=process",
+        "--scratch", f"{work}/proc", "--param", f"runs_db={db}",
+        "--param", f"events_path={events}")
     cli("top", "--db", db, "--events", events, "--once")
     cli("metrics", "--from", metrics)
     cli("report", f"{work}/perf/results/run_summary.json")
-    cli("run", "--days", 6, *SMALL, "--min-length", 3, "--slo", rules["loose"],
-        "--ophidia-memory-budget-mb", 0.01, "--no-cache", "--scratch", f"{work}/tiered")
-    cli("chaos", "--seed", 7, "--kill-node", "local1", "--fs-error-rate", 0.05,
-        "--days", 6, "--scratch", f"{work}/chaos", "--report-out", f"{work}/chaos.json")
-    cli("simulate", f"{work}/sim", "--days", 8, *SMALL)
+    cli("run", "--param", "n_days=6", *SMALL, "--param", "min_length_days=3",
+        "--param", f"slo_rules_path={rules['loose']}",
+        "--param", "ophidia_memory_budget_bytes=10485",
+        "--param", "worker_cache_bytes=0", "--param", "fs_cache_bytes=0",
+        "--scratch", f"{work}/tiered")
+    json.loads(cli("chaos", "--seed", 7, "--kill-node", "local1",
+                   "--fs-error-rate", 0.05, "--param", "n_days=6",
+                   "--scratch", f"{work}/chaos"))
+    cli("simulate", f"{work}/sim", "--param", "n_days=8", *SMALL)
     cli("indices", f"{work}/sim", "--min-length", 3)
     cli("service", "init", "--db", svc)
     cli("service", "add-tenant", "atmos", "--db", svc)

@@ -104,17 +104,14 @@ class TestServiceRun:
                 "--param", "n_days=8", "--db", db_path,
             ]) == 0
         capsys.readouterr()
-        report_out = tmp_path / "report.json"
         assert main([
             "service", "run", "--db", db_path, "--timeout", "120",
             "--site", "test-site", "--scratch", str(tmp_path / "scratch"),
-            "--report-out", str(report_out),
         ]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["site"] == "test-site"
         for tenant in ("alice", "bob"):
             assert report["tenants"][tenant]["by_state"] == {"COMPLETED": 1}
-        assert json.loads(report_out.read_text()) == report
 
         # The jobs listing now shows the terminal states.
         assert main(["service", "jobs", "--db", db_path,

@@ -4,7 +4,93 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import main, parse_args
+from repro.workflow import WorkflowParams
+
+SMALL_RUN = ("--param", "n_days=6", "--param", "n_lat=16", "--param", "n_lon=24",
+             "--param", "min_length_days=4")
+DIST_RUN = ("--param", "n_days=5", "--param", "n_lat=16", "--param", "n_lon=24",
+            "--param", "min_length_days=4")
+TOY = ("--param", "n_lat=8", "--param", "n_lon=12")
+
+#: (argv, the WorkflowParams it must build): each bare workflow command,
+#: then the invocations of CI (ci.yml) and tests/reach_driver.py.
+WORKFLOW_ARGVS = {
+    "run": (["run"], WorkflowParams(n_days=30, with_ml=False)),
+    "run-distributed": (
+        ["run-distributed"], WorkflowParams(n_days=30, with_ml=False)),
+    "chaos": (["chaos"], WorkflowParams(
+        n_days=12, with_ml=False, seed=7, min_length_days=6)),
+    "simulate": (["simulate", "out"], WorkflowParams(n_days=30)),
+    "ci-two-site": (
+        ["run-distributed", "--param", "n_days=5", "--param", "n_lat=16",
+         "--param", "n_lon=24", "--param", "min_length_days=3",
+         "--scratch", "dist-scratch"],
+        WorkflowParams(n_days=5, n_lat=16, n_lon=24, min_length_days=3,
+                       with_ml=False)),
+    "ci-paced": (
+        ["run", "--param", "years=[2030, 2031]", "--param", "n_days=8", *TOY,
+         "--param", "min_length_days=4", "--param", "pace_seconds=0.02",
+         "--scratch", "perf-scratch", "--param", "runs_db=runs.db",
+         "--param", "events_path=events.jsonl"],
+        WorkflowParams(years=[2030, 2031], n_days=8, n_lat=8, n_lon=12,
+                       min_length_days=4, pace_seconds=0.02, with_ml=False,
+                       runs_db="runs.db", events_path="events.jsonl")),
+    "ci-fast": (
+        ["run", "--param", "years=[2030, 2031]", "--param", "n_days=8", *TOY,
+         "--param", "min_length_days=4", "--scratch", "fast-scratch",
+         "--param", "runs_db=runs.db"],
+        WorkflowParams(years=[2030, 2031], n_days=8, n_lat=8, n_lon=12,
+                       min_length_days=4, with_ml=False, runs_db="runs.db")),
+    "ci-process": (
+        ["run", "--param", "years=2032", "--param", "n_days=6", *TOY,
+         "--param", "min_length_days=3", "--param", "execution_backend=process",
+         "--scratch", "proc-scratch", "--param", "runs_db=runs.db",
+         "--param", "events_path=events.jsonl"],
+        WorkflowParams(years=[2032], n_days=6, n_lat=8, n_lon=12,
+                       min_length_days=3, execution_backend="process",
+                       with_ml=False, runs_db="runs.db",
+                       events_path="events.jsonl")),
+    "ci-chaos": (
+        ["chaos", "--seed", "11", "--kill-node", "local1",
+         "--fs-error-rate", "0.05"],
+        WorkflowParams(n_days=12, with_ml=False, seed=11, min_length_days=6)),
+    "reach-tiered": (
+        ["run", "--param", "n_days=6", *TOY, "--param", "min_length_days=3",
+         "--param", "slo_rules_path=loose.yaml",
+         "--param", "ophidia_memory_budget_bytes=10485",
+         "--param", "worker_cache_bytes=0", "--param", "fs_cache_bytes=0",
+         "--scratch", "tiered"],
+        WorkflowParams(n_days=6, n_lat=8, n_lon=12, min_length_days=3,
+                       with_ml=False, slo_rules_path="loose.yaml",
+                       ophidia_memory_budget_bytes=10485,
+                       worker_cache_bytes=0, fs_cache_bytes=0)),
+    "reach-chaos": (
+        ["chaos", "--seed", "7", "--kill-node", "local1",
+         "--fs-error-rate", "0.05", "--param", "n_days=6", "--scratch", "c"],
+        WorkflowParams(n_days=6, with_ml=False, seed=7, min_length_days=6)),
+    "reach-simulate": (
+        ["simulate", "sim", "--param", "n_days=8", *TOY],
+        WorkflowParams(n_days=8, n_lat=8, n_lon=12)),
+}
+
+
+class TestWorkflowParamsFromArgv:
+    @pytest.mark.parametrize("name", WORKFLOW_ARGVS)
+    def test_argv_builds_params(self, name):
+        argv, expected = WORKFLOW_ARGVS[name]
+        assert parse_args(argv).params == expected
+
+    @pytest.mark.parametrize("pair, message", [
+        ("bogus=1", "unknown workflow parameters"),
+        ("n_days", "expected KEY=VALUE"),
+        ("with_ml=no", "'with_ml' must be bool"),
+    ])
+    def test_bad_param_is_a_usage_error(self, pair, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--param", pair])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestInfo:
@@ -18,8 +104,9 @@ class TestInfo:
 class TestSimulate:
     def test_simulate_writes_files_and_truth(self, tmp_path, capsys):
         code = main([
-            "simulate", str(tmp_path / "out"), "--days", "3",
-            "--n-lat", "16", "--n-lon", "24", "--years", "2030", "2031",
+            "simulate", str(tmp_path / "out"), "--param", "n_days=3",
+            "--param", "n_lat=16", "--param", "n_lon=24",
+            "--param", "years=[2030, 2031]",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -33,8 +120,8 @@ class TestIndices:
     def test_indices_from_simulated_dir(self, tmp_path, capsys):
         data = tmp_path / "out"
         assert main([
-            "simulate", str(data), "--days", "8",
-            "--n-lat", "16", "--n-lon", "24",
+            "simulate", str(data), "--param", "n_days=8",
+            "--param", "n_lat=16", "--param", "n_lon=24",
         ]) == 0
         capsys.readouterr()
         assert main([
@@ -52,8 +139,7 @@ class TestIndices:
 class TestRun:
     def test_run_prints_summary_json(self, tmp_path, capsys):
         code = main([
-            "run", "--days", "6", "--n-lat", "16", "--n-lon", "24",
-            "--min-length", "4", "--scratch", str(tmp_path / "scratch"),
+            "run", *SMALL_RUN, "--scratch", str(tmp_path / "scratch"),
         ])
         assert code == 0
         captured = capsys.readouterr()
@@ -64,8 +150,7 @@ class TestRun:
 
     def test_run_distributed(self, capsys):
         code = main([
-            "run-distributed", "--days", "5", "--n-lat", "16",
-            "--n-lon", "24", "--min-length", "4",
+            "run-distributed", *DIST_RUN,
         ])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
@@ -74,9 +159,8 @@ class TestRun:
     def test_run_distributed_honours_scratch(self, tmp_path, capsys):
         scratch = tmp_path / "scratch"
         code = main([
-            "run-distributed", "--days", "5", "--n-lat", "16",
-            "--n-lon", "24", "--min-length", "4",
-            "--scratch", str(scratch), "--cores-per-node", "2",
+            "run-distributed", *DIST_RUN, "--scratch", str(scratch),
+            "--param", "cluster_cores_per_node=2",
         ])
         assert code == 0
         captured = capsys.readouterr()

@@ -109,16 +109,17 @@ class TestCliRoundTrip:
         assert shown["run_id"] == rid
 
     def test_compare_flags_paced_run_and_sets_exit_code(
-            self, instrumented_runs, capsys, tmp_path):
+            self, instrumented_runs, capsys):
         db = instrumented_runs["db"]
         fast, slow = [s["run_id"] for s in instrumented_runs["summaries"]]
-        report_out = str(tmp_path / "compare.json")
         code = main(["history", "compare", fast, slow, "--db", db,
-                     "--fail-on-drift", "--report-out", report_out])
+                     "--fail-on-drift"])
         assert code == 1
         out = capsys.readouterr().out
         assert "DRIFT" in out
-        report = json.loads(open(report_out).read())
+        assert main(["history", "compare", fast, slow, "--db", db,
+                     "--fail-on-drift", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
         assert report["drifted"] is True
         assert "makespan_s" in report["regressions"]
         # Same params either way: the paced run only differs in pacing.
