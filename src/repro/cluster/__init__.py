@@ -8,8 +8,8 @@ control paths the eFlows4HPC stack depends on:
 * :class:`Node` — a compute node with cores and memory, tracking
   allocations;
 * :class:`SharedFilesystem` — a GPFS-like shared store backed by a real
-  directory, with per-operation and per-byte counters (the measurement
-  device behind the paper's data-movement claims);
+  directory, with per-operation and per-byte registry counters (the
+  measurement device behind the paper's data-movement claims);
 * :class:`LSFScheduler` — an LSF-flavoured batch scheduler (``bsub`` /
   ``bjobs`` / ``bkill`` semantics) running jobs as Python callables on a
   worker pool constrained by node resources;
@@ -17,7 +17,7 @@ control paths the eFlows4HPC stack depends on:
 """
 
 from repro.cluster.node import Node, Allocation
-from repro.cluster.filesystem import SharedFilesystem, FilesystemStats
+from repro.cluster.filesystem import SharedFilesystem
 from repro.cluster.lsf import (
     LSFScheduler,
     Job,
@@ -32,7 +32,6 @@ __all__ = [
     "Node",
     "Allocation",
     "SharedFilesystem",
-    "FilesystemStats",
     "LSFScheduler",
     "Job",
     "JobState",

@@ -2,9 +2,11 @@
 
 Backed by a real directory so that the RNC files the simulated ESM writes
 are genuine files the downstream analytics read back.  All access goes
-through this object, which counts operations and bytes; experiment C2
-("in-memory baseline reuse reduces storage reads") is measured with these
-counters.
+through this object, which counts operations and bytes in the ``fs_*``
+registry families under its own ``fs=`` label; experiment C2 ("in-memory
+baseline reuse reduces storage reads") is measured with these counters.
+Disk traffic counts as ``op="read"``/``"read_bytes"``; reads the block
+cache serves count as ``op="read_cached"`` and ``fs_cache_hits_total``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.netcdf import Dataset, read_dataset, write_dataset
@@ -25,40 +26,6 @@ from repro.observability.spans import maybe_span
 #: Distinguishes the series of multiple filesystem instances (compute
 #: scratch vs analytics store) inside the one shared registry.
 _fs_ids = itertools.count(0)
-
-
-@dataclass
-class FilesystemStats:
-    """Cumulative operation counters for a shared filesystem.
-
-    ``reads``/``bytes_read`` count *disk* traffic only; reads served
-    from the block cache appear as ``cache_hits`` instead, so the C2
-    "reuse reduces storage reads" comparison stays meaningful.
-    ``metadata_ops`` tallies ``exists``/``size`` probes.
-    """
-
-    reads: int = 0
-    writes: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    lists: int = 0
-    deletes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    metadata_ops: int = 0
-
-    def snapshot(self) -> "FilesystemStats":
-        return FilesystemStats(**{
-            f.name: getattr(self, f.name) for f in fields(self)
-        })
-
-    def delta(self, earlier: "FilesystemStats") -> "FilesystemStats":
-        """Counters accumulated since *earlier* (an older snapshot)."""
-        return FilesystemStats(**{
-            f.name: getattr(self, f.name) - getattr(earlier, f.name)
-            for f in fields(self)
-        })
 
 
 class BlockCache:
@@ -296,48 +263,6 @@ class SharedFilesystem:
                 labels=("fs",),
             ).inc(evictions, fs=self.fs_label)
 
-    @property
-    def stats(self) -> FilesystemStats:
-        """This instance's counters, as a view over the shared registry.
-
-        Historically the filesystem kept a private tally; the registry is
-        now the single source of truth and this property derives the same
-        dataclass from it, so ``fs.stats.snapshot()`` / ``.delta()``
-        call sites keep working unchanged.
-        """
-        registry = get_registry()
-        ops = registry.counter(
-            "fs_operations_total", "Shared-filesystem operations",
-            labels=("fs", "op"),
-        )
-        reads = sum(
-            ops.value(fs=self.fs_label, op=op)
-            for op in ("read", "read_bytes")
-        )
-        writes = sum(
-            ops.value(fs=self.fs_label, op=op) for op in ("write", "write_bytes")
-        )
-        metadata_ops = sum(
-            ops.value(fs=self.fs_label, op=op) for op in ("exists", "size")
-        )
-        return FilesystemStats(
-            reads=int(reads),
-            writes=int(writes),
-            bytes_read=int(registry.counter_value(
-                "fs_bytes_read_total", fs=self.fs_label)),
-            bytes_written=int(registry.counter_value(
-                "fs_bytes_written_total", fs=self.fs_label)),
-            lists=int(ops.value(fs=self.fs_label, op="list")),
-            deletes=int(ops.value(fs=self.fs_label, op="delete")),
-            cache_hits=int(registry.counter_value(
-                "fs_cache_hits_total", fs=self.fs_label)),
-            cache_misses=int(registry.counter_value(
-                "fs_cache_misses_total", fs=self.fs_label)),
-            cache_evictions=int(registry.counter_value(
-                "fs_cache_evictions_total", fs=self.fs_label)),
-            metadata_ops=int(metadata_ops),
-        )
-
     # -- path handling -----------------------------------------------------
 
     def _resolve(self, rel_path: str) -> str:
@@ -376,7 +301,7 @@ class SharedFilesystem:
         served from memory and only the remainder touches disk; the
         fault hook still fires on every call (a cache on a crashed node
         is just as dead as its disks), and only actual disk traffic
-        counts towards ``reads``/``bytes_read``.
+        counts as ``op="read"`` and towards ``fs_bytes_read_total``.
         """
         full = self._resolve(rel_path)
         self._maybe_fault("read", rel_path)

@@ -34,8 +34,6 @@ class CheckpointManager:
         os.makedirs(self.directory, exist_ok=True)
         self._lock = threading.Lock()
         self._invocations: Counter = Counter()
-        self._hits = 0
-        self._stores = 0
 
     # -- signatures --------------------------------------------------------
 
@@ -69,8 +67,6 @@ class CheckpointManager:
                 pass
             raise
         os.replace(tmp, path)
-        with self._lock:
-            self._stores += 1
 
     def load(self, signature: str) -> Optional[Tuple[Any, ...]]:
         """Return the stored results, or ``None`` when not checkpointed.
@@ -86,20 +82,4 @@ class CheckpointManager:
                 results = pickle.load(fh)
         except (pickle.UnpicklingError, EOFError, OSError):
             return None
-        with self._lock:
-            self._hits += 1
         return results
-
-    # -- stats -------------------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        """Tasks recovered from the store this run."""
-        with self._lock:
-            return self._hits
-
-    @property
-    def stores(self) -> int:
-        """Tasks persisted this run."""
-        with self._lock:
-            return self._stores

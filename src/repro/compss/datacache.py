@@ -39,10 +39,6 @@ class WorkerDataCache:
         #: worker id → (task id → output nbytes), LRU-ordered (oldest first).
         self._resident: Dict[int, "OrderedDict[int, int]"] = {}
         self._resident_bytes: Dict[int, int] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.bytes_saved = 0
 
     @property
     def enabled(self) -> bool:
@@ -53,9 +49,8 @@ class WorkerDataCache:
     ) -> Tuple[List[_Dep], List[_Dep]]:
         """Partition *deps* into (resident, absent) for *worker_id*.
 
-        Pure query — no statistics move and no entries are touched, so a
-        failed dispatch (e.g. an injected transfer fault) leaves the
-        cache exactly as it was.
+        Pure query — no entries are touched, so a failed dispatch (e.g.
+        an injected transfer fault) leaves the cache exactly as it was.
         """
         if not self.enabled:
             return [], list(deps)
@@ -75,9 +70,9 @@ class WorkerDataCache:
     ) -> int:
         """Record a successful consumption; returns evictions performed.
 
-        *hits* are refreshed in LRU order and counted as saved bytes;
-        *fetched* outputs are admitted (the worker now holds a replica)
-        and the LRU tail is evicted until the byte budget holds again.
+        *hits* are refreshed in LRU order; *fetched* outputs are
+        admitted (the worker now holds a replica) and the LRU tail is
+        evicted until the byte budget holds again.
         An output larger than the whole budget is never admitted — it
         would only flush everything else for a single-use entry.
         """
@@ -90,10 +85,7 @@ class WorkerDataCache:
             for task_id, nbytes in hits:
                 if task_id in entries:
                     entries.move_to_end(task_id)
-                self.hits += 1
-                self.bytes_saved += nbytes
             for task_id, nbytes in fetched:
-                self.misses += 1
                 if nbytes > self.budget_bytes or task_id in entries:
                     continue
                 entries[task_id] = nbytes
@@ -103,10 +95,9 @@ class WorkerDataCache:
                     held -= freed
                     evicted += 1
             self._resident_bytes[worker_id] = held
-            self.evictions += evicted
         return evicted
 
-    # -- introspection (tests, run summaries) ------------------------------
+    # -- introspection (tests) --------------------------------------------
 
     def resident_bytes(self, worker_id: int) -> int:
         with self._lock:
@@ -117,12 +108,3 @@ class WorkerDataCache:
         with self._lock:
             entries = self._resident.get(worker_id)
             return tuple(entries) if entries else ()
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "cache_hits": self.hits,
-                "cache_misses": self.misses,
-                "cache_evictions": self.evictions,
-                "bytes_saved": self.bytes_saved,
-            }

@@ -181,18 +181,9 @@ class COMPSsRuntime:
         #: workflow error is recorded (drivers use this to interrupt
         #: blocked stream consumers without polling ``failed``).
         self._failure_listeners: List[Any] = []
-        #: Data-movement accounting: a dependency consumed on the worker
-        #: that produced it is a "local hit"; a dependency already in the
-        #: worker's resident set is a "cache hit"; otherwise the
-        #: producer's estimated output size counts as transferred (§3:
-        #: "data could be kept in memory and moved to other nodes as the
-        #: workflow progresses").
-        self.transfer_stats: Dict[str, int] = {
-            "local_hits": 0, "remote_transfers": 0, "bytes_transferred": 0,
-            "cache_hits": 0, "cache_misses": 0, "cache_evictions": 0,
-            "bytes_saved": 0,
-        }
-        #: Per-worker resident sets backing the reuse accounting above.
+        #: Per-worker resident sets behind the data-movement accounting
+        #: of :meth:`_commit_transfers` (§3: "data could be kept in
+        #: memory and moved to other nodes as the workflow progresses").
         self.data_cache = WorkerDataCache(self.config.worker_cache_bytes)
 
         self._workers = [
@@ -428,21 +419,16 @@ class COMPSsRuntime:
         worker_id: int,
         plan: Tuple[int, List[Tuple[int, int]], List[Tuple[int, int]]],
     ) -> None:
-        """Charge the planned movement and admit fetched outputs."""
+        """Charge the planned movement and admit fetched outputs.
+
+        A dependency consumed on the worker that produced it is a local
+        hit; one already in the worker's resident set is a cache hit;
+        otherwise the producer's estimated output size is transferred.
+        """
         local, cache_hits, fetches = plan
         moved = sum(nbytes for _, nbytes in fetches)
         saved = sum(nbytes for _, nbytes in cache_hits)
         evicted = self.data_cache.commit(worker_id, cache_hits, fetches)
-        cache_enabled = self.data_cache.enabled
-        with self._lock:
-            self.transfer_stats["local_hits"] += local
-            self.transfer_stats["remote_transfers"] += len(fetches)
-            self.transfer_stats["bytes_transferred"] += moved
-            self.transfer_stats["cache_hits"] += len(cache_hits)
-            if cache_enabled:
-                self.transfer_stats["cache_misses"] += len(fetches)
-            self.transfer_stats["cache_evictions"] += evicted
-            self.transfer_stats["bytes_saved"] += saved
         registry = get_registry()
         transfers = registry.counter(
             "compss_transfers_total",
@@ -461,7 +447,7 @@ class COMPSsRuntime:
                 "compss_transfer_bytes_total",
                 "Bytes moved between workers for dependencies",
             ).inc(moved)
-        if cache_enabled:
+        if self.data_cache.enabled:
             registry.counter(
                 "compss_cache_hits_total",
                 "Remote dependencies served from worker resident sets",

@@ -64,8 +64,8 @@ class FilesystemFaultInjector:
         self._rng = random.Random(plan.seed)
         self._lock = threading.Lock()
         self._crashed_node: Optional[str] = None
+        #: Write-class operations seen; drives ``on_write`` crash triggers.
         self._writes = 0
-        self._ops = 0
         #: Called (outside the lock) with the cumulative write count
         #: after each write-class operation; set by the ChaosController.
         self.on_write: Optional[Callable[[int], None]] = None
@@ -85,25 +85,12 @@ class FilesystemFaultInjector:
         with self._lock:
             return self._crashed_node
 
-    # -- stats --------------------------------------------------------------
-
-    @property
-    def ops_seen(self) -> int:
-        with self._lock:
-            return self._ops
-
-    @property
-    def writes_seen(self) -> int:
-        with self._lock:
-            return self._writes
-
     # -- the hook -----------------------------------------------------------
 
     def before_op(self, op: str, path: str, fs: str = "") -> None:
         """Decide the fate of one filesystem operation (may raise)."""
         is_write = op.startswith("write")
         with self._lock:
-            self._ops += 1
             if is_write:
                 self._writes += 1
             writes = self._writes

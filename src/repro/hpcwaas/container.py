@@ -91,8 +91,6 @@ class ContainerImageCreationService:
     def __init__(self, simulate_build_seconds: float = 0.0) -> None:
         self.simulate_build_seconds = simulate_build_seconds
         self._images: Dict[str, ContainerImage] = {}
-        self._builds = 0
-        self._cache_hits = 0
         self._lock = threading.Lock()
 
     @staticmethod
@@ -117,7 +115,6 @@ class ContainerImageCreationService:
         with self._lock:
             cached = self._images.get(digest)
             if cached is not None:
-                self._cache_hits += 1
                 return cached
         start = time.monotonic()
         if self.simulate_build_seconds:
@@ -132,15 +129,4 @@ class ContainerImageCreationService:
         )
         with self._lock:
             self._images[digest] = image
-            self._builds += 1
         return image
-
-    @property
-    def builds(self) -> int:
-        with self._lock:
-            return self._builds
-
-    @property
-    def cache_hits(self) -> int:
-        with self._lock:
-            return self._cache_hits

@@ -100,10 +100,6 @@ class Counter(_Metric):
         with self._lock:
             self._series[key] = self._series.get(key, 0) + amount
 
-    def value(self, **labels: Any) -> float:
-        """Sum of all series matching the (possibly partial) label set."""
-        return _match_sum(self.label_names, self.series(), labels)
-
 
 class Gauge(_Metric):
     """A value that can go up and down (queue depth, utilisation)."""
@@ -207,26 +203,6 @@ class Histogram(_Metric):
             series.sum += total
 
 
-def _labels_match(
-    label_names: Sequence[str], key: _LabelKey, wanted: Mapping[str, Any]
-) -> bool:
-    for name, value in wanted.items():
-        if name not in label_names:
-            return False
-        if key[list(label_names).index(name)] != str(value):
-            return False
-    return True
-
-
-def _match_sum(
-    label_names: Sequence[str], series: Mapping[_LabelKey, float],
-    wanted: Mapping[str, Any],
-) -> float:
-    return sum(
-        v for k, v in series.items() if _labels_match(label_names, k, wanted)
-    )
-
-
 class MetricsRegistry:
     """Thread-safe collection of named metrics.
 
@@ -277,19 +253,9 @@ class MetricsRegistry:
 
     # -- access -------------------------------------------------------------
 
-    def get(self, name: str) -> Optional[_Metric]:
-        with self._lock:
-            return self._metrics.get(name)
-
     def metrics(self) -> List[_Metric]:
         with self._lock:
             return [self._metrics[k] for k in sorted(self._metrics)]
-
-    def counter_value(self, name: str, **labels: Any) -> float:
-        metric = self.get(name)
-        if metric is None:
-            return 0.0
-        return _match_sum(metric.label_names, metric.series(), labels)
 
     # -- cross-process merge ------------------------------------------------
 

@@ -11,16 +11,13 @@ primitive expressions used in the paper's Listing 1.
 Datacubes stay resident in the I/O servers between operators — the
 mechanism behind the paper's claim that baseline climatologies are
 "loaded only once and used throughout the workflows ... reducing the
-number of read operations from storage".  Storage read/write counters
-make that claim measurable (experiment C2).
+number of read operations from storage".  The pool's
+``ophidia_fragment_*`` registry counters make that claim measurable
+(experiment C2).
 """
 
-from repro.ophidia.storage import IOServer, StoragePool, StorageStats
-from repro.ophidia.primitives import (
-    PrimitiveError,
-    parse_primitive,
-    primitive_cache_info,
-)
+from repro.ophidia.storage import IOServer, StoragePool
+from repro.ophidia.primitives import PrimitiveError, parse_primitive
 from repro.ophidia.server import OphidiaServer
 from repro.ophidia.client import Client
 from repro.ophidia.datacube import Cube, DimensionInfo
@@ -28,9 +25,7 @@ from repro.ophidia.datacube import Cube, DimensionInfo
 __all__ = [
     "IOServer",
     "StoragePool",
-    "StorageStats",
     "parse_primitive",
-    "primitive_cache_info",
     "PrimitiveError",
     "OphidiaServer",
     "Client",

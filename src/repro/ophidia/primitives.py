@@ -311,17 +311,13 @@ class _ASTCache:
         self.maxsize = maxsize
         self._entries: "OrderedDict[str, tuple]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, query: str) -> tuple:
         with self._lock:
             ast = self._entries.get(query)
             if ast is not None:
-                self.hits += 1
                 self._entries.move_to_end(query)
                 return ast
-            self.misses += 1
         # Parse outside the lock: parsing is pure and collisions are
         # harmless (both threads produce the same AST).
         ast = _parse_uncached(query)
@@ -331,13 +327,6 @@ class _ASTCache:
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
         return ast
-
-    def info(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits, "misses": self.misses,
-                "size": len(self._entries), "maxsize": self.maxsize,
-            }
 
 
 def _parse_uncached(query: str) -> tuple:
@@ -357,11 +346,6 @@ def parse_primitive(query: str) -> tuple:
     cached, so a corrected query re-parses normally).
     """
     return _ast_cache.get(query)
-
-
-def primitive_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the shared AST cache."""
-    return _ast_cache.info()
 
 
 def evaluate_ast(ast: tuple, measure: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from repro.observability.events import emit_event
 from repro.observability.metrics import get_registry
 from repro.observability.spans import activate, current_context, maybe_span
 from repro.ophidia.kernels import kernel_stage_names
-from repro.ophidia.storage import StoragePool, StorageStats
+from repro.ophidia.storage import StoragePool
 from repro.parallel import FragmentKernel, ProcessPoolBackend, payload_picklable
 
 
@@ -344,10 +344,7 @@ class OphidiaServer:
         else:
             write_dataset(dataset, path)
 
-    # -- stats / lifecycle -----------------------------------------------------
-
-    def storage_stats(self) -> StorageStats:
-        return self.pool.total_stats()
+    # -- lifecycle -------------------------------------------------------------
 
     def shutdown(self) -> None:
         """Drain both executors; idempotent so error paths can call it

@@ -2,10 +2,11 @@
 
 Ophidia partitions each datacube into fragments spread over a set of
 I/O server processes that keep data in memory between operators.  Here
-an :class:`IOServer` is an instrumented in-memory fragment table and a
+an :class:`IOServer` is an in-memory fragment table and a
 :class:`StoragePool` distributes fragments round-robin, mirroring
 Ophidia's hierarchical data organisation (host partition → I/O server →
-fragment).
+fragment), and counts every access in the ``ophidia_*`` registry
+families.
 
 Beyond the flat fragment table of the original design, storage is now a
 real memory hierarchy:
@@ -44,7 +45,7 @@ import struct
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,7 +60,6 @@ __all__ = [
     "SpillError",
     "SpillHandle",
     "StoragePool",
-    "StorageStats",
     "register_codec",
 ]
 
@@ -364,54 +364,24 @@ class SpillHandle:
 
 
 # ---------------------------------------------------------------------------
-# Stats
+# I/O servers
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class StorageStats:
-    """Cumulative fragment-level access counters."""
-
-    fragment_reads: int = 0
-    fragment_writes: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    fragment_deletes: int = 0
-    chunk_reads: int = 0
-    spilled_bytes: int = 0
-    reloaded_bytes: int = 0
-
-    def snapshot(self) -> "StorageStats":
-        return StorageStats(**{
-            f.name: getattr(self, f.name) for f in fields(self)
-        })
-
-    def delta(self, earlier: "StorageStats") -> "StorageStats":
-        return StorageStats(**{
-            f.name: getattr(self, f.name) - getattr(earlier, f.name)
-            for f in fields(self)
-        })
-
-    def add(self, other: "StorageStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class IOServer:
     """One in-memory fragment store with a cold tier underneath.
 
     Fragment payloads are chunked NumPy arrays keyed by a pool-unique
-    id.  All accesses are counted; reads return read-only arrays —
-    fragments are immutable, so an operator mutating a read fragment
-    raises instead of corrupting shared state (operators always write
-    new fragments).
+    id; the owning :class:`StoragePool` counts every access in the
+    metrics registry.  Reads return read-only arrays — fragments are
+    immutable, so an operator mutating a read fragment raises instead of
+    corrupting shared state (operators always write new fragments).
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._fragments: Dict[int, _Fragment] = {}
         self._lock = threading.Lock()
-        self.stats = StorageStats()
 
     def put(
         self,
@@ -423,8 +393,6 @@ class IOServer:
         frag = _Fragment(np.asarray(data), chunk_axis, chunk_bytes)
         with self._lock:
             self._fragments[fragment_id] = frag
-            self.stats.fragment_writes += 1
-            self.stats.bytes_written += frag.nbytes
 
     def _frag(self, fragment_id: int) -> _Fragment:
         try:
@@ -451,11 +419,7 @@ class IOServer:
             if not frag.resident:
                 self._reload_locked(frag)
                 reloaded = frag.nbytes
-                self.stats.reloaded_bytes += reloaded
-            data = frag.assemble()
-            self.stats.fragment_reads += 1
-            self.stats.bytes_read += frag.nbytes
-            return data, reloaded
+            return frag.assemble(), reloaded
 
     def _reload_locked(self, frag: _Fragment) -> None:
         if frag.spill_path is None or frag.spill_offsets is None:
@@ -467,7 +431,7 @@ class IOServer:
             )
 
     def chunk_meta(self, fragment_id: int) -> ChunkMeta:
-        """Chunk layout + statistics; never touches payload or counters."""
+        """Chunk layout + statistics; never touches payload."""
         with self._lock:
             return self._frag(fragment_id).meta()
 
@@ -495,8 +459,6 @@ class IOServer:
                     _read_spill_range(frag.spill_path, offset, clen),
                     frag.codec or "none", frag.dtype, frag.chunk_shape(chunk),
                 )
-            self.stats.chunk_reads += 1
-            self.stats.bytes_read += chunk.nbytes
             return data
 
     def spill(self, fragment_id: int, spill_dir: str, codec: str) -> Tuple[int, int]:
@@ -520,7 +482,6 @@ class IOServer:
                 frag.codec = codec
             for chunk in frag.chunks:
                 chunk.data = None
-            self.stats.spilled_bytes += frag.nbytes
             return frag.nbytes, disk_bytes
 
     def spill_handle(self, fragment_id: int) -> Optional[SpillHandle]:
@@ -548,7 +509,6 @@ class IOServer:
             frag = self._fragments.pop(fragment_id, None)
             if frag is None:
                 return
-            self.stats.fragment_deletes += 1
             path = frag.spill_path
         if path is not None:
             try:
@@ -571,16 +531,6 @@ class IOServer:
         with self._lock:
             frag = self._fragments.get(fragment_id)
             return 0 if frag is None else frag.nbytes
-
-    def snapshot_stats(self) -> StorageStats:
-        """A consistent copy of the counters, taken under the server lock.
-
-        The fields of :attr:`stats` mutate concurrently with reads and
-        writes; aggregators must go through here rather than reading the
-        live object field by field.
-        """
-        with self._lock:
-            return self.stats.snapshot()
 
     @property
     def n_fragments(self) -> int:
@@ -881,18 +831,6 @@ class StoragePool:
     def delete_many(self, fragment_ids: Sequence[int]) -> None:
         for fid in fragment_ids:
             self.delete(fid)
-
-    def total_stats(self) -> StorageStats:
-        """Aggregate counters across all servers.
-
-        Each server's counters are copied under that server's own lock
-        (:meth:`IOServer.snapshot_stats`), so the aggregate never mixes
-        a half-updated read/byte pair from a concurrent access.
-        """
-        agg = StorageStats()
-        for s in self.servers:
-            agg.add(s.snapshot_stats())
-        return agg
 
     @property
     def spilled_fragments(self) -> int:

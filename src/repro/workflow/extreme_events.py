@@ -420,6 +420,7 @@ def _run_placed(
     except Exception:  # noqa: BLE001
         pass
     summary["metrics"] = registry.snapshot().delta(snap_before).to_json()
+    _count_sections(summary, sim.filesystem, fs)
 
     dropped_spans = get_collector().dropped
     if dropped_spans:
@@ -447,6 +448,45 @@ def _run_placed(
     )
     control.finish(trace_id, summary["metrics"], profile)
     return summary
+
+
+def _count_sections(summary: Dict[str, Any], sim_fs, fs) -> None:
+    """Select the summary's count sections from its own metrics delta.
+
+    ``schedule.transfers``, ``storage`` and the federation's site counts
+    are views of ``summary["metrics"]``, so they always agree with it.
+    Concurrent runs in one process (service jobs) share these series, as
+    they share every other counter.
+    """
+    metrics = MetricsSnapshot(summary["metrics"])
+
+    def count(name: str, **labels: Any) -> int:
+        return int(metrics.value(name, **labels))
+
+    def fs_ops(site_fs, *ops: str) -> int:
+        return sum(count("fs_operations_total", fs=site_fs.fs_label, op=op)
+                   for op in ops)
+
+    summary["schedule"]["transfers"] = {
+        "local_hits": count("compss_transfers_total", kind="local_hit"),
+        "remote_transfers": count("compss_transfers_total", kind="remote"),
+        "bytes_transferred": count("compss_transfer_bytes_total"),
+        "cache_hits": count("compss_cache_hits_total"),
+        "cache_misses": count("compss_cache_misses_total"),
+        "cache_evictions": count("compss_cache_evictions_total"),
+        "bytes_saved": count("compss_transfer_bytes_saved_total"),
+    }
+    summary["storage"] = {
+        "fs_reads": fs_ops(fs, "read", "read_bytes"),
+        "fs_bytes_read": count("fs_bytes_read_total", fs=fs.fs_label),
+        "fs_cache_hits": count("fs_cache_hits_total", fs=fs.fs_label),
+        "fs_cache_misses": count("fs_cache_misses_total", fs=fs.fs_label),
+        "ophidia_fragment_reads": count("ophidia_fragment_reads_total"),
+    }
+    if "federation" in summary:
+        summary["federation"]["sim_site_writes"] = fs_ops(
+            sim_fs, "write", "write_bytes")
+        summary["federation"]["ana_site_reads"] = summary["storage"]["fs_reads"]
 
 
 def _run_traced(
@@ -690,22 +730,13 @@ def _run_traced(
                     "Years whose analytics were dispatched while the "
                     "simulation was still running (last run)",
                 ).set(pipelined_years)
-                fs_stats = fs.stats
                 summary["schedule"] = {
                     "makespan_s": runtime.tracer.makespan(),
                     "esm_analytics_overlap_s": runtime.tracer.overlap_group_seconds(
                         "esm_simulation", ANALYTICS_TASKS
                     ),
                     "worker_utilisation": runtime.tracer.worker_utilisation(p.n_workers),
-                    "transfers": dict(runtime.transfer_stats),
                     "pipelined_years": pipelined_years,
-                }
-                summary["storage"] = {
-                    "fs_reads": fs_stats.reads,
-                    "fs_bytes_read": fs_stats.bytes_read,
-                    "fs_cache_hits": fs_stats.cache_hits,
-                    "fs_cache_misses": fs_stats.cache_misses,
-                    "ophidia_fragment_reads": server.storage_stats().fragment_reads,
                 }
                 if sim_fs is not fs:
                     summary["federation"] = {
@@ -714,8 +745,6 @@ def _run_traced(
                         "transfers": federation.dls.total_transfers,
                         "bytes_moved": federation.dls.total_bytes,
                         "transfer_seconds": federation.dls.total_seconds,
-                        "sim_site_writes": sim_fs.stats.writes,
-                        "ana_site_reads": fs_stats.reads,
                     }
                 from repro.workflow.provenance import write_provenance
 

@@ -148,7 +148,9 @@ def test_c9_dag_fanout_closed_form(fresh_registry):
 
 
 class TestA2LocalityPolicy:
-    def test_locality_takes_the_local_consumer_fifo_the_oldest(self):
+    def test_locality_takes_the_local_consumer_fifo_the_oldest(
+        self, fresh_registry
+    ):
         """Four values produced on four distinct workers; their four
         consumers are all queued while every worker is held in a gate,
         so each worker chooses among several ready tasks.  Consumers
@@ -176,6 +178,7 @@ class TestA2LocalityPolicy:
                 consumed_together.wait(timeout=30)
                 return sum(values)
 
+            before = fresh_registry.snapshot()
             with COMPSs(n_workers=n, scheduler=policy_by_name(policy)) as rt:
                 produced = [produce(i) for i in range(n)]
                 rt.barrier()
@@ -185,9 +188,11 @@ class TestA2LocalityPolicy:
                 release.set()
                 assert compss_wait_on(consumers) == [i * 1000 for i in range(n)]
                 assert all(compss_wait_on(gates))
-                stats = rt.transfer_stats
-                assert stats["local_hits"] + stats["remote_transfers"] == n
-                remote[policy] = stats["remote_transfers"]
+            transfers = fresh_registry.snapshot().delta(before)
+            remote[policy] = transfers.value("compss_transfers_total",
+                                             kind="remote")
+            assert transfers.value("compss_transfers_total",
+                                   kind="local_hit") + remote[policy] == n
         assert remote["locality"] == 0 <= remote["fifo"]
 
 

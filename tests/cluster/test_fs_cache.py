@@ -61,16 +61,17 @@ class TestBlockCacheUnit:
 
 
 class TestCachedReads:
-    def test_repeat_read_served_from_memory(self, tmp_path):
+    def test_repeat_read_served_from_memory(self, tmp_path, fresh_registry):
         fs = SharedFilesystem(tmp_path, cache_bytes=1 << 20)
         fs.write("f.rnc", two_var_ds())
         first = fs.read("f.rnc")
-        disk_reads = fs.stats.reads
-        disk_bytes = fs.stats.bytes_read
+        before = fresh_registry.snapshot()
         second = fs.read("f.rnc")
-        assert fs.stats.reads == disk_reads
-        assert fs.stats.bytes_read == disk_bytes
-        assert fs.stats.cache_hits == 1
+        delta = fresh_registry.snapshot().delta(before)
+        assert delta.value("fs_operations_total", fs=fs.fs_label, op="read") == 0
+        assert delta.value("fs_bytes_read_total", fs=fs.fs_label) == 0
+        assert fresh_registry.snapshot().value(
+            "fs_cache_hits_total", fs=fs.fs_label) == 1
         np.testing.assert_array_equal(second["big"].data, first["big"].data)
         np.testing.assert_array_equal(second["small"].data, first["small"].data)
         assert second.attrs == first.attrs
@@ -85,31 +86,32 @@ class TestCachedReads:
         clean = fs.read("f.rnc")
         assert clean["big"].data[0, 0] == 0.0
 
-    def test_subset_read_reuses_overlap(self, tmp_path):
+    def test_subset_read_reuses_overlap(self, tmp_path, fresh_registry):
         """After a full read, a variable subset is served without disk."""
         fs = SharedFilesystem(tmp_path, cache_bytes=1 << 20)
         fs.write("f.rnc", two_var_ds())
         fs.read("f.rnc")                       # primes every variable
-        before = fs.stats.snapshot()
+        before = fresh_registry.snapshot()
         sub = fs.read("f.rnc", variables=["small"])
-        delta = fs.stats.delta(before)
-        assert delta.reads == 0
-        assert delta.bytes_read == 0
-        assert delta.cache_hits == 1
+        delta = fresh_registry.snapshot().delta(before)
+        assert delta.value("fs_operations_total", fs=fs.fs_label, op="read") == 0
+        assert delta.value("fs_bytes_read_total", fs=fs.fs_label) == 0
+        assert delta.value("fs_cache_hits_total", fs=fs.fs_label) == 1
         assert list(sub.variables) == ["small"]
         np.testing.assert_array_equal(sub["small"].data, np.arange(10.0))
 
-    def test_partial_miss_reads_only_missing_bytes(self, tmp_path):
+    def test_partial_miss_reads_only_missing_bytes(self, tmp_path,
+                                                   fresh_registry):
         fs = SharedFilesystem(tmp_path, cache_bytes=1 << 20)
         fs.write("f.rnc", two_var_ds())
         fs.read("f.rnc", variables=["small"])  # prime: small only
-        before = fs.stats.snapshot()
+        before = fresh_registry.snapshot()
         both = fs.read("f.rnc", variables=["small", "big"])
-        delta = fs.stats.delta(before)
+        delta = fresh_registry.snapshot().delta(before)
         # Only the 100-element "big" variable came from disk.
-        assert delta.bytes_read == 100 * 8
-        assert delta.reads == 1
-        assert delta.cache_misses == 1
+        assert delta.value("fs_bytes_read_total", fs=fs.fs_label) == 100 * 8
+        assert delta.value("fs_operations_total", fs=fs.fs_label, op="read") == 1
+        assert delta.value("fs_cache_misses_total", fs=fs.fs_label) == 1
         np.testing.assert_array_equal(both["small"].data, np.arange(10.0))
 
     def test_write_invalidates(self, tmp_path):
@@ -130,26 +132,29 @@ class TestCachedReads:
         with pytest.raises(FileNotFoundError):
             fs.read_bytes("f.bin")
 
-    def test_raw_bytes_cached(self, tmp_path):
+    def test_raw_bytes_cached(self, tmp_path, fresh_registry):
         fs = SharedFilesystem(tmp_path, cache_bytes=1 << 20)
         fs.write_bytes("f.bin", b"\x00\x01\x02")
         fs.read_bytes("f.bin")
-        before = fs.stats.snapshot()
+        before = fresh_registry.snapshot()
         assert fs.read_bytes("f.bin") == b"\x00\x01\x02"
-        delta = fs.stats.delta(before)
-        assert delta.reads == 0
-        assert delta.cache_hits == 1
+        delta = fresh_registry.snapshot().delta(before)
+        assert delta.value("fs_operations_total", fs=fs.fs_label,
+                           op="read_bytes") == 0
+        assert delta.value("fs_cache_hits_total", fs=fs.fs_label) == 1
 
-    def test_budget_evicts_and_counts(self, tmp_path):
+    def test_budget_evicts_and_counts(self, tmp_path, fresh_registry):
         fs = SharedFilesystem(tmp_path, cache_bytes=16)
         fs.write_bytes("a.bin", bytes(10))
         fs.write_bytes("b.bin", bytes(10))
         fs.read_bytes("a.bin")
         fs.read_bytes("b.bin")                # evicts a.bin
-        assert fs.stats.cache_evictions == 1
-        before = fs.stats.snapshot()
+        assert fresh_registry.snapshot().value(
+            "fs_cache_evictions_total", fs=fs.fs_label) == 1
+        before = fresh_registry.snapshot()
         fs.read_bytes("a.bin")                # back to disk
-        assert fs.stats.delta(before).cache_misses == 1
+        assert fresh_registry.snapshot().delta(before).value(
+            "fs_cache_misses_total", fs=fs.fs_label) == 1
 
     def test_fault_hook_fires_on_cache_hits(self, tmp_path):
         fs = SharedFilesystem(tmp_path, cache_bytes=1 << 20)
@@ -167,28 +172,30 @@ class TestCachedReads:
         with pytest.raises(OSError):
             fs.read_bytes("f.rnc")
 
-    def test_configure_cache_zero_disables(self, tmp_path):
+    def test_configure_cache_zero_disables(self, tmp_path, fresh_registry):
         fs = SharedFilesystem(tmp_path, cache_bytes=1 << 20)
         fs.write("f.rnc", two_var_ds())
         fs.read("f.rnc")
         fs.configure_cache(0)
         assert fs.cache is None
-        before = fs.stats.snapshot()
+        before = fresh_registry.snapshot()
         fs.read("f.rnc")
-        delta = fs.stats.delta(before)
-        assert delta.reads == 1
-        assert delta.cache_hits == 0
+        delta = fresh_registry.snapshot().delta(before)
+        assert delta.value("fs_operations_total", fs=fs.fs_label, op="read") == 1
+        assert delta.value("fs_cache_hits_total", fs=fs.fs_label) == 0
 
     def test_configure_cache_negative_rejected(self, tmp_path):
         fs = SharedFilesystem(tmp_path)
         with pytest.raises(ValueError):
             fs.configure_cache(-1)
 
-    def test_uncached_fs_reports_zero_cache_stats(self, tmp_path):
+    def test_uncached_fs_reports_zero_cache_stats(self, tmp_path,
+                                                  fresh_registry):
         fs = SharedFilesystem(tmp_path)
         fs.write("f.rnc", two_var_ds())
         fs.read("f.rnc")
         fs.read("f.rnc")
-        assert fs.stats.cache_hits == 0
-        assert fs.stats.cache_misses == 0
-        assert fs.stats.reads == 2
+        value = fresh_registry.snapshot().value
+        assert value("fs_cache_hits_total", fs=fs.fs_label) == 0
+        assert value("fs_cache_misses_total", fs=fs.fs_label) == 0
+        assert value("fs_operations_total", fs=fs.fs_label, op="read") == 2

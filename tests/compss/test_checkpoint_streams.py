@@ -29,8 +29,8 @@ class TestCheckpointManager:
         cm.store("f#0", (42, "x"))
         assert cm.load("f#0") == (42, "x")
         assert cm.load("f#1") is None
-        assert cm.stores == 1
-        assert cm.hits == 1
+        assert [n for n in os.listdir(tmp_path) if n.endswith(".ckpt")] == [
+            "f__0.ckpt"]
 
     def test_corrupt_checkpoint_treated_as_absent(self, tmp_path):
         cm = CheckpointManager(tmp_path)

@@ -19,10 +19,7 @@ class TestWorkerDataCacheUnit:
         assert absent == [(1, 100), (2, 200)]
         assert cache.commit(0, [], [(1, 100)]) == 0
         assert cache.resident_ids(0) == ()
-        assert cache.stats() == {
-            "cache_hits": 0, "cache_misses": 0,
-            "cache_evictions": 0, "bytes_saved": 0,
-        }
+        assert cache.resident_bytes(0) == 0
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -35,21 +32,18 @@ class TestWorkerDataCacheUnit:
         cache.commit(0, resident, absent)
         resident, absent = cache.split(0, [(1, 400)])
         assert (resident, absent) == ([(1, 400)], [])
-        cache.commit(0, resident, absent)
-        assert cache.stats() == {
-            "cache_hits": 1, "cache_misses": 1,
-            "cache_evictions": 0, "bytes_saved": 400,
-        }
+        assert cache.commit(0, resident, absent) == 0
+        assert cache.resident_bytes(0) == 400
 
     def test_split_is_a_pure_query(self):
-        """A dispatch that fails before commit must not move statistics."""
+        """A dispatch that fails before commit must not touch the cache."""
         cache = WorkerDataCache(1000)
-        cache.commit(0, [], [(1, 400)])
-        before = cache.stats()
+        cache.commit(0, [], [(1, 400), (3, 100)])
         cache.split(0, [(1, 400), (2, 100)])
         cache.split(0, [(1, 400), (2, 100)])
-        assert cache.stats() == before
-        assert cache.resident_ids(0) == (1,)
+        # A committed hit on 1 would have made 3 the LRU tail.
+        assert cache.resident_ids(0) == (1, 3)
+        assert cache.resident_bytes(0) == 500
 
     def test_lru_eviction_order(self):
         cache = WorkerDataCache(300)
@@ -75,11 +69,11 @@ class TestWorkerDataCacheUnit:
         cache = WorkerDataCache(100)
         cache.commit(0, [], [(1, 40)])
         evicted = cache.commit(0, [], [(2, 500)])
-        # The oversized entry is charged as a miss but does not flush
-        # the resident set.
+        # The oversized entry stays a miss but does not flush the
+        # resident set.
         assert evicted == 0
         assert cache.resident_ids(0) == (1,)
-        assert cache.stats()["cache_misses"] == 2
+        assert cache.split(0, [(2, 500)]) == ([], [(2, 500)])
 
     def test_workers_are_isolated(self):
         cache = WorkerDataCache(1000)
@@ -112,7 +106,7 @@ def consume(arr):
 
 
 class TestRuntimeIntegration:
-    def test_repeat_consumption_charges_one_transfer(self):
+    def test_repeat_consumption_charges_one_transfer(self, fresh_registry):
         """Three consumers of one output on a remote worker: the first
         fetch is charged, the next two are resident-set hits."""
         gate = threading.Event()
@@ -133,27 +127,29 @@ class TestRuntimeIntegration:
             consumer_workers = {
                 t.worker_id for t in rt.graph.tasks() if t.func_name == "consume"
             }
-            stats = dict(rt.transfer_stats)
 
+        value = fresh_registry.snapshot().value
+        local = value("compss_transfers_total", kind="local_hit")
+        remote = value("compss_transfers_total", kind="remote")
+        hits = value("compss_transfers_total", kind="cache_hit")
         if consumer_workers == {producer_worker}:
             # Scheduler kept everything local — nothing to transfer.
-            assert stats["bytes_transferred"] == 0
-            assert stats["local_hits"] == 3
+            assert value("compss_transfer_bytes_total") == 0
+            assert local == 3
         else:
             # At least one consumer ran remotely: exactly one fetch per
             # remote worker, every later consumption served from memory.
             n_remote_workers = len(consumer_workers - {producer_worker})
-            assert stats["remote_transfers"] == n_remote_workers
-            assert stats["bytes_transferred"] == 8000 * n_remote_workers
-            assert stats["cache_hits"] == 3 - stats["local_hits"] - n_remote_workers
-            assert stats["bytes_saved"] == 8000 * stats["cache_hits"]
+            assert remote == n_remote_workers
+            assert value("compss_cache_misses_total") == n_remote_workers
+            assert value("compss_transfer_bytes_total") == 8000 * n_remote_workers
+            assert hits == 3 - local - n_remote_workers
+            assert value("compss_cache_hits_total") == hits
+            assert value("compss_transfer_bytes_saved_total") == 8000 * hits
         # Invariant: every dependency edge is accounted exactly once.
-        assert (
-            stats["local_hits"] + stats["remote_transfers"] + stats["cache_hits"]
-            == 3
-        )
+        assert local + remote + hits == value("compss_transfers_total") == 3
 
-    def test_cache_off_restores_historical_accounting(self):
+    def test_cache_off_restores_historical_accounting(self, fresh_registry):
         gate = threading.Event()
 
         @task()
@@ -172,10 +168,13 @@ class TestRuntimeIntegration:
             consumer_workers = [
                 t.worker_id for t in rt.graph.tasks() if t.func_name == "consume"
             ]
-            stats = dict(rt.transfer_stats)
 
+        value = fresh_registry.snapshot().value
         n_remote = sum(1 for w in consumer_workers if w != producer_worker)
-        assert stats["remote_transfers"] == n_remote
-        assert stats["bytes_transferred"] == 8000 * n_remote
-        assert stats["cache_hits"] == 0
-        assert stats["bytes_saved"] == 0
+        assert value("compss_transfers_total", kind="remote") == n_remote
+        assert value("compss_transfer_bytes_total") == 8000 * n_remote
+        assert value("compss_transfers_total", kind="cache_hit") == 0
+        assert value("compss_transfer_bytes_saved_total") == 0
+        # A disabled cache counts no cache traffic at all.
+        assert value("compss_cache_hits_total") == 0
+        assert value("compss_cache_misses_total") == 0

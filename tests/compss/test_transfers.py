@@ -56,25 +56,26 @@ class TestEstimator:
 
 
 class TestAccounting:
-    def test_single_worker_all_local(self):
-        with COMPSs(n_workers=1) as rt:
+    def test_single_worker_all_local(self, fresh_registry):
+        with COMPSs(n_workers=1):
             compss_wait_on(consume(produce_array(100)))
-            stats = dict(rt.transfer_stats)
-        assert stats["remote_transfers"] == 0
-        assert stats["local_hits"] == 1
-        assert stats["bytes_transferred"] == 0
+        transfers = fresh_registry.snapshot().value
+        assert transfers("compss_transfers_total", kind="remote") == 0
+        assert transfers("compss_transfers_total", kind="local_hit") == 1
+        assert transfers("compss_transfer_bytes_total") == 0
 
-    def test_hits_plus_transfers_equal_dependencies(self):
+    def test_hits_plus_transfers_equal_dependencies(self, fresh_registry):
         with COMPSs(n_workers=3) as rt:
             chain = produce_array(50)
             for _ in range(6):
                 chain = consume_chain(chain)
             compss_wait_on(chain)
-            stats = dict(rt.transfer_stats)
             n_edges = len(rt.graph.edges())
-        assert stats["local_hits"] + stats["remote_transfers"] == n_edges
+        transfers = fresh_registry.snapshot().value
+        assert (transfers("compss_transfers_total", kind="local_hit")
+                + transfers("compss_transfers_total", kind="remote")) == n_edges
 
-    def test_remote_transfer_counts_producer_bytes(self):
+    def test_remote_transfer_counts_producer_bytes(self, fresh_registry):
         """Force producer and consumer onto different workers via a
         blocking decoy that pins one worker."""
         import threading
@@ -104,12 +105,12 @@ class TestAccounting:
             consumer_worker = [
                 t.worker_id for t in rt.graph.tasks() if t.func_name == "consume"
             ][0]
-            stats = dict(rt.transfer_stats)
+        transfers = fresh_registry.snapshot().value
         if consumer_worker == producer_worker:
-            assert stats["bytes_transferred"] == 0
+            assert transfers("compss_transfer_bytes_total") == 0
         else:
-            assert stats["bytes_transferred"] == 8000
-            assert stats["remote_transfers"] == 1
+            assert transfers("compss_transfer_bytes_total") == 8000
+            assert transfers("compss_transfers_total", kind="remote") == 1
 
 
 @task(returns=1)

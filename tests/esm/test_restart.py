@@ -101,7 +101,8 @@ class TestRestartFiles:
             "restarts/restart_2030_003.rnc", "restarts/restart_2030_006.rnc"
         ]
 
-    def test_run_year_resume_skips_completed_days(self, tmp_path):
+    def test_run_year_resume_skips_completed_days(self, tmp_path,
+                                                  fresh_registry):
         """A 'crashed' partial run resumes from the newest restart and the
         final trajectory matches an uninterrupted reference run."""
         ref_fs = SharedFilesystem(tmp_path / "ref")
@@ -110,11 +111,14 @@ class TestRestartFiles:
         fs = SharedFilesystem(tmp_path / "crash")
         # Partial run: 5 days with a restart at day 3.
         CMCCCM3(config()).run_year(2030, fs, n_days=5, restart_every=3)
-        writes_before = fs.stats.writes
+        before = fresh_registry.snapshot()
         # Resume to 8 days: integration restarts at doy 4 (the restart),
         # not at doy 1.
         CMCCCM3(config()).run_year(2030, fs, n_days=8, resume=True)
-        resumed_days = fs.stats.writes - writes_before
+        delta = fresh_registry.snapshot().delta(before)
+        resumed_days = sum(
+            delta.value("fs_operations_total", fs=fs.fs_label, op=op)
+            for op in ("write", "write_bytes"))
         assert resumed_days <= 8  # 5 days (4..8) + truth + slack, not 10+
 
         ref = ref_fs.read("esm_output/cmcc_cm3_2030_008.rnc")

@@ -36,20 +36,12 @@ class TestFilesystemInjector:
         b = fs_failure_pattern(FaultPlan(seed=8, fs_error_rate=0.3))
         assert a and b and a != b
 
-    def test_ineligible_ops_never_fail(self):
+    def test_ineligible_ops_never_fail(self, fresh_registry):
         plan = FaultPlan(seed=1, fs_error_rate=0.99, fs_ops=("write",))
         injector = FilesystemFaultInjector(plan)
         for i in range(100):
             injector.before_op("listdir", f"dir{i}")
-        assert injector.ops_seen == 100
-
-    def test_counters_track_ops_and_writes(self):
-        injector = FilesystemFaultInjector(FaultPlan())
-        injector.before_op("read", "a")
-        injector.before_op("write", "b")
-        injector.before_op("write_bytes", "c")
-        assert injector.ops_seen == 3
-        assert injector.writes_seen == 2
+        assert fresh_registry.snapshot().value("faults_injected_total") == 0
 
     def test_on_write_callback_sees_cumulative_count(self):
         seen = []
@@ -58,6 +50,15 @@ class TestFilesystemInjector:
         injector.before_op("write", "a")
         injector.before_op("read", "b")   # not a write: no callback
         injector.before_op("write", "c")
+        assert seen == [1, 2]
+
+    def test_counters_track_ops_and_writes(self):
+        seen = []
+        injector = FilesystemFaultInjector(FaultPlan())
+        injector.on_write = seen.append
+        injector.before_op("read", "a")
+        injector.before_op("write", "b")
+        injector.before_op("write_bytes", "c")
         assert seen == [1, 2]
 
     def test_crash_mode_fails_everything(self):
@@ -73,11 +74,11 @@ class TestFilesystemInjector:
 
     def test_injected_faults_counted_in_registry(self):
         reg = get_registry()
-        before = reg.counter_value("faults_injected_total", kind="fs_write")
+        before = reg.snapshot().value("faults_injected_total", kind="fs_write")
         plan = FaultPlan(seed=2, fs_error_rate=0.5)
         failures = len(fs_failure_pattern(plan, n_ops=50))
         assert failures > 0
-        after = reg.counter_value("faults_injected_total", kind="fs_write")
+        after = reg.snapshot().value("faults_injected_total", kind="fs_write")
         assert after - before == failures
 
 

@@ -86,7 +86,7 @@ class TestCorrelatedTrace:
     def test_fs_stats_view_matches_registry(self, run):
         summary, _ = run
         assert summary["storage"]["fs_bytes_read"] > 0
-        assert snapshot_value(summary["metrics"], "fs_bytes_read_total") >= \
+        assert snapshot_value(summary["metrics"], "fs_bytes_read_total") == \
             summary["storage"]["fs_bytes_read"]
 
 

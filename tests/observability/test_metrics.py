@@ -27,8 +27,9 @@ class TestCounter:
         c.inc(op="read")
         c.inc(3, op="read")
         c.inc(op="write")
-        assert c.value(op="read") == 4
-        assert c.value() == 5  # partial labels sum all series
+        snap = registry.snapshot()
+        assert snap.value("ops_total", op="read") == 4
+        assert snap.value("ops_total") == 5  # partial labels sum all series
 
     def test_negative_increment_rejected(self, registry):
         c = registry.counter("bad_total")
@@ -78,7 +79,7 @@ class TestRegistry:
             registry.counter("x_total", labels=("b",))
 
     def test_counter_value_missing_metric_is_zero(self, registry):
-        assert registry.counter_value("nope_total") == 0.0
+        assert registry.snapshot().value("nope_total") == 0.0
 
     def test_global_registry_is_shared(self):
         assert get_registry() is get_registry()
@@ -95,7 +96,7 @@ class TestRegistry:
             t.start()
         for t in threads:
             t.join()
-        assert c.value() == 8000
+        assert registry.snapshot().value("n_total") == 8000
 
 
 class TestSnapshot:

@@ -255,7 +255,7 @@ class TestImportNC:
             paths.append(path)
         return paths
 
-    def test_importnc2_concatenates_days(self, tmp_path):
+    def test_importnc2_concatenates_days(self, tmp_path, fresh_registry):
         fs = SharedFilesystem(tmp_path)
         with OphidiaServer(2, 2, filesystem=fs) as server:
             client = Client(server)
@@ -264,7 +264,8 @@ class TestImportNC:
             assert c.shape == (12, 6, 8)
             assert c.dim_names == ("time", "lat", "lon")
             assert c.fragment_dim == "lat"
-            assert fs.stats.reads >= 3
+            assert fresh_registry.snapshot().value(
+                "fs_operations_total", fs=fs.fs_label, op="read") >= 3
 
     def test_importnc2_ambient_client(self, tmp_path):
         fs = SharedFilesystem(tmp_path)

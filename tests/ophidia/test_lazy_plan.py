@@ -36,6 +36,15 @@ def _sin(a):
     return np.sin(a)
 
 
+def counted(name, **labels):
+    """A registry counter summed over the series matching *labels*."""
+    return get_registry().snapshot().value(name, **labels)
+
+
+def fragment_writes():
+    return counted("ophidia_fragment_writes_total")
+
+
 def base_cube(client, data, nfrag=3):
     return Cube.from_array(
         np.asarray(data), ["time", "lat", "lon"], client=client,
@@ -135,11 +144,11 @@ class TestLazyEagerEquivalence:
             with OphidiaServer(n_io_servers=2, n_cores=2, lazy=lazy) as server:
                 client = Client(server)
                 cube, ref = base_cube(client, data, nfrag=nfrag), data
-                before = server.storage_stats().fragment_writes
+                before = fragment_writes()
                 for spec in steps:
                     cube, ref = apply_spec(cube, ref, spec, client)
                 cube.to_array()
-                writes.append(server.storage_stats().fragment_writes - before)
+                writes.append(fragment_writes() - before)
         eager_writes, lazy_writes = writes
         assert lazy_writes < eager_writes
 
@@ -148,18 +157,17 @@ class TestPlanLifecycle:
     def test_elementwise_ops_defer_and_materialize_forces(self, lazy_client):
         data = np.random.default_rng(0).normal(size=(4, 6, 3))
         base = base_cube(lazy_client, data)
-        server = lazy_client.server
-        before = server.storage_stats().fragment_writes
+        before = fragment_writes()
         chained = base.apply(MUL.format(k=2)).transform(_sin)
         assert chained.is_lazy
-        assert server.storage_stats().fragment_writes == before
+        assert fragment_writes() == before
         chained.materialize()
         assert not chained.is_lazy
         # materialize writes only the final cube, once.
-        assert server.storage_stats().fragment_writes == before + chained.nfrag
+        assert fragment_writes() == before + chained.nfrag
         np.testing.assert_array_equal(chained.to_array(), np.sin(data * 2))
         chained.materialize()  # idempotent no-op
-        assert server.storage_stats().fragment_writes == before + chained.nfrag
+        assert fragment_writes() == before + chained.nfrag
 
     def test_lazy_cube_estimates_nbytes(self, lazy_client):
         base = base_cube(lazy_client, np.zeros((4, 6, 3)))
@@ -172,26 +180,24 @@ class TestPlanLifecycle:
         with OphidiaServer(n_io_servers=2, n_cores=2, lazy=False) as server:
             client = Client(server)
             base = base_cube(client, data, nfrag=2)
-            before = server.storage_stats().fragment_writes
+            before = fragment_writes()
             out = base.apply(MUL.format(k=3))
             assert not out.is_lazy
-            assert server.storage_stats().fragment_writes == before + out.nfrag
+            assert fragment_writes() == before + out.nfrag
 
     def test_shared_intermediate_materializes_once_on_reuse(self, lazy_client):
         data = np.random.default_rng(1).normal(size=(5, 4, 3))
         base = base_cube(lazy_client, data)
-        counter = get_registry().counter(
-            "ophidia_cubes_materialized_total", labels=("reason",)
-        )
-        reuse_before = counter.value(reason="reuse")
+        reuses = "ophidia_cubes_materialized_total"
+        reuse_before = counted(reuses, reason="reuse")
         shared = base.apply(MUL.format(k=2))
         first = shared.reduce("max", dim="time")
         assert shared.is_lazy  # first consumer streamed the chain
         second = shared.apply(PRED).reduce("sum", dim="time")
         assert not shared.is_lazy  # second consumer triggered materialisation
-        assert counter.value(reason="reuse") == reuse_before + 1
+        assert counted(reuses, reason="reuse") == reuse_before + 1
         third = shared.reduce("sum", dim="time")
-        assert counter.value(reason="reuse") == reuse_before + 1
+        assert counted(reuses, reason="reuse") == reuse_before + 1
         ref = data * 2
         np.testing.assert_array_equal(first.to_array(), ref.max(axis=0))
         np.testing.assert_array_equal(
@@ -227,14 +233,14 @@ class TestPlanLifecycle:
 
         pending = base.apply(MUL.format(k=2)).transform(boom).transform(_sin)
         n_before = server.pool.n_fragments
-        writes_before = server.storage_stats().fragment_writes
+        writes_before = fragment_writes()
         with pytest.raises(InjectedTaskError):
             pending.to_array()
         with pytest.raises(InjectedTaskError):
             pending.materialize()
         # A failing sweep writes nothing and frees nothing.
         assert server.pool.n_fragments == n_before
-        assert server.storage_stats().fragment_writes == writes_before
+        assert fragment_writes() == writes_before
         assert pending.is_lazy
         np.testing.assert_array_equal(base.to_array(), data)
 
@@ -255,17 +261,15 @@ class TestFusionAccounting:
     def test_fused_sweep_counts_passes_and_logs_plan(self, lazy_client):
         server = lazy_client.server
         registry = get_registry()
-        runs = registry.counter("ophidia_fragment_passes_run_total")
-        avoided = registry.counter("ophidia_fragment_passes_avoided_total")
-        saved = registry.counter("ophidia_materialize_bytes_avoided_total")
-        runs0, avoided0, saved0 = runs.value(), avoided.value(), saved.value()
+        before = registry.snapshot()
 
         base = base_cube(lazy_client, np.random.default_rng(4).normal(size=(4, 6, 3)))
         chain = base.apply(MUL.format(k=2)).transform(_sin).apply(PRED)
         chain.to_array()
-        assert runs.value() == runs0 + 1
-        assert avoided.value() == avoided0 + 2
-        assert saved.value() > saved0
+        delta = registry.snapshot().delta(before)
+        assert delta.value("ophidia_fragment_passes_run_total") == 1
+        assert delta.value("ophidia_fragment_passes_avoided_total") == 2
+        assert delta.value("ophidia_materialize_bytes_avoided_total") > 0
         entry = executeplan_entries(server)[-1]
         assert entry["fused"] == ["oph_apply", "oph_transform", "oph_apply"]
 
@@ -284,14 +288,14 @@ class TestFusionAccounting:
         passes avoided, fusion length k, and no fused-plan entry for a
         single operator (the store itself is not a fused operator)."""
         server = lazy_client.server
-        avoided = get_registry().counter("ophidia_fragment_passes_avoided_total")
+        avoided = "ophidia_fragment_passes_avoided_total"
         chain = base_cube(lazy_client, np.ones((3, 4, 2)))
         for factor in range(2, 2 + k):
             chain = chain.apply(MUL.format(k=factor))
-        avoided0, fusion0 = avoided.value(), fusion_count_and_sum()
+        avoided0, fusion0 = counted(avoided), fusion_count_and_sum()
         plans0 = len(executeplan_entries(server))
         chain.materialize()
-        assert avoided.value() == avoided0 + k - 1
+        assert counted(avoided) == avoided0 + k - 1
         assert fusion_count_and_sum() == (fusion0[0] + 1, fusion0[1] + k)
         plans = executeplan_entries(server)
         assert len(plans) == plans0 + (k > 1)

@@ -17,16 +17,18 @@ class TestIOServer:
         s.put(1, np.arange(5))
         np.testing.assert_array_equal(s.get(1), np.arange(5))
 
-    def test_counters(self):
-        s = IOServer("io0")
-        data = np.zeros(10, dtype=np.float64)
-        s.put(1, data)
-        s.get(1)
-        s.get(1)
-        assert s.stats.fragment_writes == 1
-        assert s.stats.fragment_reads == 2
-        assert s.stats.bytes_written == 80
-        assert s.stats.bytes_read == 160
+    def test_counters(self, fresh_registry):
+        """A server's accesses are counted in the registry by its pool."""
+        pool = StoragePool(1)
+        fid = pool.store(np.zeros(10, dtype=np.float64))
+        pool.load(fid)
+        pool.load(fid)
+        assert fid in pool.servers[0]
+        value = fresh_registry.snapshot().value
+        assert value("ophidia_fragment_writes_total") == 1
+        assert value("ophidia_fragment_reads_total") == 2
+        assert value("ophidia_fragment_bytes_written_total") == 80
+        assert value("ophidia_fragment_bytes_read_total") == 160
 
     def test_missing_fragment(self):
         s = IOServer("io0")
@@ -38,7 +40,6 @@ class TestIOServer:
         s.put(1, np.zeros(3))
         s.delete(1)
         s.delete(1)
-        assert s.stats.fragment_deletes == 1
         assert 1 not in s
 
     def test_resident_bytes(self):
@@ -50,6 +51,20 @@ class TestIOServer:
 
 
 class TestStoragePool:
+    def test_total_stats_aggregates(self, fresh_registry):
+        """One registry series counts the accesses of every server."""
+        pool = StoragePool(2)
+        fids = [pool.store(np.zeros(10, dtype=np.float64)) for _ in range(4)]
+        for fid in fids:
+            pool.load(fid)
+            pool.load(fid)
+        assert [s.n_fragments for s in pool.servers] == [2, 2]
+        value = fresh_registry.snapshot().value
+        assert value("ophidia_fragment_writes_total") == 4
+        assert value("ophidia_fragment_reads_total") == 8
+        assert value("ophidia_fragment_bytes_written_total") == 4 * 80
+        assert value("ophidia_fragment_bytes_read_total") == 8 * 80
+
     def test_round_robin_placement(self):
         pool = StoragePool(n_servers=3)
         for _ in range(6):
@@ -66,30 +81,23 @@ class TestStoragePool:
         with pytest.raises(KeyError):
             pool.load(123)
 
-    def test_delete_many(self):
+    def test_delete_many(self, fresh_registry):
         pool = StoragePool(2)
         fids = [pool.store(np.zeros(2)) for _ in range(4)]
         pool.delete_many(fids)
+        pool.delete_many(fids)  # already gone: counted once
         assert pool.n_fragments == 0
-        assert pool.total_stats().fragment_deletes == 4
+        assert fresh_registry.snapshot().value(
+            "ophidia_fragment_deletes_total") == 4
 
-    def test_total_stats_aggregates(self):
-        pool = StoragePool(2)
-        fids = [pool.store(np.zeros(2)) for _ in range(4)]
-        for fid in fids:
-            pool.load(fid)
-        agg = pool.total_stats()
-        assert agg.fragment_writes == 4
-        assert agg.fragment_reads == 4
-
-    def test_stats_snapshot_delta(self):
+    def test_stats_snapshot_delta(self, fresh_registry):
         pool = StoragePool(1)
         fid = pool.store(np.zeros(2))
-        before = pool.total_stats()
+        before = fresh_registry.snapshot()
         pool.load(fid)
-        delta = pool.total_stats().delta(before)
-        assert delta.fragment_reads == 1
-        assert delta.fragment_writes == 0
+        delta = fresh_registry.snapshot().delta(before)
+        assert delta.value("ophidia_fragment_reads_total") == 1
+        assert delta.value("ophidia_fragment_writes_total") == 0
 
     def test_invalid_pool_size(self):
         with pytest.raises(ValueError):
@@ -102,12 +110,12 @@ class TestStoragePool:
         pool = StoragePool(1)
         fid = pool.store(np.zeros(4))
         pool.load(fid)
-        assert first.counter_value("ophidia_fragment_reads_total") == 1
+        assert first.snapshot().value("ophidia_fragment_reads_total") == 1
         second = MetricsRegistry()
         monkeypatch.setattr(metrics, "_default_registry", second)
         pool.load(fid)
-        assert second.counter_value("ophidia_fragment_reads_total") == 1
-        assert first.counter_value("ophidia_fragment_reads_total") == 1
+        assert second.snapshot().value("ophidia_fragment_reads_total") == 1
+        assert first.snapshot().value("ophidia_fragment_reads_total") == 1
 
 
 class TestChunking:
@@ -137,21 +145,25 @@ class TestChunking:
         s.put(1, data, chunk_axis=0, chunk_bytes=48)
         np.testing.assert_array_equal(s.get(1), data)
 
-    def test_load_chunk_returns_slice(self):
-        s = IOServer("io0")
+    def test_load_chunk_returns_slice(self, fresh_registry):
+        pool = StoragePool(1, chunk_bytes=64)
         data = np.arange(24, dtype=np.float64).reshape(6, 4)
-        s.put(1, data, chunk_axis=0, chunk_bytes=64)
-        np.testing.assert_array_equal(s.load_chunk(1, 1), data[2:4])
-        assert s.stats.chunk_reads == 1
+        fid = pool.store(data)
+        np.testing.assert_array_equal(pool.load_chunk(fid, 1), data[2:4])
+        value = fresh_registry.snapshot().value
+        assert value("ophidia_chunks_read_total") == 1
+        assert value("ophidia_chunk_bytes_read_total") == 64
+        assert value("ophidia_fragment_reads_total") == 0
+        assert value("ophidia_fragment_bytes_read_total") == 0
         with pytest.raises(KeyError):
-            s.load_chunk(1, 9)
+            pool.load_chunk(fid, 9)
 
-    def test_chunk_meta_does_not_count_a_read(self):
-        s = IOServer("io0")
-        s.put(1, np.zeros(8))
-        s.chunk_meta(1)
-        assert s.stats.fragment_reads == 0
-        assert s.stats.bytes_read == 0
+    def test_chunk_meta_does_not_count_a_read(self, fresh_registry):
+        pool = StoragePool(1)
+        fid = pool.store(np.zeros(8))
+        before = fresh_registry.snapshot()
+        pool.chunk_meta(fid)
+        assert not fresh_registry.snapshot().delta(before)
 
 
 class TestImmutability:
@@ -192,14 +204,15 @@ class TestSpillTier:
         with pytest.raises(ValueError):
             StoragePool(1, codec="nope")
 
-    def test_spill_and_transparent_reload(self, tmp_path):
+    def test_spill_and_transparent_reload(self, tmp_path, fresh_registry):
         pool = self._pool(tmp_path, budget=100)
         data = np.random.default_rng(1).normal(size=64)  # 512 bytes
         fid = pool.store(data)
         assert pool.spilled_fragments == 1
         assert len(os.listdir(tmp_path)) == 1
         np.testing.assert_array_equal(pool.load(fid), data)
-        assert pool.total_stats().reloaded_bytes == data.nbytes
+        assert fresh_registry.snapshot().value(
+            "ophidia_reload_bytes_total") == data.nbytes
 
     def test_lru_eviction_order(self, tmp_path):
         pool = self._pool(tmp_path, budget=600)
@@ -220,12 +233,20 @@ class TestSpillTier:
         np.testing.assert_array_equal(pool.load_chunk(fid, 1), data[16:32])
         assert not srv.is_resident(fid)
 
-    def test_load_handle_round_trips_cold_fragment(self, tmp_path):
+    def test_load_handle_round_trips_cold_fragment(
+        self, tmp_path, fresh_registry
+    ):
         pool = self._pool(tmp_path, budget=100)
         data = np.random.default_rng(2).normal(size=(8, 8))
         fid = pool.store(data)
+        before = fresh_registry.snapshot()
         handle = pool.load_handle(fid)
         assert isinstance(handle, SpillHandle)
+        # A cold handle is one logical fragment read of the full payload.
+        delta = fresh_registry.snapshot().delta(before)
+        assert delta.value("ophidia_fragment_reads_total") == 1
+        assert delta.value("ophidia_fragment_bytes_read_total") == data.nbytes
+        assert delta.value("ophidia_spill_handles_total") == 1
         np.testing.assert_array_equal(handle.hydrate(), data)
         with pytest.raises(ValueError):
             handle.hydrate()[0, 0] = 1.0
@@ -251,5 +272,5 @@ class TestSpillTier:
         data = np.random.default_rng(3).normal(size=64)
         fid = pool.store(data)
         assert pool.servers[0].is_resident(fid)
-        assert fresh_registry.counter_value("ophidia_spill_failures_total") == 1
+        assert fresh_registry.snapshot().value("ophidia_spill_failures_total") == 1
         np.testing.assert_array_equal(pool.load(fid), data)

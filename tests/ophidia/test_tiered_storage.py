@@ -143,7 +143,7 @@ class TestTieredByteIdentity:
                 "spill_dir": str(tmp_path),
             },
         )
-        assert fresh_registry.counter_value("ophidia_fragments_spilled_total") > 0
+        assert fresh_registry.snapshot().value("ophidia_fragments_spilled_total") > 0
 
     def test_mid_run_spill_failure_is_transparent(self, tmp_path, monkeypatch,
                                                   fresh_registry):
@@ -177,7 +177,7 @@ class TestTieredByteIdentity:
             },
         )
         assert calls["n"] >= 3, "fault injection never triggered"
-        assert fresh_registry.counter_value("ophidia_spill_failures_total") > 0
+        assert fresh_registry.snapshot().value("ophidia_spill_failures_total") > 0
         for a, b in zip(dense, tiered):
             assert a.dtype == b.dtype
             np.testing.assert_array_equal(a, b)
@@ -194,8 +194,8 @@ class TestPruningEffectiveness:
             data, baseline, ">=5.0", "1", "0", nfrag=4,
             server_kwargs={"chunk_bytes": 3072},
         )
-        pruned = fresh_registry.counter_value("ophidia_chunks_pruned_total")
-        read = fresh_registry.counter_value("ophidia_chunks_read_total")
+        pruned = fresh_registry.snapshot().value("ophidia_chunks_pruned_total")
+        read = fresh_registry.snapshot().value("ophidia_chunks_read_total")
         assert pruned > 0
         assert pruned / (pruned + read) >= 0.5
 
@@ -210,4 +210,4 @@ class TestPruningEffectiveness:
             )
             out = cube.subset("lat", 0, 3).to_array()
         np.testing.assert_array_equal(out, data[:, 0:3])
-        assert fresh_registry.counter_value("ophidia_fragments_pruned_total") == 3
+        assert fresh_registry.snapshot().value("ophidia_fragments_pruned_total") == 3

@@ -11,6 +11,7 @@ import pytest
 from repro.cluster import Cluster, Node, laptop_like
 from repro.faults.errors import InjectedIOError
 from repro.hpcwaas import Federation
+from repro.observability.metrics import snapshot_value
 from repro.observability.slo import evaluate_rules, parse_slo_rules
 from repro.workflow import (
     CASE_STUDY_TOSCA,
@@ -138,6 +139,45 @@ class EndToEndCases:
         ), summary["metrics"])
         assert result.value == pytest.approx(summary["schedule"]["makespan_s"])
         assert not result.ok
+
+    def test_count_sections_are_the_runs_own_metrics(self, placement):
+        """Two runs on one placement: each summary's storage, transfer
+        and federation counts equal its own metrics delta, not the
+        filesystems' lifetime totals."""
+        params = WorkflowParams(years=[2030], n_days=8, n_lat=8, n_lon=12,
+                                min_length_days=4, with_ml=False, seed=5)
+        for _ in range(2):
+            summary = placement.run(params)
+
+            def count(name, **labels):
+                return snapshot_value(summary["metrics"], name, **labels)
+
+            def fs_ops(fs, *ops):
+                return sum(count("fs_operations_total", fs=fs.fs_label, op=op)
+                           for op in ops)
+
+            label = placement.fs.fs_label
+            assert summary["storage"] == {
+                "fs_reads": fs_ops(placement.fs, "read", "read_bytes"),
+                "fs_bytes_read": count("fs_bytes_read_total", fs=label),
+                "fs_cache_hits": count("fs_cache_hits_total", fs=label),
+                "fs_cache_misses": count("fs_cache_misses_total", fs=label),
+                "ophidia_fragment_reads": count("ophidia_fragment_reads_total"),
+            }
+            assert summary["storage"]["fs_reads"] > 0
+            transfers = summary["schedule"]["transfers"]
+            assert transfers["bytes_transferred"] == count(
+                "compss_transfer_bytes_total")
+            assert (transfers["local_hits"] + transfers["remote_transfers"]
+                    + transfers["cache_hits"]
+                    == count("compss_transfers_total")
+                    == summary["task_graph"]["n_edges"])
+            if placement.n_transfers:
+                federation = summary["federation"]
+                assert federation["sim_site_writes"] == fs_ops(
+                    placement.sim_fs, "write", "write_bytes") > 0
+                assert federation["ana_site_reads"] == \
+                    summary["storage"]["fs_reads"]
 
 
 class TestEndToEndTwoSite(TwoSite, EndToEndCases):
