@@ -240,7 +240,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_history(args) -> int:
     """Query the persistent run-history store."""
     from repro.observability.history import (
-        RunHistory, render_comparison, render_run, render_run_table,
+        RunHistory, compare_runs, render_comparison, render_run,
+        render_run_table,
     )
 
     history = _open_db(args, RunHistory, "runs")
@@ -255,7 +256,8 @@ def _cmd_history(args) -> int:
         if args.history_command == "show":
             record = history.get(args.run_id)
         else:
-            report = history.compare(args.run_a, args.run_b)
+            report = compare_runs(history.get(args.run_a),
+                                  history.get(args.run_b))
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -263,7 +265,7 @@ def _cmd_history(args) -> int:
         _emit(args, record.to_json(), lambda: render_run(record))
         return 0
     _emit(args, report, lambda: render_comparison(report))
-    return 1 if args.fail_on_drift and report["drifted"] else 0
+    return 0
 
 
 def _cmd_tail(args) -> int:
@@ -285,8 +287,8 @@ def _cmd_tail(args) -> int:
 
 
 def _cmd_slo(args) -> int:
-    """Post-hoc SLO evaluation: exit 1 on critical breaches."""
-    from repro.observability.export import _looks_like_snapshot
+    """Post-hoc SLO evaluation: exit 1 on critical breaches, 2 on bad input."""
+    from repro.observability.export import snapshot_from_json
     from repro.observability.history import RunHistory
     from repro.observability.slo import (
         evaluate_rules, load_slo_rules, render_slo_report, slo_report,
@@ -297,33 +299,41 @@ def _cmd_slo(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"bad SLO rules {args.rules}: {exc}", file=sys.stderr)
         return 2
-
-    if args.run_id:
+    if any(rule.ratio for rule in rules) and not args.against:
+        print(f"{args.rules}: ratio rules need --against REF_ID",
+              file=sys.stderr)
+        return 2
+    history = None
+    if args.run_id or args.against:
         history = _open_db(args, RunHistory, "runs")
         if history is None:
             return 2
-        try:
-            snapshot = history.get(args.run_id).metrics
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        if not snapshot:
-            print(f"run {args.run_id} has no metrics snapshot",
-                  file=sys.stderr)
-            return 2
-    else:
-        with open(args.from_path) as fh:
-            payload = json.load(fh)
-        snapshot = payload.get("metrics", payload)
-        if not _looks_like_snapshot(snapshot):
-            print(f"{args.from_path}: neither a metrics.json nor a "
-                  "run_summary.json", file=sys.stderr)
-            return 2
+    try:
+        if args.run_id:
+            snapshot = _run_metrics(history, args.run_id)
+        else:
+            with open(args.from_path) as fh:
+                snapshot = snapshot_from_json(json.load(fh)).to_json()
+        reference = _run_metrics(history, args.against) if args.against else None
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
+        print(f"{args.from_path}: {exc}", file=sys.stderr)
+        return 2
 
-    results = evaluate_rules(rules, snapshot)
+    results = evaluate_rules(rules, snapshot, reference)
     report = slo_report(results)
     _emit(args, report, lambda: render_slo_report(results))
     return 1 if report["critical_breaches"] else 0
+
+
+def _run_metrics(history, run_id: str):
+    """A stored run's metrics snapshot; KeyError for an unknown id."""
+    metrics = history.get(run_id).metrics
+    if not metrics:
+        raise KeyError(f"run {run_id} has no metrics snapshot")
+    return metrics
 
 
 def _cmd_service(args) -> int:
@@ -577,14 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
     h_show.add_argument("run_id", help="run id (unique prefix accepted)")
     h_compare = history_sub.add_parser(
         "compare", parents=[db, fmt],
-        help="diff two runs' headline metrics and critical-path "
-             "attribution; flags drift beyond the per-metric tolerances",
+        help="two runs side by side: metadata and critical-path "
+             "attribution (judge drift with `slo check --against`)",
     )
-    h_compare.add_argument("run_a", help="baseline run id (prefix ok)")
-    h_compare.add_argument("run_b", help="candidate run id (prefix ok)")
-    h_compare.add_argument("--fail-on-drift", action="store_true",
-                           help="exit 1 when any metric drifts beyond "
-                                "tolerance (CI gating)")
+    h_compare.add_argument("run_a", help="first run id (prefix ok)")
+    h_compare.add_argument("run_b", help="second run id (prefix ok)")
 
     tail = command("tail", _cmd_tail,
                    "follow a structured event log (events.jsonl)")
@@ -607,7 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     slo_sub = slo.add_subparsers(dest="slo_command", required=True)
     s_check = slo_sub.add_parser(
         "check", parents=[db, fmt],
-        help="post-hoc SLO evaluation; exit 1 on critical breaches",
+        help="post-hoc SLO evaluation; exit 1 on critical breaches, "
+             "2 on bad input",
     )
     s_check.add_argument("--rules", required=True, metavar="RULES.yaml",
                          help="declarative SLO rules (YAML)")
@@ -617,6 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--run", dest="run_id", metavar="RUN_ID",
                         help="evaluate a persisted run's metrics snapshot "
                              "(from --db)")
+    s_check.add_argument("--against", metavar="REF_ID",
+                         help="reference run (from --db) that max_ratio/"
+                              "min_ratio rules are relative to")
 
     service = command("service", _cmd_service,
                       "multi-tenant workflow service (tenants, quotas, "

@@ -49,10 +49,6 @@ from repro.observability.profile import (
     profile_spans,
     render_profile,
 )
-from repro.observability.baseline import (
-    compare_to_baseline,
-    extract_headline_metrics,
-)
 from repro.observability.events import (
     Event,
     EventLog,
@@ -125,8 +121,6 @@ __all__ = [
     "profile_spans",
     "profile_from_perfetto",
     "render_profile",
-    "compare_to_baseline",
-    "extract_headline_metrics",
     "Event",
     "EventLog",
     "current_run_id",

@@ -96,21 +96,21 @@ def build_perfetto_trace(spans: Sequence[Span], dropped: int = 0) -> str:
     return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
 
 
-def snapshot_from_json(payload: Dict[str, Any]) -> MetricsSnapshot:
+def snapshot_from_json(payload: Any) -> MetricsSnapshot:
     """Rebuild a :class:`MetricsSnapshot` from its JSON form.
 
     Accepts either a bare metrics snapshot or a workflow
     ``run_summary.json`` (whose ``"metrics"`` key holds one).
     """
-    if "metrics" in payload and not _looks_like_snapshot(payload):
-        payload = payload["metrics"]
+    if isinstance(payload, dict) and not _looks_like_snapshot(payload):
+        payload = payload.get("metrics")
     if not _looks_like_snapshot(payload):
         raise ValueError("not a metrics snapshot (no kind/series families)")
     return MetricsSnapshot(payload)
 
 
-def _looks_like_snapshot(payload: Dict[str, Any]) -> bool:
-    return bool(payload) and all(
+def _looks_like_snapshot(payload: Any) -> bool:
+    return isinstance(payload, dict) and bool(payload) and all(
         isinstance(v, dict) and "kind" in v and "series" in v
         for v in payload.values()
     )

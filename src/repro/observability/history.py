@@ -10,7 +10,7 @@ profile summary), queryable long after the process exited::
 
     $ repro history list
     $ repro history show 4f9a
-    $ repro history compare 4f9a 81c2      # headline + critical-path diff
+    $ repro history compare 4f9a 81c2      # side-by-side view, exits 0
 
 The store is deliberately boring and robust:
 
@@ -30,11 +30,10 @@ The store is deliberately boring and robust:
   and ``-shm`` files.  Reads run outside any transaction, and a block
   that raises rolls back, so no operation leaves a transaction open.
 
-``compare`` diffs two runs' headline metrics using per-metric-name
-tolerance specs
-(:func:`repro.observability.baseline.default_metric_spec`), plus the
-critical-path category attribution from each run's profile, and flags
-drifts beyond tolerance.
+``compare`` is a view: two runs' metadata, whether their params match
+and their critical-path attribution side by side.  It judges nothing;
+drift is an SLO rule against a reference run (``repro slo check --run B
+--against A``, :mod:`repro.observability.slo`).
 """
 
 from __future__ import annotations
@@ -49,6 +48,8 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+
+from repro.observability.metrics import snapshot_value
 
 __all__ = [
     "RunHistory",
@@ -233,12 +234,6 @@ class RunRecord:
             "params": self.params, "metrics": self.metrics,
             "profile": self.profile, "extra": self.extra,
         }
-
-    @property
-    def headline_metrics(self) -> Dict[str, float]:
-        from repro.observability.baseline import extract_headline_metrics
-
-        return extract_headline_metrics(self.metrics) if self.metrics else {}
 
 
 def _close(conn: sqlite3.Connection, pid: int) -> None:
@@ -501,12 +496,6 @@ class RunHistory:
         with self._connect() as conn:
             return conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
 
-    # -- comparison ---------------------------------------------------------
-
-    def compare(self, run_a: str, run_b: str) -> Dict[str, Any]:
-        """Diff two runs (by id/prefix); see :func:`compare_runs`."""
-        return compare_runs(self.get(run_a), self.get(run_b))
-
 
 def _record(row: sqlite3.Row) -> RunRecord:
     def loads(column: str) -> Dict[str, Any]:
@@ -570,69 +559,29 @@ def _outcome_columns(
 # ---------------------------------------------------------------------------
 
 def compare_runs(a: RunRecord, b: RunRecord) -> Dict[str, Any]:
-    """Diff run *b* against baseline run *a*.
+    """Side-by-side view of runs *a* and *b*: metadata, whether their
+    params match, and the critical-path category attribution a -> b.
 
-    Headline metrics are gated with the per-metric tolerance specs
-    (:func:`default_metric_spec` keyed on run *a*'s value): a metric
-    drifting outside its tolerance in the bad direction is flagged as a
-    regression.  The critical-path category attribution (compute / io /
-    transfer / queue / orchestration seconds) is diffed alongside so a
-    slowdown comes with its attribution shift.
+    It judges nothing: ``repro slo check --run B --against A`` does.
     """
-    from repro.observability.baseline import compare_to_baseline
-
-    headline_a = a.headline_metrics
-    headline_b = b.headline_metrics
-    baseline_doc = {
-        "benchmark": a.run_id,
-        "metrics": {
-            name: _spec_for(name, value) for name, value in headline_a.items()
-        },
-    }
-    checks = compare_to_baseline(
-        f"{a.run_id}..{b.run_id}", headline_b, baseline_doc
-    )
-    categories_a = dict(a.profile.get("categories") or {})
-    categories_b = dict(b.profile.get("categories") or {})
-    category_delta = {
-        name: {
-            "a_s": round(float(categories_a.get(name, 0.0)), 6),
-            "b_s": round(float(categories_b.get(name, 0.0)), 6),
-            "delta_s": round(
-                float(categories_b.get(name, 0.0))
-                - float(categories_a.get(name, 0.0)), 6
-            ),
-        }
-        for name in sorted(set(categories_a) | set(categories_b))
-    }
+    categories = [r.profile.get("categories") or {} for r in (a, b)]
+    category_delta = {}
+    for name in sorted(set(categories[0]) | set(categories[1])):
+        a_s, b_s = (float(c.get(name, 0.0)) for c in categories)
+        category_delta[name] = {"a_s": round(a_s, 6), "b_s": round(b_s, 6),
+                                "delta_s": round(b_s - a_s, 6)}
+    meta = ("run_id", "kind", "status", "git_rev", "params_digest",
+            "wall_clock_s")
     return {
-        "a": {"run_id": a.run_id, "kind": a.kind, "status": a.status,
-              "git_rev": a.git_rev, "params_digest": a.params_digest,
-              "wall_clock_s": a.wall_clock_s},
-        "b": {"run_id": b.run_id, "kind": b.kind, "status": b.status,
-              "git_rev": b.git_rev, "params_digest": b.params_digest,
-              "wall_clock_s": b.wall_clock_s},
+        "a": {key: getattr(a, key) for key in meta},
+        "b": {key: getattr(b, key) for key in meta},
         "params_match": a.params_digest == b.params_digest,
-        "checks": [
-            {"metric": c.metric, "status": c.status, "a": c.baseline,
-             "b": c.current, "threshold": c.threshold,
-             "direction": c.direction, "delta_pct": c.delta_pct}
-            for c in checks
-        ],
-        "regressions": [c.metric for c in checks if c.regressed],
-        "drifted": any(c.regressed for c in checks),
         "critical_path": {
             "a_s": a.profile.get("critical_path_s"),
             "b_s": b.profile.get("critical_path_s"),
             "categories": category_delta,
         },
     }
-
-
-def _spec_for(name: str, value: float) -> Dict[str, Any]:
-    from repro.observability.baseline import default_metric_spec
-
-    return default_metric_spec(name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +604,13 @@ def render_run_table(records: List[RunRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The stored metric families ``history show`` prints.
+_SHOWN_METRICS = (
+    "workflow_makespan_seconds", "workflow_critical_path_seconds",
+    "compss_tasks_total", "esm_days_written_total", "fs_operations_total",
+)
+
+
 def render_run(record: RunRecord) -> str:
     lines = [
         f"run       {record.run_id}  ({record.kind}, {record.status})",
@@ -666,11 +622,12 @@ def render_run(record: RunRecord) -> str:
     ]
     if record.error:
         lines.append(f"error     {record.error}")
-    headline = record.headline_metrics
-    if headline:
-        lines.append("headline metrics:")
-        for name in sorted(headline):
-            lines.append(f"  {name:28s} {headline[name]:.6g}")
+    shown = [name for name in _SHOWN_METRICS if name in record.metrics]
+    if shown:
+        lines.append("metrics (summed over series):")
+        for name in shown:
+            value = snapshot_value(record.metrics, name)
+            lines.append(f"  {name:40s} {value:.6g}")
     categories = record.profile.get("categories")
     if categories:
         lines.append("critical-path attribution:")
@@ -685,18 +642,6 @@ def render_comparison(report: Mapping[str, Any]) -> str:
         f"compare {a['run_id']} ({a['kind']}) -> {b['run_id']} ({b['kind']})"
         + ("" if report["params_match"] else "  [params differ]"),
     ]
-    marks = {"ok": "ok  ", "new": "new ", "regression": "FAIL",
-             "missing": "MISS"}
-    for check in report["checks"]:
-        base = "n/a" if check["a"] is None else f"{check['a']:.4g}"
-        cur = "n/a" if check["b"] is None else f"{check['b']:.4g}"
-        delta = ("" if check["delta_pct"] is None
-                 else f"  ({check['delta_pct']:+.1f}%)")
-        lines.append(
-            f"  [{marks.get(check['status'], check['status'])}] "
-            f"{check['metric']}: {cur} vs {base} "
-            f"({check['direction']} is better){delta}"
-        )
     cp = report["critical_path"]
     if cp["categories"]:
         lines.append("  critical-path attribution (a -> b):")
@@ -705,9 +650,4 @@ def render_comparison(report: Mapping[str, Any]) -> str:
                 f"    {name:14s} {entry['a_s']:.4g}s -> {entry['b_s']:.4g}s "
                 f"({entry['delta_s']:+.4g}s)"
             )
-    verdict = "DRIFT" if report["drifted"] else "OK"
-    lines.append(
-        f"history compare: {verdict} — {len(report['checks'])} checks, "
-        f"{len(report['regressions'])} beyond tolerance"
-    )
     return "\n".join(lines) + "\n"

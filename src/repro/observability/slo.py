@@ -14,7 +14,8 @@ dependency-free subset parser) and evaluated two ways:
   while the run is still executing;
 * **post-hoc** — ``repro slo check`` evaluates the same rules against a
   finished run's ``metrics.json`` / ``run_summary.json`` or a ``runs.db``
-  row, exiting nonzero on critical breaches so CI can gate on them.
+  row, exiting nonzero on critical breaches so CI can gate on them;
+  with ``--against REF`` it also judges *drift* from a reference run.
 
 Rule file format (``slos:`` list, one mapping per rule)::
 
@@ -22,14 +23,16 @@ Rule file format (``slos:`` list, one mapping per rule)::
       - name: year-dispatch-p95
         metric: workflow_year_dispatch_wait_seconds
         quantile: 0.95          # omit for counter/gauge value
-        max: 2.5                # or `min:` for higher-is-better
+        max: 2.5                # or min:, max_ratio:, min_ratio:
         severity: critical      # default warning
         window_s: 10            # live: evaluate over the trailing window
         labels:                 # optional series selector
           mode: pipelined
 
 ``max`` / ``min`` is the objective: ``max`` breaches when the observed
-value exceeds it, ``min`` when the value falls below.  With
+value exceeds it, ``min`` when the value falls below.  ``max_ratio`` /
+``min_ratio`` bound it by that multiple of the selector's value on a
+reference run, which only post-hoc checks have.  With
 ``window_s``, the live evaluator diffs the current snapshot against the
 ring snapshot from ``window_s`` ago, so the rule tracks *recent*
 traffic rather than the whole run; post-hoc evaluation always sees the
@@ -73,6 +76,7 @@ class SLORule:
     metric: str
     threshold: float
     objective: str = "max"            # "max": value must stay <=; "min": >=
+    ratio: bool = False               # threshold x the reference's value
     quantile: Optional[float] = None  # histogram quantile selector
     labels: Dict[str, str] = field(default_factory=dict)
     severity: str = "warning"         # "warning" | "critical"
@@ -101,17 +105,30 @@ class SLORule:
             )
         return snapshot_value(snapshot_json, self.metric, **self.labels)
 
-    def check(self, value: float) -> bool:
-        """True when *value* satisfies the objective.
+    def limit(self, reference: Optional[Mapping[str, Any]]) -> float:
+        """The bound a value must respect: the threshold, or for a ratio
+        rule the threshold times this rule's value on *reference*."""
+        if not self.ratio:
+            return self.threshold
+        if reference is None:
+            raise ValueError(f"slo {self.name!r}: a ratio rule needs a "
+                             "reference run")
+        return self.threshold * self.observe(reference)
+
+    def check(self, value: float, limit: float) -> bool:
+        """True when *value* satisfies the objective against *limit*.
 
         ``nan`` (metric absent / histogram empty) counts as compliant:
         an SLO on traffic that never happened has nothing to breach.
+        Only a ratio rule's metric that the reference has is required.
         """
-        if math.isnan(value):
+        if math.isnan(limit):
             return True
+        if math.isnan(value):
+            return not self.ratio
         if self.objective == "max":
-            return value <= self.threshold
-        return value >= self.threshold
+            return value <= limit
+        return value >= limit
 
     def selector(self) -> str:
         sel = self.metric
@@ -129,17 +146,32 @@ class SLOResult:
 
     rule: SLORule
     value: float
+    limit: float
     ok: bool
 
+    def describe(self) -> str:
+        """``name: selector = value (objective <= limit)`` on one line."""
+        rule = self.rule
+        shown = "n/a" if math.isnan(self.value) else f"{self.value:.6g}"
+        op = "<=" if rule.objective == "max" else ">="
+        bound = "n/a" if math.isnan(self.limit) else f"{self.limit:.6g}"
+        ratio = f" = {rule.threshold:g} x reference" if rule.ratio else ""
+        return (f"{rule.name}: {rule.selector()} = {shown} "
+                f"(objective {op} {bound}{ratio})")
+
     def to_json(self) -> Dict[str, Any]:
+        rule = self.rule
+        missing = not self.ok and math.isnan(self.value)
         return {
-            "slo": self.rule.name,
-            "selector": self.rule.selector(),
-            "objective": self.rule.objective,
-            "threshold": self.rule.threshold,
-            "severity": self.rule.severity,
+            "slo": rule.name,
+            "selector": rule.selector(),
+            "objective": rule.objective + ("_ratio" if rule.ratio else ""),
+            "threshold": rule.threshold,
+            "limit": None if math.isnan(self.limit) else self.limit,
+            "severity": rule.severity,
             "value": None if math.isnan(self.value) else self.value,
             "ok": self.ok,
+            "status": "ok" if self.ok else ("missing" if missing else "breach"),
         }
 
 
@@ -172,23 +204,31 @@ def parse_slo_rules(text: str) -> List[SLORule]:
     return rules
 
 
+#: A rule's one threshold key: a fixed bound, or a multiple of the
+#: reference run's value.
+_THRESHOLD_KEYS = ("max", "min", "max_ratio", "min_ratio")
+
+
 def _rule_from_mapping(entry: Mapping[str, Any], index: int) -> SLORule:
-    known = {"name", "metric", "quantile", "max", "min", "severity",
-             "window_s", "labels", "description"}
+    known = {"name", "metric", "quantile", "severity", "window_s", "labels",
+             "description", *_THRESHOLD_KEYS}
     unknown = set(entry) - known
     if unknown:
         raise ValueError(f"slos[{index}]: unknown keys {sorted(unknown)}")
     metric = entry.get("metric")
     if not metric:
         raise ValueError(f"slos[{index}]: 'metric' is required")
-    has_max, has_min = "max" in entry, "min" in entry
-    if has_max == has_min:
-        raise ValueError(
-            f"slos[{index}]: exactly one of 'max'/'min' is required"
-        )
-    threshold = entry["max"] if has_max else entry["min"]
+    keys = [k for k in _THRESHOLD_KEYS if k in entry]
+    if len(keys) != 1:
+        raise ValueError(f"slos[{index}]: exactly one of "
+                         f"{'/'.join(_THRESHOLD_KEYS)} is required")
+    key = keys[0]
+    threshold = entry[key]
     if not isinstance(threshold, (int, float)) or isinstance(threshold, bool):
         raise ValueError(f"slos[{index}]: threshold must be a number")
+    ratio = key.endswith("_ratio")
+    if ratio and not threshold > 0:
+        raise ValueError(f"slos[{index}]: {key} must be positive")
     labels = entry.get("labels") or {}
     if not isinstance(labels, dict):
         raise ValueError(f"slos[{index}]: 'labels' must be a mapping")
@@ -197,7 +237,8 @@ def _rule_from_mapping(entry: Mapping[str, Any], index: int) -> SLORule:
         name=str(entry.get("name") or f"slo-{index}"),
         metric=str(metric),
         threshold=float(threshold),
-        objective="max" if has_max else "min",
+        objective=key.partition("_")[0],
+        ratio=ratio,
         quantile=None if quantile is None else float(quantile),
         labels={str(k): str(v) for k, v in labels.items()},
         severity=str(entry.get("severity", "warning")).lower(),
@@ -217,13 +258,16 @@ def load_slo_rules(path: str) -> List[SLORule]:
 # ---------------------------------------------------------------------------
 
 def evaluate_rules(
-    rules: Sequence[SLORule], snapshot_json: Mapping[str, Any]
+    rules: Sequence[SLORule],
+    snapshot_json: Mapping[str, Any],
+    reference: Optional[Mapping[str, Any]] = None,
 ) -> List[SLOResult]:
-    """Evaluate every rule against one (delta) metrics snapshot."""
+    """Evaluate every rule against one (delta) metrics snapshot; ratio
+    rules bound it by their value on the *reference* snapshot."""
     results = []
     for rule in rules:
-        value = rule.observe(snapshot_json)
-        results.append(SLOResult(rule, value, rule.check(value)))
+        value, limit = rule.observe(snapshot_json), rule.limit(reference)
+        results.append(SLOResult(rule, value, limit, rule.check(value, limit)))
     return results
 
 
@@ -244,12 +288,7 @@ def render_slo_report(results: Sequence[SLOResult]) -> str:
     for r in results:
         mark = "ok  " if r.ok else ("CRIT" if r.rule.severity == "critical"
                                     else "WARN")
-        shown = "n/a" if math.isnan(r.value) else f"{r.value:.6g}"
-        op = "<=" if r.rule.objective == "max" else ">="
-        lines.append(
-            f"  [{mark}] {r.rule.name}: {r.rule.selector()} = {shown} "
-            f"(objective {op} {r.rule.threshold:g})"
-        )
+        lines.append(f"  [{mark}] {r.describe()}")
     breaches = [r for r in results if not r.ok]
     critical = sum(1 for r in breaches if r.rule.severity == "critical")
     verdict = "PASS" if not breaches else (
@@ -290,6 +329,9 @@ class SLOMonitor:
     ) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
+        if any(rule.ratio for rule in rules):
+            raise ValueError("ratio rules need a reference run, and a live "
+                             "run has none: use `repro slo check --against`")
         self.rules = list(rules)
         self.interval = interval
         self._registry = registry
@@ -357,50 +399,38 @@ class SLOMonitor:
         baseline = self._baseline
         if baseline is None:
             return []
-        run_delta = snap.delta(baseline).to_json()
-        window_deltas: Dict[float, Mapping[str, Any]] = {}
-        results: List[SLOResult] = []
-        registry = self.registry
-        log = get_event_log()
+        by_window: Dict[Optional[float], List[SLORule]] = {}
         for rule in self.rules:
-            if rule.window_s is None:
-                delta = run_delta
-            else:
-                delta = window_deltas.get(rule.window_s)
-                if delta is None:
-                    anchor = self._snapshot_before(now - rule.window_s, baseline)
-                    delta = snap.delta(anchor).to_json()
-                    window_deltas[rule.window_s] = delta
-            value = rule.observe(delta)
-            ok = rule.check(value)
-            results.append(SLOResult(rule, value, ok))
+            by_window.setdefault(rule.window_s, []).append(rule)
+        results: List[SLOResult] = []
+        for window_s, rules in by_window.items():
+            anchor = (baseline if window_s is None
+                      else self._snapshot_before(now - window_s, baseline))
+            results += evaluate_rules(rules, snap.delta(anchor).to_json())
+        log = get_event_log()
+        for result in results:
+            rule, value, ok = result.rule, result.value, result.ok
             with self._lock:
                 was_breached = self._breached[rule.name]
                 self._breached[rule.name] = not ok
-                if not ok and not was_breached:
+                fire_breach = not ok and not was_breached
+                if fire_breach:
                     self._breach_counts[rule.name] = (
                         self._breach_counts.get(rule.name, 0) + 1
                     )
-                    fire_breach = True
-                else:
-                    fire_breach = False
-                fire_recovery = ok and was_breached
             if fire_breach:
-                registry.counter(
+                self.registry.counter(
                     "slo_breaches_total",
                     "Live SLO breach transitions by rule and severity",
                     labels=("slo", "severity"),
                 ).inc(slo=rule.name, severity=rule.severity)
                 log.emit(
                     "CRITICAL" if rule.severity == "critical" else "WARNING",
-                    "slo", "slo_breach",
-                    f"{rule.name}: {rule.selector()} = {value:.6g} violates "
-                    f"{'<=' if rule.objective == 'max' else '>='} "
-                    f"{rule.threshold:g}",
+                    "slo", "slo_breach", result.describe(),
                     slo=rule.name, value=value, threshold=rule.threshold,
                     objective=rule.objective, window_s=rule.window_s,
                 )
-            elif fire_recovery:
+            elif ok and was_breached:
                 log.emit(
                     "INFO", "slo", "slo_recovered",
                     f"{rule.name}: {rule.selector()} back within objective",

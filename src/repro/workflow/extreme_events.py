@@ -218,6 +218,7 @@ class RunControlPlane:
         if self.params.slo_rules_path:
             try:
                 rules = load_slo_rules(self.params.slo_rules_path)
+                monitor = SLOMonitor(rules)  # refuses ratio rules
             except (OSError, ValueError) as exc:
                 self._log.emit(
                     "ERROR", "slo", "slo_rules_invalid", repr(exc),
@@ -225,7 +226,7 @@ class RunControlPlane:
                 )
             else:
                 if rules:
-                    self.monitor = SLOMonitor(rules).start()
+                    self.monitor = monitor.start()
         return self.run_id
 
     def stop_monitor(self) -> None:

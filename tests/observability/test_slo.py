@@ -79,6 +79,31 @@ class TestParsing:
         with pytest.raises(ValueError, match="duplicate"):
             parse_slo_rules(text)
 
+    def test_ratio_keys(self):
+        rules = parse_slo_rules(
+            "slos:\n"
+            "  - name: slower\n    metric: m\n    max_ratio: 1.25\n"
+            "  - name: fewer\n    metric: n\n    min_ratio: 1\n"
+        )
+        assert [(r.objective, r.ratio, r.threshold) for r in rules] == [
+            ("max", True, 1.25), ("min", True, 1.0),
+        ]
+
+    @pytest.mark.parametrize("keys", [
+        "    max: 1\n    max_ratio: 1\n",
+        "    min_ratio: 1\n    max_ratio: 1\n",
+        "    min: 1\n    min_ratio: 1\n",
+    ])
+    def test_exactly_one_of_four_threshold_keys(self, keys):
+        with pytest.raises(ValueError, match="exactly one of "
+                           "max/min/max_ratio/min_ratio"):
+            parse_slo_rules("slos:\n  - metric: m\n" + keys)
+
+    @pytest.mark.parametrize("value", ["0", "-1.5", "fast", "true"])
+    def test_ratio_must_be_a_positive_number(self, value):
+        with pytest.raises(ValueError, match="positive|a number"):
+            parse_slo_rules(f"slos:\n  - metric: m\n    max_ratio: {value}\n")
+
     def test_bad_severity_rejected(self):
         with pytest.raises(ValueError, match="severity"):
             parse_slo_rules("slos:\n  - metric: m\n    max: 1\n"
@@ -88,18 +113,18 @@ class TestParsing:
 class TestRuleSemantics:
     def test_max_objective(self):
         rule = SLORule(name="r", metric="m", threshold=2.0, objective="max")
-        assert rule.check(1.9)
-        assert rule.check(2.0)
-        assert not rule.check(2.1)
+        assert rule.check(1.9, 2.0)
+        assert rule.check(2.0, 2.0)
+        assert not rule.check(2.1, 2.0)
 
     def test_min_objective(self):
         rule = SLORule(name="r", metric="m", threshold=0.5, objective="min")
-        assert rule.check(0.6)
-        assert not rule.check(0.4)
+        assert rule.check(0.6, 0.5)
+        assert not rule.check(0.4, 0.5)
 
     def test_nan_counts_as_compliant(self):
         rule = SLORule(name="r", metric="absent", threshold=1.0)
-        assert rule.check(float("nan"))
+        assert rule.check(float("nan"), 1.0)
 
     def test_selector_rendering(self):
         rule = SLORule(name="r", metric="m", threshold=1.0, quantile=0.95,
@@ -141,7 +166,86 @@ class TestPostHoc:
         assert "PASS" in render_slo_report(results)
 
 
+def _gauges(**values):
+    registry = MetricsRegistry()
+    for name, value in values.items():
+        registry.gauge(name, "").set(value)
+    return registry.snapshot().to_json()
+
+
+class TestAgainstReference:
+    RULES = parse_slo_rules(
+        "slos:\n"
+        "  - name: makespan\n    metric: makespan_s\n    max_ratio: 1.25\n"
+        "    severity: critical\n"
+        "  - name: days\n    metric: days\n    min_ratio: 1\n"
+    )
+
+    def _by_name(self, candidate, reference):
+        return {r.rule.name: r for r in
+                evaluate_rules(self.RULES, candidate, reference)}
+
+    def test_ratio_threshold_is_relative_to_the_reference(self):
+        reference = _gauges(makespan_s=2.0, days=8)
+        ok = self._by_name(_gauges(makespan_s=2.5, days=8), reference)
+        assert ok["makespan"].ok and ok["makespan"].limit == 2.5
+        assert ok["days"].ok and ok["days"].limit == 8.0
+        bad = self._by_name(_gauges(makespan_s=2.6, days=7), reference)
+        assert not bad["makespan"].ok and not bad["days"].ok
+        assert bad["makespan"].to_json()["status"] == "breach"
+        report = slo_report(list(bad.values()))
+        assert (report["critical_breaches"], report["warning_breaches"]) == (1, 1)
+        assert "= 1.25 x reference" in render_slo_report(list(bad.values()))
+
+    def test_metric_absent_from_reference_passes(self):
+        results = self._by_name(_gauges(makespan_s=9.0, days=1), _gauges())
+        assert all(r.ok for r in results.values())
+        assert math.isnan(results["makespan"].limit)
+        assert results["makespan"].to_json()["limit"] is None
+
+    def test_metric_absent_from_candidate_is_missing(self):
+        results = self._by_name(_gauges(), _gauges(makespan_s=2.0, days=8))
+        for result in results.values():
+            assert not result.ok
+            assert result.to_json()["status"] == "missing"
+            assert result.to_json()["value"] is None
+
+    def test_fixed_rules_ignore_the_reference(self):
+        rule = SLORule(name="r", metric="makespan_s", threshold=3.0)
+        [result] = evaluate_rules([rule], _gauges(makespan_s=2.0),
+                                  _gauges(makespan_s=1.0))
+        assert result.ok and result.limit == 3.0
+
+    def test_ratio_rule_without_reference_raises(self):
+        with pytest.raises(ValueError, match="needs a reference run"):
+            evaluate_rules(self.RULES, _gauges(makespan_s=1.0))
+
+
 class TestMonitor:
+    def test_rejects_ratio_rules(self):
+        rule = SLORule(name="r", metric="m", threshold=1.25, ratio=True)
+        with pytest.raises(ValueError, match="reference run"):
+            SLOMonitor([rule])
+
+    def test_windows_share_one_evaluation_pass(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("errs_total", "")
+        rules = [SLORule(name="all", metric="errs_total", threshold=5.0),
+                 SLORule(name="recent", metric="errs_total", threshold=5.0,
+                         window_s=0.05)]
+        monitor = SLOMonitor(rules, interval=60.0, registry=registry)
+        monitor.start()
+        counter.inc(10)
+        monitor.evaluate_once()
+        assert monitor.breached_rules == ["all", "recent"]
+        time.sleep(0.06)
+        everything, recent = monitor.evaluate_once()
+        assert (everything.rule.name, everything.value) == ("all", 10.0)
+        assert recent.rule.name == "recent"
+        assert math.isnan(recent.value)  # no traffic in the window
+        assert monitor.breached_rules == ["all"]
+        monitor.stop()
+
     def test_breach_transition_emits_event_and_counter(self, captured_events):
         registry = MetricsRegistry()
         gauge = registry.gauge("depth", "queue depth")
