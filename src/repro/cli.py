@@ -100,18 +100,6 @@ def _cmd_run_distributed(args) -> int:
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    from repro.observability import get_registry, snapshot_from_json
-
-    if args.from_path:
-        with open(args.from_path) as fh:
-            snap = snapshot_from_json(json.load(fh))
-    else:
-        snap = get_registry().snapshot()
-    _emit(args, snap.to_json(), snap.to_prometheus)
-    return 0
-
-
 def _cmd_simulate(args) -> int:
     from repro.cluster import SharedFilesystem
     from repro.esm import CMCCCM3, ModelConfig
@@ -209,61 +197,51 @@ def _cmd_chaos(args) -> int:
     return 0 if report["match"] else 1
 
 
-def _cmd_analyze(args) -> int:
-    """Profile a finished run: critical path, timelines, what-ifs."""
-    from repro.observability import profile_from_perfetto, render_profile
-    from repro.workflow.extreme_events import ANALYTICS_TASKS
+def _resolve(args, name: str):
+    """The run *name* names (see :func:`resolve_run`), or None after
+    saying in one line why it names none."""
+    from repro.observability.history import resolve_run
 
-    with open(args.from_path) as fh:
-        payload = json.load(fh)
+    try:
+        return resolve_run(name, args.db)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return None
 
-    if "traceEvents" in payload:
-        profile = profile_from_perfetto(
-            payload,
-            esm_functions=("esm_simulation",),
-            analytics_functions=ANALYTICS_TASKS,
-            what_if_top_k=args.top,
-        ).to_json()
-    elif "profile" in payload and isinstance(payload["profile"], dict):
-        profile = payload["profile"]  # a run_summary.json
-    elif "critical_path_s" in payload:
-        profile = payload  # an exported profile.json
-    else:
-        print(f"{args.from_path}: neither a Perfetto trace, a "
-              "run_summary.json, nor a profile.json", file=sys.stderr)
+
+def _cmd_explain(args) -> int:
+    """Where a finished run's time went: header, profile and metrics."""
+    from repro.observability.history import render_record
+    from repro.observability.metrics import MetricsSnapshot
+
+    record = _resolve(args, args.run)
+    if record is None:
         return 2
-
-    _emit(args, profile, lambda: render_profile(profile, top=args.top))
+    if args.format == "prom":
+        print(MetricsSnapshot(record.metrics).to_prometheus(), end="")
+    else:
+        _emit(args, record.to_json(), lambda: render_record(record))
     return 0
 
 
 def _cmd_history(args) -> int:
     """Query the persistent run-history store."""
     from repro.observability.history import (
-        RunHistory, compare_runs, render_comparison, render_run,
-        render_run_table,
+        RunHistory, compare_runs, render_comparison, render_run_table,
     )
 
-    history = _open_db(args, RunHistory, "runs")
-    if history is None:
-        return 2
     if args.history_command == "list":
+        history = _open_db(args, RunHistory, "runs")
+        if history is None:
+            return 2
         records = history.list_runs(limit=args.limit, kind=args.kind)
         _emit(args, [r.to_json() for r in records],
               lambda: render_run_table(records))
         return 0
-    try:
-        if args.history_command == "show":
-            record = history.get(args.run_id)
-        else:
-            report = compare_runs(history.get(args.run_a),
-                                  history.get(args.run_b))
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+    a, b = _resolve(args, args.run_a), _resolve(args, args.run_b)
+    if a is None or b is None:
         return 2
-    if args.history_command == "show":
-        _emit(args, record.to_json(), lambda: render_run(record))
-        return 0
+    report = compare_runs(a, b)
     _emit(args, report, lambda: render_comparison(report))
     return 0
 
@@ -288,8 +266,6 @@ def _cmd_tail(args) -> int:
 
 def _cmd_slo(args) -> int:
     """Post-hoc SLO evaluation: exit 1 on critical breaches, 2 on bad input."""
-    from repro.observability.export import snapshot_from_json
-    from repro.observability.history import RunHistory
     from repro.observability.slo import (
         evaluate_rules, load_slo_rules, render_slo_report, slo_report,
     )
@@ -300,40 +276,24 @@ def _cmd_slo(args) -> int:
         print(f"bad SLO rules {args.rules}: {exc}", file=sys.stderr)
         return 2
     if any(rule.ratio for rule in rules) and not args.against:
-        print(f"{args.rules}: ratio rules need --against REF_ID",
+        print(f"{args.rules}: ratio rules need --against REF",
               file=sys.stderr)
         return 2
-    history = None
-    if args.run_id or args.against:
-        history = _open_db(args, RunHistory, "runs")
-        if history is None:
+    snapshots = []
+    for name in filter(None, (args.run, args.against)):
+        record = _resolve(args, name)
+        if record is None:
             return 2
-    try:
-        if args.run_id:
-            snapshot = _run_metrics(history, args.run_id)
-        else:
-            with open(args.from_path) as fh:
-                snapshot = snapshot_from_json(json.load(fh)).to_json()
-        reference = _run_metrics(history, args.against) if args.against else None
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"{args.from_path}: {exc}", file=sys.stderr)
-        return 2
+        if not record.metrics:
+            print(f"run {record.run_id} has no metrics snapshot",
+                  file=sys.stderr)
+            return 2
+        snapshots.append(record.metrics)
 
-    results = evaluate_rules(rules, snapshot, reference)
+    results = evaluate_rules(rules, *snapshots)
     report = slo_report(results)
     _emit(args, report, lambda: render_slo_report(results))
     return 1 if report["critical_breaches"] else 0
-
-
-def _run_metrics(history, run_id: str):
-    """A stored run's metrics snapshot; KeyError for an unknown id."""
-    metrics = history.get(run_id).metrics
-    if not metrics:
-        raise KeyError(f"run {run_id} has no metrics snapshot")
-    return metrics
 
 
 def _cmd_service(args) -> int:
@@ -511,6 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
                          "tables (default: $REPRO_RUNS_DB)")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
+    run_arg = argparse.ArgumentParser(add_help=False)
+    run_arg.add_argument("run", metavar="RUN",
+                         help="a finished run: its run_summary.json, or a "
+                              "run id (unique prefix) in --db")
 
     def command(name, fn, help, *parents, under=sub):
         cmd = under.add_parser(name, help=help, parents=list(parents))
@@ -530,13 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     idx.add_argument("--baseline", default="climatology.rnc",
                      help="baseline file (relative to data_dir)")
     idx.add_argument("--min-length", type=int, default=6)
-
-    metrics = command("metrics", _cmd_metrics,
-                      "dump telemetry metrics as Prometheus text or JSON")
-    metrics.add_argument("--from", dest="from_path", metavar="PATH",
-                         help="read a metrics.json or run_summary.json "
-                              "instead of the in-process registry")
-    metrics.add_argument("--format", choices=("prom", "json"), default="prom")
 
     chaos = command("chaos", _cmd_chaos,
                     "run the workflow under injected faults and verify "
@@ -563,15 +520,13 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--max-attempts", type=int, default=4,
                        help="whole-workflow executions before giving up")
 
-    analyze = command("analyze", _cmd_analyze,
-                      "profile a finished run: critical path, utilization, "
-                      "what-ifs", fmt)
-    analyze.add_argument("--from", dest="from_path", required=True,
-                         metavar="PATH",
-                         help="a trace.json (Perfetto), run_summary.json, "
-                              "or profile.json from a finished run")
-    analyze.add_argument("--top", type=int, default=10,
-                         help="contributors/what-ifs to show (default 10)")
+    explain = command("explain", _cmd_explain,
+                      "where a finished run's time went: its record, "
+                      "critical path, what-ifs and metrics", run_arg, db)
+    explain.add_argument("--format", choices=("text", "json", "prom"),
+                         default="text",
+                         help="text report, the run record as JSON, or the "
+                              "run's metrics as Prometheus text")
 
     history = command("history", _cmd_history,
                       "query the persistent run-history store (runs.db)")
@@ -582,16 +537,13 @@ def build_parser() -> argparse.ArgumentParser:
     h_list.add_argument("--kind", default=None,
                         help="filter by run kind (run, run-distributed, "
                              "chaos)")
-    h_show = history_sub.add_parser("show", help="one run in full",
-                                    parents=[db, fmt])
-    h_show.add_argument("run_id", help="run id (unique prefix accepted)")
     h_compare = history_sub.add_parser(
         "compare", parents=[db, fmt],
         help="two runs side by side: metadata and critical-path "
              "attribution (judge drift with `slo check --against`)",
     )
-    h_compare.add_argument("run_a", help="first run id (prefix ok)")
-    h_compare.add_argument("run_b", help="second run id (prefix ok)")
+    h_compare.add_argument("run_a", help="first run (as RUN of explain)")
+    h_compare.add_argument("run_b", help="second run (as RUN of explain)")
 
     tail = command("tail", _cmd_tail,
                    "follow a structured event log (events.jsonl)")
@@ -613,21 +565,15 @@ def build_parser() -> argparse.ArgumentParser:
     slo = command("slo", _cmd_slo, "evaluate SLO rules against a finished run")
     slo_sub = slo.add_subparsers(dest="slo_command", required=True)
     s_check = slo_sub.add_parser(
-        "check", parents=[db, fmt],
+        "check", parents=[run_arg, db, fmt],
         help="post-hoc SLO evaluation; exit 1 on critical breaches, "
              "2 on bad input",
     )
     s_check.add_argument("--rules", required=True, metavar="RULES.yaml",
                          help="declarative SLO rules (YAML)")
-    source = s_check.add_mutually_exclusive_group(required=True)
-    source.add_argument("--from", dest="from_path", metavar="PATH",
-                        help="a metrics.json or run_summary.json")
-    source.add_argument("--run", dest="run_id", metavar="RUN_ID",
-                        help="evaluate a persisted run's metrics snapshot "
-                             "(from --db)")
-    s_check.add_argument("--against", metavar="REF_ID",
-                         help="reference run (from --db) that max_ratio/"
-                              "min_ratio rules are relative to")
+    s_check.add_argument("--against", metavar="REF",
+                         help="reference run (named as RUN is) that "
+                              "max_ratio/min_ratio rules are relative to")
 
     service = command("service", _cmd_service,
                       "multi-tenant workflow service (tenants, quotas, "

@@ -7,7 +7,9 @@ report into one process-wide :class:`MetricsRegistry` and record
 :class:`Span` trees into one :class:`TraceCollector`, so a single
 workflow run yields:
 
-* a Prometheus-text / JSON metrics snapshot (``repro metrics``), and
+* one record of the finished run — its metrics snapshot and
+  critical-path profile, in ``<scratch>/results/run_summary.json`` and
+  ``runs.db``, read back by ``repro explain RUN`` — and
 * one correlated Chrome/Perfetto trace spanning every layer
   (``<scratch>/results/trace.json`` after ``repro run``).
 
@@ -45,7 +47,6 @@ from repro.observability.export import (
 )
 from repro.observability.profile import (
     WorkflowProfile,
-    profile_from_perfetto,
     profile_spans,
     render_profile,
 )
@@ -67,8 +68,9 @@ from repro.observability.history import (
     default_history_path,
     new_run_id,
     render_comparison,
-    render_run,
+    render_record,
     render_run_table,
+    resolve_run,
 )
 from repro.observability.resources import (
     ResourceSampler,
@@ -119,7 +121,6 @@ __all__ = [
     "snapshot_from_json",
     "WorkflowProfile",
     "profile_spans",
-    "profile_from_perfetto",
     "render_profile",
     "Event",
     "EventLog",
@@ -136,8 +137,9 @@ __all__ = [
     "default_history_path",
     "new_run_id",
     "render_comparison",
-    "render_run",
+    "render_record",
     "render_run_table",
+    "resolve_run",
     "ResourceSampler",
     "process_sampler",
     "sample_process_resources",

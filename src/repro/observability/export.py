@@ -1,4 +1,4 @@
-"""Exporters: merged Chrome/Perfetto traces and metrics snapshots from JSON.
+"""Exporters: the merged Chrome/Perfetto trace, and a run summary's metrics.
 
 :func:`build_perfetto_trace` renders the span tree recorded by the
 :class:`~repro.observability.spans.TraceCollector` as one trace-event
@@ -96,21 +96,12 @@ def build_perfetto_trace(spans: Sequence[Span], dropped: int = 0) -> str:
     return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"})
 
 
-def snapshot_from_json(payload: Any) -> MetricsSnapshot:
-    """Rebuild a :class:`MetricsSnapshot` from its JSON form.
-
-    Accepts either a bare metrics snapshot or a workflow
-    ``run_summary.json`` (whose ``"metrics"`` key holds one).
-    """
-    if isinstance(payload, dict) and not _looks_like_snapshot(payload):
-        payload = payload.get("metrics")
-    if not _looks_like_snapshot(payload):
-        raise ValueError("not a metrics snapshot (no kind/series families)")
+def snapshot_from_json(summary: Any) -> MetricsSnapshot:
+    """The metrics snapshot a workflow ``run_summary.json`` holds under
+    its ``"metrics"`` key; ``ValueError`` for anything else."""
+    payload = summary.get("metrics") if isinstance(summary, dict) else None
+    if not (isinstance(payload, dict) and payload and all(
+            isinstance(v, dict) and "kind" in v and "series" in v
+            for v in payload.values())):
+        raise ValueError("not a run summary (no metrics snapshot)")
     return MetricsSnapshot(payload)
-
-
-def _looks_like_snapshot(payload: Any) -> bool:
-    return isinstance(payload, dict) and bool(payload) and all(
-        isinstance(v, dict) and "kind" in v and "series" in v
-        for v in payload.values()
-    )

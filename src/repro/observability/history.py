@@ -6,10 +6,10 @@ module gives the system cross-run memory — every ``repro run`` /
 ``run-distributed`` / ``chaos`` invocation persists a row
 into ``runs.db`` (run id, kind, status, wall clock, git revision,
 params digest, the full per-run metrics snapshot and the critical-path
-profile summary), queryable long after the process exited::
+profile), queryable long after the process exited::
 
     $ repro history list
-    $ repro history show 4f9a
+    $ repro explain 4f9a                   # or a run_summary.json path
     $ repro history compare 4f9a 81c2      # side-by-side view, exits 0
 
 The store is deliberately boring and robust:
@@ -30,9 +30,14 @@ The store is deliberately boring and robust:
   and ``-shm`` files.  Reads run outside any transaction, and a block
   that raises rolls back, so no operation leaves a transaction open.
 
+A finished run is named one way everywhere: a ``run_summary.json``
+path or a run-id prefix in ``runs.db``.  :func:`resolve_run` turns
+either into the same :class:`RunRecord`; both stores hold the run's
+metrics snapshot and its full ``WorkflowProfile.to_json()`` form.
+
 ``compare`` is a view: two runs' metadata, whether their params match
 and their critical-path attribution side by side.  It judges nothing;
-drift is an SLO rule against a reference run (``repro slo check --run B
+drift is an SLO rule against a reference run (``repro slo check B
 --against A``, :mod:`repro.observability.slo`).
 """
 
@@ -49,7 +54,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro.observability.export import snapshot_from_json
 from repro.observability.metrics import snapshot_value
+from repro.observability.profile import render_profile
 
 __all__ = [
     "RunHistory",
@@ -60,8 +67,9 @@ __all__ = [
     "new_run_id",
     "params_digest",
     "render_comparison",
-    "render_run",
+    "render_record",
     "render_run_table",
+    "resolve_run",
 ]
 
 #: Bumped on every schema change; ``_MIGRATIONS[v]`` upgrades v -> v+1.
@@ -474,7 +482,8 @@ class RunHistory:
         return [_record(row) for row in rows]
 
     def get(self, run_id: str) -> RunRecord:
-        """Fetch by exact id or unique prefix (git-style)."""
+        """Fetch by exact id or unique prefix (git-style), matched
+        literally: ``_`` and ``%`` are not wildcards."""
         with self._connect() as conn:
             row = conn.execute(
                 "SELECT * FROM runs WHERE run_id = ?", (run_id,)
@@ -482,9 +491,10 @@ class RunHistory:
             if row is not None:
                 return _record(row)
             rows = conn.execute(
-                "SELECT * FROM runs WHERE run_id LIKE ? ORDER BY started_at",
-                (run_id + "%",),
-            ).fetchall()
+                "SELECT * FROM runs WHERE substr(run_id, 1, ?) = ? "
+                "ORDER BY started_at",
+                (len(run_id), run_id),
+            ).fetchall() if run_id else []
         if not rows:
             raise KeyError(f"no run matching {run_id!r} in {self.path}")
         if len(rows) > 1:
@@ -515,21 +525,48 @@ def _record(row: sqlite3.Row) -> RunRecord:
     )
 
 
-#: Profile fields worth persisting per run (the full segment list is
-#: huge and lives in ``results/profile.json``; the store keeps the
-#: attribution summary ``compare`` needs).
-_PROFILE_KEEP = (
-    "trace_id", "root_name", "makespan_s", "critical_path_s", "categories",
-    "overlap", "task_window_s", "n_spans", "n_task_events", "by_name",
-)
+def resolve_run(name: str, db_path: Optional[str] = None) -> RunRecord:
+    """The finished run *name* names: a ``run_summary.json`` path, or a
+    run-id prefix in *db_path* (default ``$REPRO_RUNS_DB``).
+
+    Every refusal (missing or unreadable file, not JSON, not a run
+    summary, unknown or ambiguous id) is a ``ValueError`` whose message
+    is one line.
+    """
+    if name.endswith(".json") or os.sep in name or os.path.isfile(name):
+        return _summary_record(name)
+    db_path = db_path or default_history_path()
+    if not db_path:
+        raise ValueError(f"{name}: no such file, and no runs database to "
+                         "look the id up in (pass --db or set $REPRO_RUNS_DB)")
+    try:
+        return RunHistory(db_path).get(name)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
 
 
-def _profile_summary(profile: Mapping[str, Any]) -> Dict[str, Any]:
-    summary = {k: profile[k] for k in _PROFILE_KEEP if k in profile}
-    by_name = summary.get("by_name")
-    if isinstance(by_name, list):
-        summary["by_name"] = by_name[:15]
-    return summary
+def _summary_record(path: str) -> RunRecord:
+    """A ``run_summary.json`` as the record its run left in ``runs.db``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            summary = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from None
+    try:
+        snapshot_from_json(summary)
+    except ValueError:
+        raise ValueError(f"{path}: not a run_summary.json") from None
+    # A summary is written only by a completed run, and carries no
+    # start time, wall clock, git revision or params digest.
+    return RunRecord(
+        run_id=summary.get("run_id", ""), kind=summary.get("kind", ""),
+        status="completed", started_at=0.0, wall_clock_s=None, git_rev="",
+        params_digest="", trace_id=summary.get("trace_id", ""), error="",
+        params={}, metrics=summary["metrics"],
+        profile=summary.get("profile") or {}, extra={},
+    )
 
 
 def _outcome_columns(
@@ -547,8 +584,7 @@ def _outcome_columns(
     if metrics is not None:
         columns["metrics_json"] = json.dumps(metrics, default=str)
     if profile is not None:
-        columns["profile_json"] = json.dumps(_profile_summary(profile),
-                                             default=str)
+        columns["profile_json"] = json.dumps(profile, default=str)
     if extra is not None:
         columns["extra_json"] = json.dumps(dict(extra), default=str)
     return columns
@@ -562,7 +598,7 @@ def compare_runs(a: RunRecord, b: RunRecord) -> Dict[str, Any]:
     """Side-by-side view of runs *a* and *b*: metadata, whether their
     params match, and the critical-path category attribution a -> b.
 
-    It judges nothing: ``repro slo check --run B --against A`` does.
+    It judges nothing: ``repro slo check B --against A`` does.
     """
     categories = [r.profile.get("categories") or {} for r in (a, b)]
     category_delta = {}
@@ -604,17 +640,23 @@ def render_run_table(records: List[RunRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: The stored metric families ``history show`` prints.
+#: The stored metric families ``repro explain`` prints.
 _SHOWN_METRICS = (
     "workflow_makespan_seconds", "workflow_critical_path_seconds",
     "compss_tasks_total", "esm_days_written_total", "fs_operations_total",
 )
 
 
-def render_run(record: RunRecord) -> str:
+def render_record(record: RunRecord) -> str:
+    """``repro explain``'s text: the run's header, its critical-path
+    profile, then the shown metric families."""
+    started = (time.strftime("%Y-%m-%d %H:%M:%S",
+                             time.localtime(record.started_at))
+               if record.started_at else "-")
     lines = [
-        f"run       {record.run_id}  ({record.kind}, {record.status})",
-        f"started   {time.strftime('%Y-%m-%d %H:%M:%S', time.localtime(record.started_at))}",
+        f"run       {record.run_id or '-'}  ({record.kind or '-'}, "
+        f"{record.status})",
+        f"started   {started}",
         f"wall      {'-' if record.wall_clock_s is None else f'{record.wall_clock_s:.3f}s'}",
         f"git       {record.git_rev or '-'}",
         f"params    {record.params_digest or '-'}",
@@ -622,17 +664,14 @@ def render_run(record: RunRecord) -> str:
     ]
     if record.error:
         lines.append(f"error     {record.error}")
+    if "makespan_s" in record.profile:
+        lines += ["", render_profile(record.profile).rstrip("\n")]
     shown = [name for name in _SHOWN_METRICS if name in record.metrics]
     if shown:
-        lines.append("metrics (summed over series):")
+        lines += ["", "metrics (summed over series)"]
         for name in shown:
             value = snapshot_value(record.metrics, name)
             lines.append(f"  {name:40s} {value:.6g}")
-    categories = record.profile.get("categories")
-    if categories:
-        lines.append("critical-path attribution:")
-        for name in sorted(categories):
-            lines.append(f"  {name:28s} {float(categories[name]):.6g}s")
     return "\n".join(lines) + "\n"
 
 

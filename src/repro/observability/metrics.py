@@ -496,8 +496,8 @@ def snapshot_histogram_quantile(
     """Estimate a histogram quantile from a JSON-ified snapshot.
 
     Interpolates linearly inside the bucket that holds the quantile,
-    operating on exported bucket counts (so ``metrics.json`` files from
-    past runs yield p50/p95/p99 too).  Matching series merge first;
+    operating on exported bucket counts (so the stored snapshots of past
+    runs yield p50/p95/p99 too).  Matching series merge first;
     returns ``nan`` when the metric is absent, not a histogram, or has
     no observations.  The open-ended ``+Inf`` bucket clamps to the last
     finite bound.

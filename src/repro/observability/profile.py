@@ -21,12 +21,13 @@ actually acts on:
   work was waiting in the scheduler queue), plus straggler detection
   and the ESM-simulation / analytics overlap fraction (the paper's C1
   claim).
-* **what-if estimates** — the predicted makespan if the top-k critical
-  contributors were free, so each perf PR knows where to aim first.
+* **what-if estimates** — the predicted makespan if each of the top
+  critical contributors were free, so each perf PR knows where to aim
+  first.
 
-Both the in-process objects and an exported ``trace.json`` (the
-Perfetto trace ``repro run`` writes under ``<scratch>/results/``) are
-accepted; the two routes agree to export rounding (sub-microsecond).
+The workflow driver profiles its own spans once, at the end of the run;
+the result is stored in ``run_summary.json`` and ``runs.db`` and read
+back by ``repro explain``.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ __all__ = [
     "ProfileError",
     "WorkflowProfile",
     "categorize_span",
-    "profile_from_perfetto",
     "profile_spans",
     "render_profile",
-    "spans_from_perfetto",
     "task_attempts",
 ]
 
@@ -68,9 +67,10 @@ _STRAGGLER_FLOOR_S = 0.05
 
 _TASK_SUFFIX = re.compile(r"#\d+$")
 
-#: Keys :func:`build_perfetto_trace` injects into every span event's args
-#: alongside the span's own attributes.
-_PERFETTO_META_KEYS = ("trace_id", "span_id", "parent_id", "layer", "status")
+#: Critical contributors that get a what-if estimate, and the rows the
+#: text report shows per table.
+_WHAT_IF_TOP_K = 5
+_REPORT_ROWS = 10
 
 
 class ProfileError(ValueError):
@@ -209,7 +209,7 @@ class WorkflowProfile:
     n_task_events: int = 0
 
     def to_json(self, max_segments: int = 200) -> Dict[str, Any]:
-        """Plain-data form for run summaries and ``profile.json``.
+        """Plain-data form for ``run_summary.json`` and ``runs.db``.
 
         The segment list is capped at *max_segments* (longest first,
         re-sorted chronologically); the aggregate fields are always
@@ -296,7 +296,6 @@ def profile_spans(
     spans: Sequence[Span],
     esm_functions: Iterable[str] = ("esm_simulation",),
     analytics_functions: Optional[Iterable[str]] = None,
-    what_if_top_k: int = 5,
     straggler_factor: float = 3.0,
 ) -> WorkflowProfile:
     """Profile one finished run from its span tree.
@@ -346,7 +345,7 @@ def profile_spans(
     by_name = sorted(pooled.values(), key=lambda e: -e["seconds"])
 
     what_if: List[Dict[str, Any]] = []
-    for entry in by_name[:what_if_top_k]:
+    for entry in by_name[:_WHAT_IF_TOP_K]:
         predicted = max(0.0, makespan_s - entry["seconds"])
         what_if.append({
             "name": entry["name"],
@@ -459,68 +458,24 @@ def profile_spans(
 
 
 # ---------------------------------------------------------------------------
-# Perfetto round-trip: profile an exported trace.json
+# Rendering (`repro explain`)
 # ---------------------------------------------------------------------------
 
-def spans_from_perfetto(payload: Mapping[str, Any]) -> List[Span]:
-    """Rebuild :class:`Span` records from an exported Perfetto trace.
+def render_profile(profile: "WorkflowProfile | Mapping[str, Any]") -> str:
+    """Plain-text report of a profile (object or its ``to_json`` form).
 
-    Inverse of :func:`~repro.observability.export.build_perfetto_trace`
-    for the pid-1 ("spans") process: timestamps come back in seconds on
-    the trace's shifted clock, span/parent ids and attributes from the
-    event args.
+    Sections a stored profile lacks are skipped: rows ``runs.db`` kept
+    before it stored the full form hold only the attribution summary.
     """
-    spans: List[Span] = []
-    for ev in payload.get("traceEvents", ()):
-        if ev.get("ph") != "X" or ev.get("pid") != 1:
-            continue
-        args = dict(ev.get("args") or {})
-        span_id = args.get("span_id")
-        if not span_id:
-            continue
-        start = float(ev["ts"]) / 1e6
-        end = start + float(ev.get("dur", 0.0)) / 1e6
-        attrs = {k: v for k, v in args.items() if k not in _PERFETTO_META_KEYS}
-        spans.append(Span(
-            name=str(ev.get("name", "")),
-            trace_id=str(args.get("trace_id", "")),
-            span_id=str(span_id),
-            parent_id=args.get("parent_id"),
-            layer=str(args.get("layer") or ev.get("cat") or "app"),
-            start=start,
-            end=end,
-            status=str(args.get("status", "OK")),
-            attrs=attrs,
-            thread_id=int(ev.get("tid", 0)),
-        ))
-    return spans
-
-
-def profile_from_perfetto(payload: Mapping[str, Any], **kwargs: Any) -> WorkflowProfile:
-    """Profile an exported ``trace.json`` (Perfetto trace-event JSON).
-
-    Keyword arguments are passed through to :func:`profile_spans`.
-    """
-    spans = spans_from_perfetto(payload)
-    if not spans:
-        raise ProfileError("trace.json contains no span events (pid 1)")
-    return profile_spans(spans, **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Rendering (shared by `repro analyze` and the in-process path)
-# ---------------------------------------------------------------------------
-
-def render_profile(profile: "WorkflowProfile | Mapping[str, Any]",
-                   top: int = 10) -> str:
-    """Plain-text report of a profile (object or its ``to_json`` form)."""
     data = profile.to_json() if isinstance(profile, WorkflowProfile) else profile
     makespan = data["makespan_s"]
+    n_segments = data.get("n_critical_segments")
     lines = [
-        f"workflow profile — {data['root_name']} (trace {data['trace_id']})",
+        f"workflow profile — {data.get('root_name', '-')} "
+        f"(trace {data.get('trace_id', '-')})",
         f"  makespan          {makespan:9.3f}s",
-        f"  critical path     {data['critical_path_s']:9.3f}s over "
-        f"{data['n_critical_segments']} segments",
+        f"  critical path     {data['critical_path_s']:9.3f}s"
+        + ("" if n_segments is None else f" over {n_segments} segments"),
     ]
     if data.get("task_window_s"):
         lines.append(f"  task window       {data['task_window_s']:9.3f}s "
@@ -528,20 +483,22 @@ def render_profile(profile: "WorkflowProfile | Mapping[str, Any]",
 
     lines.append("")
     lines.append("critical seconds by category")
-    for cat, secs in sorted(data["categories"].items(), key=lambda kv: -kv[1]):
+    for cat, secs in sorted(data.get("categories", {}).items(),
+                            key=lambda kv: -kv[1]):
         share = secs / makespan if makespan > 0 else 0.0
         lines.append(f"  {cat:<13} {secs:9.3f}s  {share:6.1%}")
 
-    if data["by_name"]:
+    by_name = data.get("by_name") or []
+    if by_name:
         lines.append("")
-        lines.append(f"top critical contributors (of {len(data['by_name'])})")
-        for entry in data["by_name"][:top]:
+        lines.append(f"top critical contributors (of {len(by_name)})")
+        for entry in by_name[:_REPORT_ROWS]:
             lines.append(
                 f"  {entry['name']:<36} {entry['seconds']:9.3f}s  "
                 f"[{entry['category']}]  x{entry['segments']}"
             )
 
-    if data["what_if"]:
+    if data.get("what_if"):
         lines.append("")
         lines.append("what-if: makespan with a contributor made free")
         for entry in data["what_if"]:
@@ -550,7 +507,7 @@ def render_profile(profile: "WorkflowProfile | Mapping[str, Any]",
                 f"(x{entry['predicted_speedup']:.2f})"
             )
 
-    if data["workers"]:
+    if data.get("workers"):
         lines.append("")
         lines.append("workers (busy / idle / blocked over the task window)")
         for name in sorted(data["workers"]):
@@ -561,10 +518,10 @@ def render_profile(profile: "WorkflowProfile | Mapping[str, Any]",
                 f"  tasks {w['n_tasks']}"
             )
 
-    if data["stragglers"]:
+    if data.get("stragglers"):
         lines.append("")
         lines.append("stragglers (>3x their function's median)")
-        for s in data["stragglers"][:top]:
+        for s in data["stragglers"][:_REPORT_ROWS]:
             lines.append(
                 f"  {s['task']:<36} {s['duration_s']:8.3f}s on worker "
                 f"{s['worker']} (median {s['median_s']:.3f}s, x{s['factor']:.1f})"

@@ -12,9 +12,9 @@ dependency-free subset parser) and evaluated two ways:
   per rule) into the structured event log and increments
   ``slo_breaches_total{slo,severity}`` — an in-flight health signal
   while the run is still executing;
-* **post-hoc** — ``repro slo check`` evaluates the same rules against a
-  finished run's ``metrics.json`` / ``run_summary.json`` or a ``runs.db``
-  row, exiting nonzero on critical breaches so CI can gate on them;
+* **post-hoc** — ``repro slo check RUN`` evaluates the same rules
+  against a finished run (its ``run_summary.json`` or its ``runs.db``
+  row), exiting nonzero on critical breaches so CI can gate on them;
   with ``--against REF`` it also judges *drift* from a reference run.
 
 Rule file format (``slos:`` list, one mapping per rule)::

@@ -64,11 +64,12 @@ class OphidiaServer:
         Kernels that do not pickle (e.g. lambda transforms) fall back to
         the thread pool and count in
         ``ophidia_backend_fallbacks_total``.
-    memory_budget_bytes / spill_dir / spill_codec:
+    memory_budget_bytes / spill_dir:
         Tiered-residency knobs, passed to the
         :class:`~repro.ophidia.storage.StoragePool`: with a nonzero
         budget, least-recently-used fragments compress and spill to
-        *spill_dir* and reload transparently on access.
+        *spill_dir* and reload transparently on access.  Shutdown
+        deletes the spill files.
     chunk_bytes:
         Target fragment chunk size (per-chunk statistics drive plan
         pruning).
@@ -88,7 +89,6 @@ class OphidiaServer:
         backend: str = "thread",
         memory_budget_bytes: int = 0,
         spill_dir: Optional[str] = None,
-        spill_codec: str = "zlib",
         chunk_bytes: Optional[int] = None,
         prune: bool = True,
     ) -> None:
@@ -101,7 +101,6 @@ class OphidiaServer:
         pool_kwargs = dict(
             memory_budget_bytes=memory_budget_bytes,
             spill_dir=spill_dir,
-            codec=spill_codec,
         )
         if chunk_bytes is not None:
             pool_kwargs["chunk_bytes"] = chunk_bytes
@@ -347,15 +346,17 @@ class OphidiaServer:
     # -- lifecycle -------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Drain both executors; idempotent so error paths can call it
-        unconditionally (a second call on an already-closed server is a
-        no-op rather than an error)."""
+        """Drain both executors, then delete the pool's spill files;
+        idempotent so error paths can call it unconditionally (a second
+        call on an already-closed server is a no-op rather than an
+        error)."""
         if self._closed:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
         if self._proc is not None:
             self._proc.shutdown()
+        self.pool.close()
 
     def __enter__(self) -> "OphidiaServer":
         return self

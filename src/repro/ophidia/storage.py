@@ -22,12 +22,12 @@ real memory hierarchy:
 * **Tiered residency** — the pool enforces an optional byte budget over
   the in-memory tier: when resident bytes exceed
   ``memory_budget_bytes``, the least-recently-used fragments are
-  compressed (pluggable codec, zlib by default) and spilled to a
-  shared-filesystem directory.  :meth:`StoragePool.load` reloads
-  spilled fragments transparently; :meth:`StoragePool.load_handle`
-  instead hands out a picklable :class:`SpillHandle` so worker
-  processes hydrate cold data themselves without the parent paying the
-  memory first.
+  compressed (zlib level 1) and spilled to a shared-filesystem
+  directory, whose files the server deletes when it shuts down.
+  :meth:`StoragePool.load` reloads spilled fragments transparently;
+  :meth:`StoragePool.load_handle` instead hands out a picklable
+  :class:`SpillHandle` so worker processes hydrate cold data themselves
+  without the parent paying the memory first.
 
 Fragments are immutable: ``put`` keeps a read-only view and every read
 returns read-only arrays, so an operator that tries to mutate a shared
@@ -46,7 +46,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +60,6 @@ __all__ = [
     "SpillError",
     "SpillHandle",
     "StoragePool",
-    "register_codec",
 ]
 
 #: Default target size of one fragment chunk.  Small enough that the
@@ -71,49 +70,7 @@ DEFAULT_CHUNK_BYTES = 256 * 1024
 
 
 class SpillError(RuntimeError):
-    """A spill-tier operation failed (codec error, torn write, bad file)."""
-
-
-# ---------------------------------------------------------------------------
-# Codecs
-# ---------------------------------------------------------------------------
-
-_CODECS: Dict[str, Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]] = {}
-
-
-def register_codec(
-    name: str,
-    compress: Callable[[bytes], bytes],
-    decompress: Callable[[bytes], bytes],
-) -> None:
-    """Register a spill codec (``blosc``-style pluggability).
-
-    Codecs transform raw chunk payload bytes on their way to and from
-    the spill tier; they never see in-memory (hot) data.
-    """
-    _CODECS[name] = (compress, decompress)
-
-
-def _get_codec(name: str) -> Tuple[Callable[[bytes], bytes], Callable[[bytes], bytes]]:
-    try:
-        return _CODECS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown spill codec {name!r}; available: {sorted(_CODECS)}"
-        ) from None
-
-
-register_codec("none", lambda b: b, lambda b: b)
-# Level 1: spilled climate fields are float grids where speed beats
-# ratio; the codec is still pluggable per pool.
-register_codec("zlib", lambda b: zlib.compress(b, 1), zlib.decompress)
-
-try:  # pragma: no cover - blosc is not in the baked image
-    import blosc as _blosc
-
-    register_codec("blosc", _blosc.compress, _blosc.decompress)
-except ImportError:
-    pass
+    """A spill-tier operation failed (bad payload, torn write, bad file)."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +146,7 @@ class _Fragment:
     """A chunked fragment, resident or spilled (chunk payloads dropped)."""
 
     __slots__ = ("shape", "dtype", "chunk_axis", "chunks", "nbytes",
-                 "spill_path", "spill_offsets", "codec")
+                 "spill_path", "spill_offsets")
 
     def __init__(self, data: np.ndarray, chunk_axis: int, chunk_bytes: int) -> None:
         view = data.view()
@@ -204,7 +161,6 @@ class _Fragment:
         self.spill_path: Optional[str] = None
         #: Per-chunk ``(offset, compressed_length)`` into the spill file.
         self.spill_offsets: Optional[List[Tuple[int, int]]] = None
-        self.codec: Optional[str] = None
 
         if view.ndim == 0:
             self.chunks.append(_Chunk(0, 1, view))
@@ -257,23 +213,23 @@ class _Fragment:
 _SPILL_MAGIC = b"RSP1"
 
 
-def _write_spill_file(path: str, frag: _Fragment, codec: str) -> Tuple[List[Tuple[int, int]], int]:
+def _write_spill_file(path: str, frag: _Fragment) -> Tuple[List[Tuple[int, int]], int]:
     """Write *frag* to a spill file atomically; returns (offsets, payload bytes).
 
     Layout: magic, 8-byte header length, pickled header, then the
-    compressed chunk payloads back to back.  The header carries
-    everything :class:`SpillHandle` needs, so a worker process can
-    hydrate without any pool state.  A temp-file + ``os.replace`` makes
-    the write all-or-nothing: a crash mid-spill leaves only a stray
-    ``.tmp`` the reload path never consults.
+    zlib-compressed chunk payloads back to back (level 1: spilled
+    climate fields are float grids where speed beats ratio).  The
+    header carries everything :class:`SpillHandle` needs, so a worker
+    process can hydrate without any pool state.  A temp-file +
+    ``os.replace`` makes the write all-or-nothing: a crash mid-spill
+    leaves only a stray ``.tmp`` the reload path never consults.
     """
-    compress, _ = _get_codec(codec)
     payloads: List[bytes] = []
     offsets: List[Tuple[int, int]] = []
     offset = 0
     for chunk in frag.chunks:
         raw = np.ascontiguousarray(chunk.data).tobytes()
-        comp = compress(raw)
+        comp = zlib.compress(raw, 1)
         payloads.append(comp)
         offsets.append((offset, len(comp)))
         offset += len(comp)
@@ -281,7 +237,6 @@ def _write_spill_file(path: str, frag: _Fragment, codec: str) -> Tuple[List[Tupl
         "shape": tuple(frag.shape),
         "dtype": frag.dtype.str,
         "chunk_axis": frag.chunk_axis,
-        "codec": codec,
         "chunks": [
             (c.start, c.stop, off, clen)
             for c, (off, clen) in zip(frag.chunks, offsets)
@@ -320,13 +275,10 @@ def _read_spill_range(path: str, offset: int, length: int) -> bytes:
 
 
 def _decode_chunk(
-    raw: bytes, codec: str, dtype: np.dtype, shape: Tuple[int, ...]
+    raw: bytes, dtype: np.dtype, shape: Tuple[int, ...]
 ) -> np.ndarray:
-    _, decompress = _get_codec(codec)
-    payload = decompress(raw)
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
     # frombuffer over immutable bytes is already read-only; keep it so.
-    return arr
+    return np.frombuffer(zlib.decompress(raw), dtype=dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -340,7 +292,6 @@ class SpillHandle:
     """
 
     path: str
-    codec: str
     dtype: str
     shape: Tuple[int, ...]
     chunk_axis: int
@@ -355,12 +306,19 @@ class SpillHandle:
             if shape:
                 shape[self.chunk_axis] = stop - start
             raw = _read_spill_range(self.path, offset, clen)
-            parts.append(_decode_chunk(raw, self.codec, dtype, tuple(shape)))
+            parts.append(_decode_chunk(raw, dtype, tuple(shape)))
         if len(parts) == 1:
             return parts[0]
         out = np.concatenate(parts, axis=self.chunk_axis)
         out.flags.writeable = False
         return out
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +384,7 @@ class IOServer:
             raise SpillError("fragment is neither resident nor spilled")
         for chunk, (offset, clen) in zip(frag.chunks, frag.spill_offsets):
             raw = _read_spill_range(frag.spill_path, offset, clen)
-            chunk.data = _decode_chunk(
-                raw, frag.codec or "none", frag.dtype, frag.chunk_shape(chunk)
-            )
+            chunk.data = _decode_chunk(raw, frag.dtype, frag.chunk_shape(chunk))
 
     def chunk_meta(self, fragment_id: int) -> ChunkMeta:
         """Chunk layout + statistics; never touches payload."""
@@ -457,11 +413,11 @@ class IOServer:
                 offset, clen = frag.spill_offsets[index]
                 data = _decode_chunk(
                     _read_spill_range(frag.spill_path, offset, clen),
-                    frag.codec or "none", frag.dtype, frag.chunk_shape(chunk),
+                    frag.dtype, frag.chunk_shape(chunk),
                 )
             return data
 
-    def spill(self, fragment_id: int, spill_dir: str, codec: str) -> Tuple[int, int]:
+    def spill(self, fragment_id: int, spill_dir: str) -> Tuple[int, int]:
         """Move one fragment to the cold tier; returns (freed, disk) bytes.
 
         The spill file is write-once (fragments are immutable): if this
@@ -476,10 +432,9 @@ class IOServer:
             disk_bytes = 0
             if frag.spill_path is None:
                 path = os.path.join(spill_dir, f"fragment_{fragment_id}.spill")
-                offsets, disk_bytes = _write_spill_file(path, frag, codec)
+                offsets, disk_bytes = _write_spill_file(path, frag)
                 frag.spill_path = path
                 frag.spill_offsets = offsets
-                frag.codec = codec
             for chunk in frag.chunks:
                 chunk.data = None
             return frag.nbytes, disk_bytes
@@ -491,7 +446,7 @@ class IOServer:
             if frag.resident or frag.spill_path is None:
                 return None
             return SpillHandle(
-                frag.spill_path, frag.codec or "none", frag.dtype.str,
+                frag.spill_path, frag.dtype.str,
                 tuple(frag.shape), frag.chunk_axis,
                 tuple(
                     (c.start, c.stop, off, clen)
@@ -511,10 +466,16 @@ class IOServer:
                 return
             path = frag.spill_path
         if path is not None:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            _unlink(path)
+
+    def close(self) -> None:
+        """Delete every spill file this server wrote; nothing reads them
+        once the owning server has shut down."""
+        with self._lock:
+            paths = [f.spill_path for f in self._fragments.values()
+                     if f.spill_path is not None]
+        for path in paths:
+            _unlink(path)
 
     def __contains__(self, fragment_id: int) -> bool:
         with self._lock:
@@ -610,8 +571,6 @@ class StoragePool:
     spill_dir:
         Shared-filesystem directory for spill files; required when a
         budget is set.
-    codec:
-        Spill compression codec (see :func:`register_codec`).
     """
 
     def __init__(
@@ -621,7 +580,6 @@ class StoragePool:
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         memory_budget_bytes: int = 0,
         spill_dir: Optional[str] = None,
-        codec: str = "zlib",
     ) -> None:
         if n_servers < 1:
             raise ValueError("need at least one I/O server")
@@ -629,14 +587,12 @@ class StoragePool:
             raise ValueError("memory_budget_bytes must be >= 0")
         if memory_budget_bytes and not spill_dir:
             raise ValueError("a memory budget requires a spill_dir")
-        _get_codec(codec)  # fail fast on unknown codecs
         self.servers: List[IOServer] = [
             IOServer(f"io{idx}") for idx in range(n_servers)
         ]
         self.chunk_bytes = int(chunk_bytes)
         self.memory_budget_bytes = int(memory_budget_bytes)
         self.spill_dir = spill_dir
-        self.codec = codec
         if spill_dir:
             os.makedirs(spill_dir, exist_ok=True)
         self._fragment_ids = itertools.count(1)
@@ -699,10 +655,10 @@ class StoragePool:
                 self._resident.pop(victim, None)
                 continue
             try:
-                freed, disk = server.spill(victim, self.spill_dir, self.codec)
+                freed, disk = server.spill(victim, self.spill_dir)
             except Exception:
-                # Spilling is best-effort: a failed spill (codec error,
-                # full or broken disk) leaves the fragment resident and
+                # Spilling is best-effort: a failed spill (a full or
+                # broken disk) leaves the fragment resident and
                 # the pool over budget rather than corrupting state.
                 self._resident.pop(victim, None)
                 self._resident[victim] = self._resident_nbytes(victim)
@@ -831,6 +787,11 @@ class StoragePool:
     def delete_many(self, fragment_ids: Sequence[int]) -> None:
         for fid in fragment_ids:
             self.delete(fid)
+
+    def close(self) -> None:
+        """Delete the pool's spill files (see :meth:`IOServer.close`)."""
+        for server in self.servers:
+            server.close()
 
     @property
     def spilled_fragments(self) -> int:

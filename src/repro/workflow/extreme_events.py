@@ -377,6 +377,7 @@ def _run_placed(
     # and metrics artefacts are exported afterwards.
     summary["trace_id"] = trace_id
     summary["run_id"] = control.run_id
+    summary["kind"] = kind
     schedule = summary.get("schedule", {})
     registry.gauge(
         "workflow_makespan_seconds", "Makespan of the last workflow run"
@@ -391,7 +392,7 @@ def _run_placed(
 
     # Critical-path profile of the run just recorded.  Computed before
     # the metrics delta so the critical-path gauge lands in this run's
-    # snapshot (and hence in `history compare`'s headline metrics).
+    # snapshot.
     trace_spans = get_collector().for_trace(trace_id)
     try:
         profile = profile_spans(
@@ -429,19 +430,6 @@ def _run_placed(
     _write_artifact(
         fs, f"{p.results_dir}/trace.json",
         build_perfetto_trace(trace_spans, dropped=dropped_spans).encode(),
-    )
-    if profile is not None:
-        _write_artifact(
-            fs, f"{p.results_dir}/profile.json",
-            json.dumps(profile, indent=1).encode(),
-        )
-    _write_artifact(
-        fs, f"{p.results_dir}/metrics.json",
-        json.dumps(summary["metrics"], indent=1).encode(),
-    )
-    _write_artifact(
-        fs, f"{p.results_dir}/metrics.prom",
-        MetricsSnapshot(summary["metrics"]).to_prometheus().encode(),
     )
     _write_artifact(
         fs, f"{p.results_dir}/run_summary.json",

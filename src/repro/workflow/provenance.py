@@ -62,8 +62,8 @@ def collect_entities(
 #: Run bookkeeping written next to the science; timings and trace ids
 #: differ between otherwise identical runs, so equivalence checks skip them.
 _NON_SCIENCE_FILES = {
-    "trace.json", "metrics.json", "metrics.prom", "run_summary.json",
-    "provenance.json", "task_graph.dot", "profile.json", "events.jsonl",
+    "trace.json", "run_summary.json", "provenance.json", "task_graph.dot",
+    "events.jsonl",
 }
 
 

@@ -68,10 +68,11 @@ class TestPerfettoTrace:
 
 class TestSnapshotFromJson:
     def test_bare_snapshot(self):
+        """A bare snapshot is not a run summary: it is refused."""
         registry = MetricsRegistry()
         registry.counter("n_total").inc()
-        snap = snapshot_from_json(registry.snapshot().to_json())
-        assert snap.value("n_total") == 1
+        with pytest.raises(ValueError):
+            snapshot_from_json(registry.snapshot().to_json())
 
     def test_run_summary_wrapper(self):
         registry = MetricsRegistry()
@@ -80,5 +81,6 @@ class TestSnapshotFromJson:
         assert snapshot_from_json(summary).value("n_total") == 1
 
     def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            snapshot_from_json({"foo": "bar"})
+        for garbage in ({"foo": "bar"}, {"metrics": {"x": 1}}, [1, 2], None):
+            with pytest.raises(ValueError):
+                snapshot_from_json(garbage)

@@ -1,5 +1,5 @@
 """Run-history store tests: persistence, queries, the compare view,
-concurrency."""
+rendering, concurrency."""
 
 import multiprocessing
 import sqlite3
@@ -13,7 +13,7 @@ from repro.observability.history import (
     new_run_id,
     params_digest,
     render_comparison,
-    render_run,
+    render_record,
     render_run_table,
 )
 from repro.observability.metrics import snapshot_value
@@ -89,8 +89,10 @@ class TestLifecycle:
     def test_get_by_unique_prefix(self, history):
         rid = history.record_run("run", "completed")
         assert history.get(rid[:6]).run_id == rid
-        with pytest.raises(KeyError):
-            history.get("ffffffffffff")
+        # Prefixes match literally: SQL wildcards name no run.
+        for prefix in ("ffffffffffff", "_", "%", rid[:2] + "%", ""):
+            with pytest.raises(KeyError):
+                history.get(prefix)
 
     def test_schema_version_stamped(self, history, tmp_path):
         conn = sqlite3.connect(str(tmp_path / "runs.db"))
@@ -162,9 +164,33 @@ class TestCompare:
         )
         table = render_run_table(history.list_runs())
         assert rid in table
-        shown = render_run(history.get(rid))
+        shown = render_record(history.get(rid))
         assert rid in shown
-        assert "makespan_s" in shown
+        assert "workflow_makespan_seconds" in shown
+
+
+#: A profile as ``runs.db`` stored it before it kept the full
+#: ``WorkflowProfile.to_json()`` form: the attribution summary only.
+TRUNCATED_PROFILE = {
+    "trace_id": "t1", "root_name": "workflow.run", "makespan_s": 2.0,
+    "critical_path_s": 2.0, "categories": {"compute": 1.5, "io": 0.5},
+    "overlap": {"esm_busy_s": 1.0, "analytics_busy_s": 0.5,
+                "overlap_s": 0.25, "fraction": 0.25},
+    "task_window_s": 1.8, "n_spans": 12, "n_task_events": 3,
+    "by_name": [{"name": "esm_simulation", "category": "compute",
+                 "seconds": 1.5, "segments": 1}],
+}
+
+
+class TestRenderRecord:
+    def test_truncated_profile_renders(self, history):
+        rid = history.record_run(
+            "run", "completed", profile=TRUNCATED_PROFILE,
+            metrics=_snapshot_with(workflow_makespan_seconds=2.0))
+        text = render_record(history.get(rid))
+        assert "critical path         2.000s" in text
+        assert "esm_simulation" in text
+        assert "ESM/analytics overlap: 0.250s" in text
 
 
 def _write_rows(path, worker, n_rows):

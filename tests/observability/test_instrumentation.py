@@ -2,7 +2,8 @@
 
 The issue's acceptance bar: a single run produces a Perfetto-loadable
 trace whose spans cover at least four distinct layers under one
-trace_id, non-empty exported metrics, and a working ``metrics`` CLI.
+trace_id, non-empty metrics in its run summary, and ``repro explain``
+printing them.
 """
 
 import json
@@ -67,11 +68,12 @@ class TestCorrelatedTrace:
         assert any(e["pid"] == 2 for e in events)
 
     def test_metrics_artefacts_written(self, run):
+        """The run's metrics are written once, in run_summary.json."""
         summary, results = run
-        prom = (results / "metrics.prom").read_text()
-        assert "# TYPE compss_tasks_total counter" in prom
-        assert "fs_operations_total" in prom
-        payload = json.loads((results / "metrics.json").read_text())
+        assert not (results / "metrics.json").exists()
+        assert not (results / "metrics.prom").exists()
+        payload = json.loads((results / "run_summary.json").read_text())
+        payload = payload["metrics"]
         assert snapshot_value(payload, "compss_tasks_total",
                               state="COMPLETED") > 0
         assert snapshot_value(payload, "workflow_makespan_seconds") == \
@@ -91,23 +93,19 @@ class TestCorrelatedTrace:
 
 
 class TestMetricsCLI:
-    def test_dump_global_registry_prometheus(self, run, capsys):
-        # The module fixture ran a workflow in-process, so the global
-        # registry is non-empty — the acceptance criterion for `metrics`.
-        assert main(["metrics"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE compss_tasks_total counter" in out
-
     def test_from_metrics_json(self, run, capsys):
+        """The run summary's metrics as Prometheus text."""
         _, results = run
-        assert main(["metrics", "--from", str(results / "metrics.json")]) == 0
-        assert "compss_tasks_total" in capsys.readouterr().out
+        assert main(["explain", str(results / "run_summary.json"),
+                     "--format", "prom"]) == 0
+        prom = capsys.readouterr().out
+        assert "# TYPE compss_tasks_total counter" in prom
+        assert "fs_operations_total" in prom
 
     def test_from_run_summary_json_format(self, run, capsys):
         _, results = run
         assert main([
-            "metrics", "--from", str(results / "run_summary.json"),
-            "--format", "json",
+            "explain", str(results / "run_summary.json"), "--format", "json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert snapshot_value(payload, "compss_tasks_total") > 0
+        assert snapshot_value(payload["metrics"], "compss_tasks_total") > 0

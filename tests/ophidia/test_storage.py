@@ -200,10 +200,6 @@ class TestSpillTier:
         with pytest.raises(ValueError):
             StoragePool(1, memory_budget_bytes=100)
 
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError):
-            StoragePool(1, codec="nope")
-
     def test_spill_and_transparent_reload(self, tmp_path, fresh_registry):
         pool = self._pool(tmp_path, budget=100)
         data = np.random.default_rng(1).normal(size=64)  # 512 bytes

@@ -61,7 +61,7 @@ def run_cli(work):
         fh.write("slos:\n  - name: makespan\n    metric: workflow_makespan_seconds\n"
                  "    max_ratio: 1.25\n  - name: tasks\n    metric: compss_tasks_total\n"
                  "    max_ratio: 1\n    severity: critical\n")
-    metrics = f"{work}/perf/results/metrics.json"
+    summary = f"{work}/perf/results/run_summary.json"
 
     cli("info")
     cli("run-distributed", "--param", "n_days=5", "--param", "n_lat=16",
@@ -71,18 +71,19 @@ def run_cli(work):
              "--param", "min_length_days=4", "--param", f"runs_db={db}")
     cli("run", *years, "--param", "pace_seconds=0.02", "--param",
         f"events_path={events}", "--scratch", f"{work}/perf")
-    cli("analyze", "--from", f"{work}/perf/results/trace.json")
     cli("run", *years, "--scratch", f"{work}/fast")
     cli("history", "list", "--db", db)
     fast, paced = (r["run_id"] for r in json.loads(cli(
         "history", "list", "--db", db, "--kind", "run", "--format", "json")))
     for fmt in ("text", "json"):
         cli("history", "compare", fast, paced, "--db", db, "--format", fmt)
-    cli("history", "show", fast, "--db", db)
-    cli("slo", "check", "--rules", rules["tight"], "--run", fast, "--db", db, expect=(1,))
-    cli("slo", "check", "--rules", rules["loose"], "--run", fast, "--db", db)
-    cli("slo", "check", "--rules", rules["loose"], "--from", metrics)
-    cli("slo", "check", "--rules", rules["malformed"], "--from", metrics, expect=(2,))
+    for fmt in ("text", "json", "prom"):
+        cli("explain", paced, "--db", db, "--format", fmt)
+        cli("explain", summary, "--format", fmt)
+    cli("slo", "check", "--rules", rules["tight"], fast, "--db", db, expect=(1,))
+    cli("slo", "check", "--rules", rules["loose"], fast, "--db", db)
+    cli("slo", "check", "--rules", rules["loose"], summary)
+    cli("slo", "check", "--rules", rules["malformed"], summary, expect=(2,))
     cli("tail", events, "--level", "WARNING")
     cli("run", "--param", "years=2032", "--param", "n_days=6", *SMALL,
         "--param", "min_length_days=3", "--param", "execution_backend=process",
@@ -93,13 +94,12 @@ def run_cli(work):
     proc = json.loads(cli("history", "list", "--db", db, "--limit", 1,
                           "--format", "json"))[0]["run_id"]
     for fmt in ("text", "json"):
-        check = ("slo", "check", "--rules", rules["drift"], "--run", fast,
+        check = ("slo", "check", "--rules", rules["drift"], fast,
                  "--db", db, "--format", fmt)
         cli(*check, "--against", proc, expect=(1,))
         cli(*check, "--against", fast)
     cli("top", "--db", db, "--events", events, "--once")
-    cli("metrics", "--from", metrics)
-    cli("report", f"{work}/perf/results/run_summary.json")
+    cli("report", summary)
     cli("run", "--param", "n_days=6", *SMALL, "--param", "min_length_days=3",
         "--param", f"slo_rules_path={rules['loose']}",
         "--param", "ophidia_memory_budget_bytes=10485",

@@ -93,7 +93,7 @@ class EndToEndCases:
                 assert fs.exists(f"results/{prefix}_{suffix}_2030.rnc"), suffix
             assert fs.exists(f"results/{prefix}_number_map_2030.pgm")
         for name in ("task_graph.dot", "run_summary.json", "provenance.json",
-                     "trace.json", "metrics.prom", "events.jsonl"):
+                     "trace.json", "events.jsonl"):
             assert fs.exists(f"results/{name}"), name
         assert placement.sim_fs.glob("esm_output", "cmcc_cm3_2030_*.rnc")
         stored = json.loads(fs.read_bytes("results/run_summary.json"))
@@ -242,8 +242,8 @@ class _FlakyExports:
     def before_op(self, op, path, fs=None):
         name = path.rsplit("/", 1)[-1]
         if (op == "write_bytes" and name not in self.hit and name in (
-                "trace.json", "metrics.json", "run_summary.json",
-                "provenance.json", "task_graph.dot")):
+                "trace.json", "run_summary.json", "provenance.json",
+                "task_graph.dot")):
             self.hit.add(name)
             raise InjectedIOError(op, path)
 
@@ -284,7 +284,7 @@ class ResilienceCases:
         driver itself retries a flaky analytics filesystem."""
         flaky = placement.fs.fault_injector = _FlakyExports()
         summary = placement.run(small_params(tc_model_path, n_days=8, with_ml=False))
-        assert len(flaky.hit) == 5
+        assert len(flaky.hit) == 4
         stored = json.loads(placement.fs.read_bytes("results/run_summary.json"))
         assert stored["run_id"] == summary["run_id"]
         assert placement.fs.exists(summary["provenance_path"])

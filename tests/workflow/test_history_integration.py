@@ -1,7 +1,7 @@
-"""Acceptance tests: a real run persists history + events, and the
-``repro history compare`` view and the ``repro slo check`` judge (drift
-against a reference run included) work on the artifacts it leaves
-behind, exit codes included."""
+"""Acceptance tests: a real run persists history + events, and
+``repro explain``, the ``repro history compare`` view and the
+``repro slo check`` judge (drift against a reference run included) work
+on the artifacts it leaves behind, exit codes included."""
 
 import json
 
@@ -139,8 +139,7 @@ class TestCliRoundTrip:
         for summary in instrumented_runs["summaries"]:
             assert summary["run_id"][:8] in out
         rid = instrumented_runs["summaries"][0]["run_id"]
-        assert main(["history", "show", rid, "--db", db,
-                     "--format", "json"]) == 0
+        assert main(["explain", rid, "--db", db, "--format", "json"]) == 0
         shown = json.loads(capsys.readouterr().out)
         assert shown["run_id"] == rid
 
@@ -151,15 +150,15 @@ class TestCliRoundTrip:
         rules = tmp_path / "drift.yaml"
         rules.write_text(DRIFT_RULES)
         check = ["slo", "check", "--rules", str(rules), "--db", db]
-        assert main(check + ["--run", slow, "--against", fast]) == 1
+        assert main(check + [slow, "--against", fast]) == 1
         assert "FAIL" in capsys.readouterr().out
-        assert main(check + ["--run", slow, "--against", fast,
+        assert main(check + [slow, "--against", fast,
                              "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [r["slo"] for r in report["results"] if not r["ok"]] == [
             "makespan"]
         # The paced run differs only in pacing: the same run passes.
-        assert main(check + ["--run", fast, "--against", fast]) == 0
+        assert main(check + [fast, "--against", fast]) == 0
         assert "PASS" in capsys.readouterr().out
         # The compare view judges nothing and always exits 0.
         assert main(["history", "compare", fast, slow, "--db", db]) == 0
@@ -173,10 +172,10 @@ class TestCliRoundTrip:
         loose = tmp_path / "loose.yaml"
         loose.write_text(LOOSE_SLO)
         assert main(["slo", "check", "--rules", str(tight),
-                     "--run", rid, "--db", db]) == 1
+                     rid, "--db", db]) == 1
         assert "FAIL" in capsys.readouterr().out
         assert main(["slo", "check", "--rules", str(loose),
-                     "--run", rid, "--db", db]) == 0
+                     rid, "--db", db]) == 0
         assert "PASS" in capsys.readouterr().out
 
     def test_slo_check_from_run_summary_file(self, instrumented_runs, capsys,
@@ -187,7 +186,7 @@ class TestCliRoundTrip:
         tight = tmp_path / "tight.yaml"
         tight.write_text(TIGHT_SLO)
         assert main(["slo", "check", "--rules", str(tight),
-                     "--from", str(path)]) == 1
+                     str(path)]) == 1
 
     def test_tail_renders_the_run_events(self, instrumented_runs, capsys):
         path = str(instrumented_runs["root"] / "events_fast.jsonl")
@@ -197,26 +196,31 @@ class TestCliRoundTrip:
 
     def test_missing_artifacts_exit_2(self, tmp_path, capsys):
         db = str(tmp_path / "empty.db")
-        assert main(["history", "show", "nope", "--db", db]) == 2
+        assert main(["explain", "nope", "--db", db]) == 2
         assert main(["tail", str(tmp_path / "missing.jsonl")]) == 2
         capsys.readouterr()
 
         registry = MetricsRegistry()
         registry.gauge("workflow_makespan_seconds", "").set(1.0)
-        metrics = tmp_path / "metrics.json"
-        metrics.write_text(json.dumps(registry.snapshot().to_json()))
+        snapshot = registry.snapshot().to_json()
+        summary = tmp_path / "run_summary.json"
+        summary.write_text(json.dumps({"metrics": snapshot}))
+        # A bare snapshot, as the retired metrics.json held: not a run.
+        (tmp_path / "metrics.json").write_text(json.dumps(snapshot))
         loose, drift = tmp_path / "loose.yaml", tmp_path / "drift.yaml"
         loose.write_text(LOOSE_SLO)
         drift.write_text(DRIFT_RULES)
         (tmp_path / "garbage.json").write_text("not json {")
         (tmp_path / "list.json").write_text("[1, 2]")
-        for path in ("missing.json", "garbage.json", "list.json"):
-            assert main(["slo", "check", "--rules", str(loose),
-                         "--from", str(tmp_path / path)]) == 2
-        assert main(["slo", "check", "--rules", str(loose), "--from",
-                     str(metrics), "--against", "nope", "--db", db]) == 2
-        assert main(["slo", "check", "--rules", str(drift),
-                     "--from", str(metrics)]) == 2
+        bad = ("missing.json", "garbage.json", "list.json", "metrics.json")
+        for path in bad:
+            assert main(["slo", "check", str(tmp_path / path),
+                         "--rules", str(loose)]) == 2
+        assert main(["slo", "check", str(summary), "--rules", str(loose),
+                     "--against", "nope", "--db", db]) == 2
+        assert main(["slo", "check", str(summary), "--rules", str(drift)]) == 2
+        assert main(["slo", "check", str(summary), "--rules", str(loose)]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 5, err  # one line per refusal, no traceback
+        # one line per refusal, no traceback
+        assert len(err) == len(bad) + 2, err
         assert "--against" in err[-1]
