@@ -8,6 +8,7 @@ and predicted offsets are geo-referenced back to global coordinates.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -17,25 +18,30 @@ def tile_patches(fields: np.ndarray, patch: int) -> Tuple[np.ndarray, List[Tuple
     """Split ``(channels, lat, lon)`` into non-overlapping patches.
 
     Returns ``(patches, origins)`` where *patches* is
-    ``(n, channels, patch, patch)`` and each origin is the (row, col) of
-    the patch's upper-left cell.  Both spatial sizes must be divisible
-    by *patch* (regrid first — that is exactly why the pipeline regrids).
+    ``(n, channels, patch, patch)`` and ``origins[k]`` is the (row, col)
+    of patch *k*'s upper-left cell.  A ``(steps, channels, lat, lon)``
+    stack tiles every step the same way, step-major, so patch *k*
+    belongs to step ``k // (len(origins) // steps)``.  Both spatial
+    sizes must be divisible by *patch* (regrid first — that is exactly
+    why the pipeline regrids).
     """
     fields = np.asarray(fields)
-    if fields.ndim != 3:
-        raise ValueError(f"expected (channels, lat, lon), got shape {fields.shape}")
-    _, n_lat, n_lon = fields.shape
+    if fields.ndim not in (3, 4):
+        raise ValueError(
+            f"expected ([steps,] channels, lat, lon), got shape {fields.shape}"
+        )
+    *lead, n_ch, n_lat, n_lon = fields.shape
     if patch < 1 or n_lat % patch or n_lon % patch:
         raise ValueError(
             f"patch size {patch} must divide the grid {n_lat}x{n_lon}"
         )
-    patches = []
-    origins: List[Tuple[int, int]] = []
-    for i0 in range(0, n_lat, patch):
-        for j0 in range(0, n_lon, patch):
-            patches.append(fields[:, i0:i0 + patch, j0:j0 + patch])
-            origins.append((i0, j0))
-    return np.stack(patches), origins
+    rows, cols = n_lat // patch, n_lon // patch
+    blocks = fields.reshape(*lead, n_ch, rows, patch, cols, patch)
+    # (..., rows, cols, channels, patch, patch): one patch per (row, col).
+    blocks = np.moveaxis(blocks, (-5, -3), (-3, -2))
+    patches = blocks.reshape(-1, n_ch, patch, patch)
+    origins = [(i * patch, j * patch) for i in range(rows) for j in range(cols)]
+    return patches, origins * math.prod(lead)
 
 
 def scale_features(

@@ -1,11 +1,16 @@
 """Neural-network layers with analytic forward/backward passes.
 
-Every layer follows the same contract: ``forward(x)`` caches what the
-backward pass needs; ``backward(grad_out)`` returns ``grad_in`` and
-fills ``.grads`` (aligned with ``.params``).  All math is float64 NumPy
-— the im2col convolution turns the conv into one large matmul, which is
-where BLAS (and the GIL release the COMPSs workers rely on) does the
-heavy lifting.
+Every layer follows the same contract: ``forward(x, train=True)``
+caches what the backward pass needs; ``backward(grad_out)`` returns
+``grad_in`` and fills ``.grads`` (aligned with ``.params``).
+``forward(x)`` (``train=False``) is inference: it writes nothing to the
+layer, so one model can serve several threads, and it skips the work
+only a backward pass needs.  Its outputs equal the training forward's
+bit for bit; only a one-filter conv, which NumPy multiplies with a
+vector kernel chosen by the columns' strides, agrees to rounding.  All
+math is float64 NumPy — the im2col convolution turns the conv into one
+stacked matmul, which is where BLAS (and the GIL release the COMPSs
+workers rely on) does the heavy lifting.
 """
 
 from __future__ import annotations
@@ -13,6 +18,16 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+
+def _cached(cache, layer: "Layer"):
+    """*cache* as stored by a training forward, or a clear error."""
+    if cache is None:
+        raise RuntimeError(
+            f"{type(layer).__name__}.backward needs a forward(x, train=True) first"
+        )
+    return cache
 
 
 class Layer:
@@ -77,16 +92,25 @@ class Conv2D(Layer):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ValueError(f"expected {self.in_channels} channels, got {c}")
-        k, i, j, out_h, out_w = _im2col_indices(c, h, w, self.kernel, self.kernel, self.pad)
         x_pad = np.pad(x, ((0, 0), (0, 0), (self.pad,) * 2, (self.pad,) * 2))
-        cols = x_pad[:, k, i, j]                       # (N, C*k*k, L)
         w_col = self.weight.reshape(self.out_channels, -1)
+        if not train:
+            # One strided window view, copied once into the columns the
+            # index gather below builds, (N, C*k*k, L) but contiguous:
+            # the same per-sample products without the gather's strides.
+            win = sliding_window_view(x_pad, (self.kernel,) * 2, axis=(2, 3))
+            out_h, out_w = win.shape[2:4]
+            cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * self.kernel ** 2, -1)
+            out = w_col @ cols + self.bias[None, :, None]
+            return out.reshape(n, self.out_channels, out_h, out_w)
+        k, i, j, out_h, out_w = _im2col_indices(c, h, w, self.kernel, self.kernel, self.pad)
+        cols = x_pad[:, k, i, j]                       # (N, C*k*k, L)
         out = w_col @ cols + self.bias[None, :, None]  # (N, F, L)
         self._cache = (x.shape, x_pad.shape, cols, (k, i, j))
         return out.reshape(n, self.out_channels, out_h, out_w)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, pad_shape, cols, (k, i, j) = self._cache
+        x_shape, pad_shape, cols, (k, i, j) = _cached(self._cache, self)
         n = grad_out.shape[0]
         g = grad_out.reshape(n, self.out_channels, -1)   # (N, F, L)
 
@@ -118,6 +142,17 @@ class MaxPool2D(Layer):
         p = self.pool
         if h % p or w % p:
             raise ValueError(f"spatial size {h}x{w} not divisible by pool {p}")
+        if not train:
+            # Fold the p*p strided slices in argmax's scan order; on a tie
+            # np.maximum returns its second operand, so the earlier value
+            # is kept, as argmax does (this decides -0.0 against 0.0).
+            view = x.reshape(n, c, h // p, p, w // p, p)
+            out = view[:, :, :, 0, :, 0].copy()
+            for di in range(p):
+                for dj in range(p):
+                    if di or dj:
+                        np.maximum(view[:, :, :, di, :, dj], out, out=out)
+            return out
         # (n, c, H', W', p*p): one row per pooling block.
         blocks = x.reshape(n, c, h // p, p, w // p, p).transpose(0, 1, 2, 4, 3, 5)
         flat = blocks.reshape(n, c, h // p, w // p, p * p)
@@ -127,7 +162,7 @@ class MaxPool2D(Layer):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x_shape, idx = self._cache
+        x_shape, idx = _cached(self._cache, self)
         n, c, h, w = x_shape
         p = self.pool
         flat_grad = np.zeros((n, c, h // p, w // p, p * p))
@@ -157,11 +192,12 @@ class Dense(Layer):
             raise ValueError(
                 f"expected (N, {self.weight.shape[0]}), got {x.shape}"
             )
-        self._x = x
+        if train:
+            self._x = x
         return x @ self.weight + self.bias
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        self.grads[0][...] = self._x.T @ grad_out
+        self.grads[0][...] = _cached(self._x, self).T @ grad_out
         self.grads[1][...] = grad_out.sum(axis=0)
         return grad_out @ self.weight.T
 
@@ -174,11 +210,12 @@ class Flatten(Layer):
         self._shape = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._shape = x.shape
+        if train:
+            self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._shape)
+        return grad_out.reshape(_cached(self._shape, self))
 
 
 class ReLU(Layer):
@@ -187,8 +224,10 @@ class ReLU(Layer):
         self._mask = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        if train:
+            self._mask = mask
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * self._mask
+        return grad_out * _cached(self._mask, self)

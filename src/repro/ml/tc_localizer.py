@@ -6,7 +6,7 @@ terms of its geographical coordinates".  A small CNN consumes
 multichannel patches (temperature, sea-level pressure, wind speed,
 vorticity) and outputs a presence logit plus a normalised in-patch
 centre; :func:`localize_in_snapshot` runs the full tile → scale → infer
-→ geo-reference chain over a global snapshot.
+→ geo-reference chain over a global snapshot or a stack of them.
 
 Training data is synthetic: idealised warm-core vortices composited on
 correlated background noise, with randomised intensity, size and centre
@@ -30,6 +30,16 @@ from repro.stencil import gaussian_filter
 
 #: The channel order the localizer is trained on.
 CHANNELS = ("T850", "PSL", "WSPDSRFAV", "VORT850")
+
+#: Six-hourly steps per CNN forward pass over a stack of snapshots: one
+#: simulated day, 32 patches on the 32x64 case-study grid, 60 passes per
+#: simulated year.  Measured on a 2-core host, not guessed (see
+#: docs/PERFORMANCE.md): larger passes hold larger temporaries (case
+#: study peak RSS 146 MiB at 8 steps, 186 at 32, 479 at a year, against
+#: 140 here) and ran no faster.  From 8 steps on, the first dense product
+#: is also past the size at which OpenBLAS starts a second thread, which
+#: stalls while the ESM holds the other core.
+STEPS_PER_PASS = 4
 
 
 @dataclass
@@ -326,24 +336,35 @@ def localize_in_snapshot(
     lat: np.ndarray,
     lon: np.ndarray,
     threshold: float = 0.5,
-) -> List[Tuple[float, float, float]]:
-    """Full-pipeline localization over one global snapshot.
+) -> List:
+    """Full-pipeline localization over one global snapshot or a stack.
 
-    *fields* maps channel names (:data:`CHANNELS`) to (lat, lon) arrays.
-    Returns ``[(lat, lon, probability), ...]`` for patches above the
-    presence *threshold*, geo-referenced through the patch origins.
+    *fields* maps channel names (:data:`CHANNELS`) to (lat, lon) arrays,
+    or to (steps, lat, lon) arrays for a run of snapshots.  A snapshot
+    gives ``[(lat, lon, probability), ...]`` for patches above the
+    presence *threshold*, geo-referenced through the patch origins; a
+    stack gives one such list per step, inferring
+    :data:`STEPS_PER_PASS` steps per forward pass.
     """
     missing = [c for c in CHANNELS if c not in fields]
     if missing:
         raise KeyError(f"snapshot missing channels {missing}")
-    stack = np.stack([np.asarray(fields[c]) for c in CHANNELS])
-    patches, origins = tile_patches(stack, model.patch)
-    probs, centers = model.predict(patches)
-    found = []
-    for k, (prob, center) in enumerate(zip(probs, centers)):
-        if prob < threshold:
-            continue
-        offset = (center[0] * (model.patch - 1), center[1] * (model.patch - 1))
-        plat, plon = patch_center_latlon(origins[k], offset, lat, lon)
-        found.append((plat, plon, float(prob)))
-    return found
+    arrays = [np.asarray(fields[c]) for c in CHANNELS]
+    single = arrays[0].ndim == 2
+    if single:
+        arrays = [a[None] for a in arrays]
+    per_step: List[List[Tuple[float, float, float]]] = []
+    for start in range(0, arrays[0].shape[0], STEPS_PER_PASS):
+        group = np.stack([a[start:start + STEPS_PER_PASS] for a in arrays], axis=1)
+        patches, origins = tile_patches(group, model.patch)
+        probs, centers = model.predict(patches)
+        tiles = len(origins) // len(group)
+        found: List[List[Tuple[float, float, float]]] = [[] for _ in group]
+        for k, (prob, center) in enumerate(zip(probs, centers)):
+            if prob < threshold:
+                continue
+            offset = (center[0] * (model.patch - 1), center[1] * (model.patch - 1))
+            plat, plon = patch_center_latlon(origins[k], offset, lat, lon)
+            found[k // tiles].append((plat, plon, float(prob)))
+        per_step.extend(found)
+    return per_step[0] if single else per_step

@@ -75,13 +75,20 @@ def write_dataset(dataset: Dataset, path: str | os.PathLike) -> int:
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     tmp_path = f"{path}.tmp.{os.getpid()}"
     total = 0
-    with open(tmp_path, "wb") as fh:
-        total += fh.write(MAGIC)
-        total += fh.write(len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "little"))
-        total += fh.write(header_bytes)
-        for arr in payloads:
-            total += fh.write(arr.tobytes())
-    os.replace(tmp_path, path)
+    try:
+        with open(tmp_path, "wb") as fh:
+            total += fh.write(MAGIC)
+            total += fh.write(len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "little"))
+            total += fh.write(header_bytes)
+            for arr in payloads:
+                total += fh.write(arr.tobytes())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
     return total
 
 

@@ -40,7 +40,7 @@ def collect_entities(
     for directory in directories:
         for name in filesystem.listdir(directory):
             rel = f"{directory}/{name}"
-            if not filesystem.exists(rel) or name.endswith(".tmp"):
+            if not filesystem.exists(rel) or ".tmp." in name:
                 continue
             try:
                 size = filesystem.size(rel)
@@ -79,7 +79,7 @@ def science_digests(
     """
     digests: Dict[str, str] = {}
     for name in filesystem.listdir(results_dir):
-        if name in _NON_SCIENCE_FILES or name.endswith(".tmp"):
+        if name in _NON_SCIENCE_FILES or ".tmp." in name:
             continue
         digests[name] = _digest(filesystem.read_bytes(f"{results_dir}/{name}"))
     return digests

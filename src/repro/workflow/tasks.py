@@ -31,7 +31,12 @@ from repro.cluster.filesystem import SharedFilesystem
 from repro.compss import FILE_IN, task
 from repro.esm import CMCCCM3, ModelConfig, daily_filename, parse_daily_filename
 from repro.hpcwaas.federation import Federation
-from repro.ml.tc_localizer import CHANNELS, TCLocalizer, localize_in_snapshot
+from repro.ml.tc_localizer import (
+    CHANNELS,
+    STEPS_PER_PASS,
+    TCLocalizer,
+    localize_in_snapshot,
+)
 from repro.observability import get_registry, maybe_span
 from repro.ophidia import Client, Cube
 
@@ -288,18 +293,19 @@ def tc_inference(
     """CNN localization on every 6-hourly snapshot of the year."""
     model = TCLocalizer.load(model_path)
     data = prepared["data"]
-    found: List[dict] = []
+    steps = int(data.shape[0])
+    fields = {name: data[:, c] for c, name in enumerate(CHANNELS)}
     with maybe_span("ml.tc_inference", layer="ml",
-                    attrs={"steps": int(data.shape[0])}) as h:
-        for step in range(data.shape[0]):
-            fields = {name: data[step, c] for c, name in enumerate(CHANNELS)}
-            for lat, lon, prob in localize_in_snapshot(
-                model, fields, prepared["lat"], prepared["lon"],
-                threshold=threshold
-            ):
-                found.append(
-                    {"step": step, "lat": lat, "lon": lon, "prob": prob}
-                )
+                    attrs={"steps": steps,
+                           "passes": -(-steps // STEPS_PER_PASS)}) as h:
+        per_step = localize_in_snapshot(
+            model, fields, prepared["lat"], prepared["lon"], threshold=threshold
+        )
+        found = [
+            {"step": step, "lat": lat, "lon": lon, "prob": prob}
+            for step, hits in enumerate(per_step)
+            for lat, lon, prob in hits
+        ]
         h.set_attr("n_detections", len(found))
     return found
 

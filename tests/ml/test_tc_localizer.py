@@ -1,10 +1,13 @@
 """End-to-end TC localizer tests: training, skill, snapshot pipeline."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from repro.ml import TCLocalizer, localize_in_snapshot, make_patch_dataset
-from repro.ml.tc_localizer import CHANNELS, _background, _vortex
+from repro.ml.tc_localizer import CHANNELS, STEPS_PER_PASS, _background, _vortex
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +127,52 @@ class TestSnapshotPipeline:
             np.arange(0, 360, 360 / n_lon), threshold=0.5,
         )
         assert len(found) <= 2  # at most a couple of false alarms
+
+
+class TestStackedInference:
+    """A (steps, lat, lon) stack is T snapshots, inferred 4 steps a pass."""
+
+    @pytest.fixture(scope="class")
+    def year(self):
+        """240 six-hourly steps on the 32x64 case-study grid, with a
+        vortex drifting through them."""
+        rng = np.random.default_rng(9)
+        steps, n_lat, n_lon = 240, 32, 64
+        fields = {
+            "T850": 270.0 + rng.normal(0, 1.0, (steps, n_lat, n_lon)),
+            "PSL": 1013.0 + rng.normal(0, 0.8, (steps, n_lat, n_lon)),
+            "WSPDSRFAV": np.abs(rng.normal(6.0, 1.0, (steps, n_lat, n_lon))),
+            "VORT850": rng.normal(0, 3e-6, (steps, n_lat, n_lon)),
+        }
+        vortex = _vortex(np.random.default_rng(1), 16, (7.0, 8.0))
+        for t in range(0, steps, 3):
+            j0 = (t // 3) % (n_lon - 16)
+            for c, name in enumerate(CHANNELS):
+                fields[name][t, 8:24, j0:j0 + 16] += vortex[c]
+        return fields, np.linspace(-87, 87, n_lat), np.arange(n_lon) * (360 / n_lon)
+
+    @pytest.mark.parametrize("steps", [1, 3, 4, 5, 7, 8, 9, 240])
+    def test_stack_equals_single_snapshots(self, tc_model_path, year,
+                                           monkeypatch, steps):
+        model = TCLocalizer.load(tc_model_path)
+        fields, lat, lon = year
+        singles = [
+            localize_in_snapshot(model, {c: a[t] for c, a in fields.items()},
+                                 lat, lon, threshold=0.0)
+            for t in range(steps)
+        ]
+        passes = []
+        predict = model.predict
+        monkeypatch.setattr(model, "predict",
+                            lambda p: passes.append(len(p)) or predict(p))
+        stacked = localize_in_snapshot(
+            model, {c: a[:steps] for c, a in fields.items()}, lat, lon,
+            threshold=0.0,
+        )
+        assert len(stacked) == steps
+        assert json.dumps(stacked).encode() == json.dumps(singles).encode()
+        assert len(passes) == math.ceil(steps / STEPS_PER_PASS) == math.ceil(steps / 4)
+        assert sum(passes) == 8 * steps   # 2x4 patches per snapshot
 
 
 class TestVectorizedDataset:

@@ -186,6 +186,17 @@ class TestErrors:
         leftovers = [p for p in os.listdir(tmp_path) if ".tmp." in p]
         assert leftovers == []
 
+    def test_failed_replace_removes_tmp_file(self, tmp_path, monkeypatch):
+        import repro.netcdf.io as rnc_io
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(rnc_io.os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_dataset(make_daily_dataset(), tmp_path / "day.rnc")
+        assert [p for p in os.listdir(tmp_path) if ".tmp." in p] == []
+
 
 @st.composite
 def rnc_datasets(draw):

@@ -1,6 +1,7 @@
 """End-to-end integration tests: the full case study on a tiny grid."""
 
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -196,6 +197,16 @@ class TestEndToEnd(EndToEndCases):
         assert by_fn["compute_qualifying_durations"] == 4
         assert set(summary["years"]) == {2030, 2031}
         assert summary["schedule"]["pipelined_years"] >= 0
+
+    def test_tc_inference_runs_one_pass_per_4_steps(self, cluster, tc_model_path):
+        """The year's snapshots reach the CNN as one stack, 4 steps a pass."""
+        params = small_params(tc_model_path, years=[2030, 2031], n_days=5)
+        run_extreme_events_workflow(cluster, params)
+        trace = json.loads(cluster.filesystem.read_bytes("results/trace.json"))
+        spans = [e["args"] for e in trace["traceEvents"]
+                 if e.get("ph") == "X" and e["name"] == "ml.tc_inference"]
+        assert [s["steps"] for s in spans] == [20, 20]
+        assert all(s["passes"] == math.ceil(s["steps"] / 4) for s in spans)
 
     def test_without_ml(self, cluster, tc_model_path):
         params = small_params(tc_model_path, with_ml=False)

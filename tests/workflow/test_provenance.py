@@ -10,6 +10,7 @@ from repro.workflow.provenance import (
     build_provenance,
     collect_activities,
     collect_entities,
+    science_digests,
     write_provenance,
 )
 
@@ -45,6 +46,16 @@ class TestCollectors:
         for e in entities:
             assert e["bytes"] > 0
             assert len(e["sha256_16"]) == 16
+
+    def test_atomic_write_temporaries_are_not_science(self, tmp_path):
+        """Writers name temporaries ``<path>.tmp.<pid>``; a stray one is
+        neither an entity nor a science digest."""
+        fs = SharedFilesystem(tmp_path)
+        fs.write_bytes("results/x.json", b"{}")
+        fs.write_bytes("results/x.json.tmp.123", b"{")
+        assert set(science_digests(fs)) == {"x.json"}
+        assert [e["path"] for e in collect_entities(fs, ["results"])] == \
+            ["results/x.json"]
 
     def test_entities_missing_dir_is_empty(self, tmp_path):
         fs = SharedFilesystem(tmp_path)
