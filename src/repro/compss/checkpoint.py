@@ -57,16 +57,16 @@ class CheckpointManager:
         try:
             with open(tmp, "wb") as fh:
                 pickle.dump(results, fh)
-        except Exception:
+            os.replace(tmp, path)
+        except BaseException:
             # Unpicklable results (live handles, thread pools) cannot be
-            # checkpointed; remove the partial file and propagate so the
-            # caller can decide to skip.
+            # checkpointed; remove the partial file on every exit path
+            # and propagate so the caller can decide to skip.
             try:
                 os.remove(tmp)
             except OSError:
                 pass
             raise
-        os.replace(tmp, path)
 
     def load(self, signature: str) -> Optional[Tuple[Any, ...]]:
         """Return the stored results, or ``None`` when not checkpointed.

@@ -67,9 +67,10 @@ class OphidiaServer:
     memory_budget_bytes / spill_dir:
         Tiered-residency knobs, passed to the
         :class:`~repro.ophidia.storage.StoragePool`: with a nonzero
-        budget, least-recently-used fragments compress and spill to
-        *spill_dir* and reload transparently on access.  Shutdown
-        deletes the spill files.
+        budget on the resident bytes of all I/O servers together,
+        least-recently-used fragments spill to *spill_dir* as raw,
+        CRC32-checked chunks and reload transparently on access.
+        Shutdown deletes the spill files.
     chunk_bytes:
         Target fragment chunk size (per-chunk statistics drive plan
         pruning).

@@ -22,7 +22,7 @@ real memory hierarchy:
 * **Tiered residency** — the pool enforces an optional byte budget over
   the in-memory tier: when resident bytes exceed
   ``memory_budget_bytes``, the least-recently-used fragments are
-  compressed (zlib level 1) and spilled to a shared-filesystem
+  spilled as raw, CRC32-checksummed chunks to a shared-filesystem
   directory, whose files the server deletes when it shuts down.
   :meth:`StoragePool.load` reloads spilled fragments transparently;
   :meth:`StoragePool.load_handle` instead hands out a picklable
@@ -159,8 +159,8 @@ class _Fragment:
         self.chunks: List[_Chunk] = []
         #: Host path of the write-once spill file (None until spilled).
         self.spill_path: Optional[str] = None
-        #: Per-chunk ``(offset, compressed_length)`` into the spill file.
-        self.spill_offsets: Optional[List[Tuple[int, int]]] = None
+        #: Per-chunk ``(offset, length, crc32)`` into the spill file.
+        self.spill_offsets: Optional[List[Tuple[int, int, int]]] = None
 
         if view.ndim == 0:
             self.chunks.append(_Chunk(0, 1, view))
@@ -210,37 +210,32 @@ class _Fragment:
 # Spill files
 # ---------------------------------------------------------------------------
 
-_SPILL_MAGIC = b"RSP1"
+_SPILL_MAGIC = b"RSP2"
 
 
-def _write_spill_file(path: str, frag: _Fragment) -> Tuple[List[Tuple[int, int]], int]:
+def _write_spill_file(path: str, frag: _Fragment) -> Tuple[list, int]:
     """Write *frag* to a spill file atomically; returns (offsets, payload bytes).
 
-    Layout: magic, 8-byte header length, pickled header, then the
-    zlib-compressed chunk payloads back to back (level 1: spilled
-    climate fields are float grids where speed beats ratio).  The
-    header carries everything :class:`SpillHandle` needs, so a worker
-    process can hydrate without any pool state.  A temp-file +
-    ``os.replace`` makes the write all-or-nothing: a crash mid-spill
-    leaves only a stray ``.tmp`` the reload path never consults.
+    Layout: magic, 8-byte header length, pickled header, then the raw
+    chunk payloads back to back, written through the buffer protocol
+    (spill files live only as long as their server, so compressing them
+    costs more CPU than the disk it saves).  A per-chunk CRC32, in the
+    header and the returned offsets, lets every range read catch a torn
+    or flipped payload.  The header carries everything
+    :class:`SpillHandle` needs, so a worker process can hydrate without
+    any pool state.  A temp file + ``os.replace`` makes the write
+    all-or-nothing on every exit path.
     """
-    payloads: List[bytes] = []
-    offsets: List[Tuple[int, int]] = []
-    offset = 0
-    for chunk in frag.chunks:
-        raw = np.ascontiguousarray(chunk.data).tobytes()
-        comp = zlib.compress(raw, 1)
-        payloads.append(comp)
-        offsets.append((offset, len(comp)))
-        offset += len(comp)
+    payloads = [np.ascontiguousarray(chunk.data) for chunk in frag.chunks]
+    offsets, offset = [], 0
+    for buf in payloads:
+        offsets.append((offset, buf.nbytes, zlib.crc32(buf)))
+        offset += buf.nbytes
     header = pickle.dumps({
         "shape": tuple(frag.shape),
         "dtype": frag.dtype.str,
         "chunk_axis": frag.chunk_axis,
-        "chunks": [
-            (c.start, c.stop, off, clen)
-            for c, (off, clen) in zip(frag.chunks, offsets)
-        ],
+        "chunks": [(c.start, c.stop) + e for c, e in zip(frag.chunks, offsets)],
     })
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
@@ -248,21 +243,22 @@ def _write_spill_file(path: str, frag: _Fragment) -> Tuple[List[Tuple[int, int]]
             fh.write(_SPILL_MAGIC)
             fh.write(struct.pack("<Q", len(header)))
             fh.write(header)
-            for comp in payloads:
-                fh.write(comp)
+            for buf in payloads:
+                fh.write(buf)
         os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _unlink(tmp)
         raise
     # Payload base: every chunk offset is relative to the end of the header.
     base = len(_SPILL_MAGIC) + 8 + len(header)
-    return [(base + off, clen) for off, clen in offsets], offset
+    return [(base + off, n, crc) for off, n, crc in offsets], offset
 
 
-def _read_spill_range(path: str, offset: int, length: int) -> bytes:
+def _read_chunk(
+    path: str, offset: int, length: int, crc: int,
+    dtype: np.dtype, shape: Tuple[int, ...],
+) -> np.ndarray:
+    """Range-read one spilled chunk, checking its length and CRC32."""
     with open(path, "rb") as fh:
         fh.seek(offset)
         data = fh.read(length)
@@ -271,14 +267,13 @@ def _read_spill_range(path: str, offset: int, length: int) -> bytes:
             f"truncated spill file {path!r}: wanted {length} bytes at "
             f"{offset}, got {len(data)}"
         )
-    return data
-
-
-def _decode_chunk(
-    raw: bytes, dtype: np.dtype, shape: Tuple[int, ...]
-) -> np.ndarray:
+    if zlib.crc32(data) != crc:
+        raise SpillError(
+            f"corrupt spill file {path!r}: CRC32 mismatch in the "
+            f"{length} bytes at {offset}"
+        )
     # frombuffer over immutable bytes is already read-only; keep it so.
-    return np.frombuffer(zlib.decompress(raw), dtype=dtype).reshape(shape)
+    return np.frombuffer(data, dtype=dtype).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -286,7 +281,7 @@ class SpillHandle:
     """A picklable reference to one spilled fragment.
 
     Shipping this across a process boundary instead of the hydrated
-    array lets spawn-based workers read and decompress cold chunks
+    array lets spawn-based workers read and verify cold chunks
     themselves (:meth:`hydrate`), so a sweep over spilled cubes never
     stages the data through the parent's memory budget.
     """
@@ -295,18 +290,17 @@ class SpillHandle:
     dtype: str
     shape: Tuple[int, ...]
     chunk_axis: int
-    #: per chunk: (start, stop, file offset, compressed length)
-    chunks: Tuple[Tuple[int, int, int, int], ...]
+    #: per chunk: (start, stop, file offset, length, crc32)
+    chunks: Tuple[Tuple[int, int, int, int, int], ...]
 
     def hydrate(self) -> np.ndarray:
         dtype = np.dtype(self.dtype)
         parts = []
-        for start, stop, offset, clen in self.chunks:
+        for start, stop, offset, length, crc in self.chunks:
             shape = list(self.shape)
             if shape:
                 shape[self.chunk_axis] = stop - start
-            raw = _read_spill_range(self.path, offset, clen)
-            parts.append(_decode_chunk(raw, dtype, tuple(shape)))
+            parts.append(_read_chunk(self.path, offset, length, crc, dtype, tuple(shape)))
         if len(parts) == 1:
             return parts[0]
         out = np.concatenate(parts, axis=self.chunk_axis)
@@ -382,9 +376,14 @@ class IOServer:
     def _reload_locked(self, frag: _Fragment) -> None:
         if frag.spill_path is None or frag.spill_offsets is None:
             raise SpillError("fragment is neither resident nor spilled")
-        for chunk, (offset, clen) in zip(frag.chunks, frag.spill_offsets):
-            raw = _read_spill_range(frag.spill_path, offset, clen)
-            chunk.data = _decode_chunk(raw, frag.dtype, frag.chunk_shape(chunk))
+        # Decode every chunk before admitting any: a bad range leaves the
+        # fragment wholly spilled, never half resident.
+        parts = [
+            _read_chunk(frag.spill_path, *entry, frag.dtype, frag.chunk_shape(chunk))
+            for chunk, entry in zip(frag.chunks, frag.spill_offsets)
+        ]
+        for chunk, data in zip(frag.chunks, parts):
+            chunk.data = data
 
     def chunk_meta(self, fragment_id: int) -> ChunkMeta:
         """Chunk layout + statistics; never touches payload."""
@@ -410,9 +409,8 @@ class IOServer:
             if chunk.data is not None:
                 data = chunk.data
             else:
-                offset, clen = frag.spill_offsets[index]
-                data = _decode_chunk(
-                    _read_spill_range(frag.spill_path, offset, clen),
+                data = _read_chunk(
+                    frag.spill_path, *frag.spill_offsets[index],
                     frag.dtype, frag.chunk_shape(chunk),
                 )
             return data
@@ -449,8 +447,8 @@ class IOServer:
                 frag.spill_path, frag.dtype.str,
                 tuple(frag.shape), frag.chunk_axis,
                 tuple(
-                    (c.start, c.stop, off, clen)
-                    for c, (off, clen) in zip(frag.chunks, frag.spill_offsets)
+                    (c.start, c.stop) + entry
+                    for c, entry in zip(frag.chunks, frag.spill_offsets)
                 ),
             )
 
@@ -566,8 +564,8 @@ class StoragePool:
     memory_budget_bytes:
         Byte budget of the in-memory tier across all servers.  0 (the
         default) disables tiering entirely.  When the budget is
-        exceeded, least-recently-used fragments are compressed and
-        spilled to *spill_dir* and reloaded transparently on access.
+        exceeded, least-recently-used fragments spill to *spill_dir*
+        and reload transparently on access.
     spill_dir:
         Shared-filesystem directory for spill files; required when a
         budget is set.
@@ -675,12 +673,12 @@ class StoragePool:
                 ).inc()
                 registry.counter(
                     "ophidia_spill_bytes_total",
-                    "Uncompressed bytes moved to the spill tier",
+                    "Bytes moved to the spill tier",
                 ).inc(freed)
             if disk:
                 registry.counter(
                     "ophidia_spill_bytes_written_total",
-                    "Compressed bytes written to spill files",
+                    "Payload bytes written to spill files",
                 ).inc(disk)
 
     def _resident_nbytes(self, fragment_id: int) -> int:
@@ -727,7 +725,7 @@ class StoragePool:
             ).inc()
             registry.counter(
                 "ophidia_reload_bytes_total",
-                "Uncompressed bytes reloaded from the spill tier",
+                "Bytes reloaded from the spill tier",
             ).inc(reloaded)
         with self._lock:
             self._touch_locked(fragment_id, int(data.nbytes))

@@ -27,10 +27,11 @@ class WorkflowParams:
     ophidia_io_servers: int = 2
     ophidia_cores: int = 2
     nfrag: int = 4
-    #: Resident-fragment byte budget per Ophidia IO server.  When the
-    #: budget is exceeded, least-recently-used fragments spill
-    #: (compressed) to the shared filesystem and reload transparently on
-    #: next access.  0 keeps every fragment resident (no tiering).
+    #: Resident-fragment byte budget of the whole Ophidia IO server
+    #: pool (summed over all ``ophidia_io_servers``).  When the budget
+    #: is exceeded, least-recently-used fragments spill to the shared
+    #: filesystem and reload transparently on next access.  0 keeps
+    #: every fragment resident (no tiering).
     ophidia_memory_budget_bytes: int = 0
     #: Directory for spilled fragment files.  ``None`` derives
     #: ``<cluster fs>/ophidia_spill`` when a budget is set.

@@ -41,6 +41,18 @@ class TestCheckpointManager:
             fh.write(b"garbage")
         assert cm.load("f#0") is None
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import repro.compss.checkpoint as checkpoint_mod
+
+        def refuse(src, dst):
+            raise OSError("injected: rename failed")
+
+        cm = CheckpointManager(tmp_path)
+        monkeypatch.setattr(checkpoint_mod.os, "replace", refuse)
+        with pytest.raises(OSError):
+            cm.store("f#0", (1,))
+        assert os.listdir(tmp_path) == []
+
 
 class TestCheckpointedWorkflow:
     def test_second_run_recovers_completed_tasks(self, tmp_path):
@@ -134,8 +146,10 @@ class TestFileStream:
 
     def test_skips_atomic_write_temporaries(self, tmp_path):
         s = FileDistroStream(tmp_path, pattern="*", poll_interval=0.01)
-        (tmp_path / "f.rnc.tmp.123").write_bytes(b"partial")
+        stray = tmp_path / "f.rnc.tmp.123"  # a crashed writer's leftover
+        stray.write_bytes(b"partial")
         assert s.poll(block=False) == []
+        stray.unlink()  # planted here, so not a leak for conftest to report
 
     def test_close_then_drain_then_raise(self, tmp_path):
         s = FileDistroStream(tmp_path, pattern="*.rnc", poll_interval=0.01)

@@ -65,13 +65,24 @@ def _non_daemon_threads():
     return {t for t in threading.enumerate() if not t.daemon}
 
 
+def _temp_files(root):
+    """Half-written ``*.tmp.<pid>`` files of the atomic writers under
+    *root*, relative to it."""
+    return sorted(
+        os.path.relpath(os.path.join(dirpath, name), root)
+        for dirpath, _, names in os.walk(root)
+        for name in names if ".tmp." in name
+    )
+
+
 @pytest.fixture(autouse=True)
-def _no_leaked_shm_or_children():
+def _no_leaked_shm_or_children(request):
     """A test leaves no new ``/dev/shm`` segment, no live child process
     (the two leak checks ``bench/`` makes per repetition), no live
-    non-daemon thread (an ``OphidiaServer`` that was never shut down)
-    and no open span context, which would silently turn later
-    "untraced" runs into traced ones."""
+    non-daemon thread (an ``OphidiaServer`` that was never shut down),
+    no open span context, which would silently turn later "untraced"
+    runs into traced ones, and no ``*.tmp.*`` file under its
+    ``tmp_path`` (an atomic write that did not clean up after itself)."""
     assert spans.current_context() is None, (
         f"test started inside span context {spans.current_context()}")
     shm_before = set(os.listdir("/dev/shm"))
@@ -96,3 +107,7 @@ def _no_leaked_shm_or_children():
     shm_leaked = sorted(set(os.listdir("/dev/shm")) - shm_before)
     assert not shm_leaked, f"/dev/shm segments left behind: {shm_leaked}"
     assert leaked_context is None, f"span context left open: {leaked_context}"
+    tmp_path = request.node.funcargs.get("tmp_path")
+    if tmp_path is not None:
+        stray = _temp_files(tmp_path)
+        assert not stray, f"temp files left under tmp_path: {stray}"

@@ -8,7 +8,7 @@ import pytest
 from repro.observability import metrics
 from repro.observability.metrics import MetricsRegistry
 from repro.ophidia import IOServer, StoragePool
-from repro.ophidia.storage import SpillHandle
+from repro.ophidia.storage import SpillError, SpillHandle
 
 
 class TestIOServer:
@@ -270,3 +270,96 @@ class TestSpillTier:
         assert pool.servers[0].is_resident(fid)
         assert fresh_registry.snapshot().value("ophidia_spill_failures_total") == 1
         np.testing.assert_array_equal(pool.load(fid), data)
+
+    def test_budget_is_pool_wide(self, tmp_path):
+        """The budget caps resident bytes summed over every server, not
+        per server: 1.5 fragments of budget keeps one fragment hot."""
+        pool = StoragePool(2, memory_budget_bytes=384, spill_dir=str(tmp_path))
+        for _ in range(5):
+            pool.store(np.zeros(32))   # 256 bytes, round-robin over 2 servers
+            assert sum(s.resident_bytes for s in pool.servers) <= 384
+        assert [s.n_fragments for s in pool.servers] == [3, 2]
+        assert pool.spilled_fragments == 4
+
+    def test_spill_writes_the_raw_payload(self, tmp_path, fresh_registry):
+        """First-time spills write each chunk's bytes as they are."""
+        pool = self._pool(tmp_path, budget=100, chunk_bytes=128)
+        data = np.random.default_rng(4).normal(size=(16, 4))
+        pool.store(data)
+        pool.store(data[::2].T)        # non-contiguous source
+        value = fresh_registry.snapshot().value
+        assert (value("ophidia_spill_bytes_written_total")
+                == value("ophidia_spill_bytes_total")
+                == data.nbytes + data[::2].nbytes)
+        (name,) = [n for n in os.listdir(tmp_path) if n.startswith("fragment_1")]
+        assert (tmp_path / name).read_bytes().endswith(data.tobytes())
+
+
+def _spilled_fragment(tmp_path):
+    """A pool holding one cold 4-chunk fragment, its cold handle and
+    the path of its spill file."""
+    pool = StoragePool(1, memory_budget_bytes=100, spill_dir=str(tmp_path),
+                       chunk_bytes=128)
+    data = np.random.default_rng(5).normal(size=64)
+    fid = pool.store(data)
+    handle = pool.load_handle(fid)
+    assert isinstance(handle, SpillHandle) and len(handle.chunks) == 4
+    (name,) = os.listdir(tmp_path)
+    return pool, fid, handle, tmp_path / name
+
+
+_COLD_READS = {
+    "load": lambda pool, fid, handle: pool.load(fid),
+    "load_chunk": lambda pool, fid, handle: pool.load_chunk(fid, 3),
+    "hydrate": lambda pool, fid, handle: handle.hydrate(),
+}
+
+
+class TestSpillIntegrity:
+    """Every range read of a spill file checks its length and CRC32."""
+
+    @pytest.mark.parametrize("read", sorted(_COLD_READS))
+    def test_flipped_payload_byte_raises(self, tmp_path, read):
+        pool, fid, handle, path = _spilled_fragment(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01                # last byte of the last chunk
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SpillError, match="CRC32"):
+            _COLD_READS[read](pool, fid, handle)
+
+    @pytest.mark.parametrize("read", sorted(_COLD_READS))
+    def test_truncated_file_raises(self, tmp_path, read):
+        pool, fid, handle, path = _spilled_fragment(tmp_path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(SpillError, match="truncated"):
+            _COLD_READS[read](pool, fid, handle)
+
+    def test_bad_reload_leaves_fragment_spilled(self, tmp_path):
+        """A reload that fails on one chunk admits none of them."""
+        pool, fid, _, path = _spilled_fragment(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SpillError):
+            pool.load(fid)
+        assert not pool.servers[0].is_resident(fid)
+        assert pool.spilled_fragments == 1
+        # Ranges are checked one by one: the intact chunks still read.
+        np.testing.assert_array_equal(
+            pool.load_chunk(fid, 0),
+            np.random.default_rng(5).normal(size=64)[:16],
+        )
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                              fresh_registry):
+        import repro.ophidia.storage as storage_mod
+
+        def refuse(src, dst):
+            raise OSError("injected: rename failed")
+
+        monkeypatch.setattr(storage_mod.os, "replace", refuse)
+        pool = StoragePool(1, memory_budget_bytes=100, spill_dir=str(tmp_path))
+        fid = pool.store(np.zeros(64))
+        assert pool.servers[0].is_resident(fid)
+        assert fresh_registry.snapshot().value("ophidia_spill_failures_total") == 1
+        assert os.listdir(tmp_path) == []

@@ -56,6 +56,8 @@ class TestCollectors:
         assert set(science_digests(fs)) == {"x.json"}
         assert [e["path"] for e in collect_entities(fs, ["results"])] == \
             ["results/x.json"]
+        # Planted here, so not a leak for conftest to report.
+        (tmp_path / "results" / "x.json.tmp.123").unlink()
 
     def test_entities_missing_dir_is_empty(self, tmp_path):
         fs = SharedFilesystem(tmp_path)
