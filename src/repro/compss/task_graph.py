@@ -15,8 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-
 
 class TaskState(enum.Enum):
     PENDING = "PENDING"       # submitted, dependencies outstanding
@@ -106,12 +104,18 @@ _PALETTE = (
 class TaskGraph:
     """Thread-safe DAG of task invocations.
 
-    Wraps a :class:`networkx.DiGraph` whose node keys are task ids and
-    whose nodes carry :class:`TaskNode` objects.
+    Nodes are kept in insertion order, each with its successor and
+    predecessor lists in edge-insertion order.  :meth:`add_task` links
+    only producers already in the graph, so insertion order is a
+    topological order and the graph is acyclic by construction.  Task id
+    order is not: ids are drawn before the runtime lock is taken, so a
+    concurrent submitter may insert a later id first.
     """
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
+        self._nodes: Dict[int, TaskNode] = {}
+        self._succ: Dict[int, List[int]] = {}
+        self._pred: Dict[int, List[int]] = {}
         self._lock = threading.Lock()
         self._colors: Dict[str, str] = {}
 
@@ -124,17 +128,20 @@ class TaskGraph:
         not yet terminal), which seeds the runtime's pending-dep counter.
         """
         outstanding: List[int] = []
+        task_id = node.task_id
         with self._lock:
-            self._g.add_node(node.task_id, task=node)
+            self._nodes[task_id] = node
+            self._succ[task_id] = []
+            preds = self._pred[task_id] = []
             self._colors.setdefault(
                 node.func_name, _PALETTE[len(self._colors) % len(_PALETTE)]
             )
             for dep_id in set(depends_on):
-                if dep_id == node.task_id or dep_id not in self._g:
+                if dep_id == task_id or dep_id not in self._nodes:
                     continue
-                self._g.add_edge(dep_id, node.task_id)
-                dep_task: TaskNode = self._g.nodes[dep_id]["task"]
-                if not dep_task.state.terminal:
+                self._succ[dep_id].append(task_id)
+                preds.append(dep_id)
+                if not self._nodes[dep_id].state.terminal:
                     outstanding.append(dep_id)
         return outstanding
 
@@ -142,31 +149,38 @@ class TaskGraph:
 
     def task(self, task_id: int) -> TaskNode:
         with self._lock:
-            return self._g.nodes[task_id]["task"]
+            return self._nodes[task_id]
 
     def tasks(self) -> List[TaskNode]:
         with self._lock:
-            return [self._g.nodes[t]["task"] for t in sorted(self._g.nodes)]
+            return [self._nodes[t] for t in sorted(self._nodes)]
 
     def successors(self, task_id: int) -> List[int]:
         with self._lock:
-            return list(self._g.successors(task_id))
+            return list(self._succ[task_id])
 
     def predecessors(self, task_id: int) -> List[int]:
         with self._lock:
-            return list(self._g.predecessors(task_id))
+            return list(self._pred[task_id])
 
     def descendants(self, task_id: int) -> Set[int]:
         with self._lock:
-            return set(nx.descendants(self._g, task_id))
+            seen: Set[int] = set()
+            stack = list(self._succ[task_id])
+            while stack:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    stack.extend(self._succ[node])
+            return seen
 
     def edges(self) -> List[Tuple[int, int]]:
         with self._lock:
-            return list(self._g.edges)
+            return [(u, v) for u, succ in self._succ.items() for v in succ]
 
     def __len__(self) -> int:
         with self._lock:
-            return self._g.number_of_nodes()
+            return len(self._nodes)
 
     def counts_by_function(self) -> Counter:
         """Task multiset keyed by function name (Fig-3 style summary)."""
@@ -175,31 +189,23 @@ class TaskGraph:
     def counts_by_state(self) -> Counter:
         return Counter(t.state.value for t in self.tasks())
 
-    def is_dag(self) -> bool:
-        with self._lock:
-            return nx.is_directed_acyclic_graph(self._g)
+    def _depths(self) -> Dict[int, int]:
+        """Tasks on the longest chain ending at each node, in one pass
+        over insertion (topological) order."""
+        depth: Dict[int, int] = {}
+        for node, preds in self._pred.items():
+            depth[node] = 1 + max((depth[p] for p in preds), default=0)
+        return depth
 
     def critical_path_length(self) -> int:
         """Longest chain of tasks (nodes), 0 for an empty graph."""
         with self._lock:
-            if self._g.number_of_nodes() == 0:
-                return 0
-            return nx.dag_longest_path_length(self._g) + 1
+            return max(self._depths().values(), default=0)
 
     def max_width(self) -> int:
         """Size of the largest antichain level (upper bound on parallelism)."""
         with self._lock:
-            if self._g.number_of_nodes() == 0:
-                return 0
-            levels = Counter()
-            for node in nx.topological_sort(self._g):
-                depth = max(
-                    (self._g.nodes[p]["level"] for p in self._g.predecessors(node)),
-                    default=-1,
-                ) + 1
-                self._g.nodes[node]["level"] = depth
-                levels[depth] += 1
-            return max(levels.values())
+            return max(Counter(self._depths().values()).values(), default=0)
 
     # -- export ---------------------------------------------------------------
 

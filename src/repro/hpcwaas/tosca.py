@@ -8,10 +8,9 @@ walks templates in dependency order.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-import networkx as nx
+from typing import Any, Dict, List, Set
 
 from repro.hpcwaas.yamlsubset import parse_yaml
 
@@ -45,33 +44,52 @@ class Topology:
         self.node_templates[template.name] = template
 
     def validate(self) -> None:
-        """Check requirement targets exist and the dependency graph is a DAG."""
-        for template in self.node_templates.values():
+        """Check requirement targets exist and requirements form no cycle."""
+        self.deployment_order()
+
+    def deployment_order(self) -> List[NodeTemplate]:
+        """Templates sorted so requirements deploy before dependents.
+
+        Kahn's algorithm with a heap of names: of the templates whose
+        requirements are all deployed, the lexicographically smallest
+        goes next.
+        """
+        templates = self.node_templates
+        waiting: Dict[str, Set[str]] = {}   # requirements not yet deployed
+        dependents: Dict[str, List[str]] = {name: [] for name in templates}
+        for template in templates.values():
             for req in template.requirements:
-                if req not in self.node_templates:
+                if req not in templates:
                     raise TOSCAError(
                         f"template {template.name!r} requires unknown node {req!r}"
                     )
-        g = self.dependency_graph()
-        if not nx.is_directed_acyclic_graph(g):
-            cycle = nx.find_cycle(g)
-            raise TOSCAError(f"requirement cycle: {cycle}")
+            waiting[template.name] = set(template.requirements)
+            for req in waiting[template.name]:
+                dependents[req].append(template.name)
+        ready = [name for name, reqs in waiting.items() if not reqs]
+        heapq.heapify(ready)
+        order: List[NodeTemplate] = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(templates[name])
+            for dependent in dependents[name]:
+                waiting[dependent].discard(name)
+                if not waiting[dependent]:
+                    heapq.heappush(ready, dependent)
+        if len(order) < len(templates):
+            raise TOSCAError(f"requirement cycle: {' -> '.join(_cycle(waiting))}")
+        return order
 
-    def dependency_graph(self) -> nx.DiGraph:
-        """Edges point requirement → dependent (provision order)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.node_templates)
-        for template in self.node_templates.values():
-            for req in template.requirements:
-                if req in self.node_templates:
-                    g.add_edge(req, template.name)
-        return g
 
-    def deployment_order(self) -> List[NodeTemplate]:
-        """Templates sorted so requirements deploy before dependents."""
-        self.validate()
-        order = nx.lexicographical_topological_sort(self.dependency_graph())
-        return [self.node_templates[name] for name in order]
+def _cycle(waiting: Dict[str, Set[str]]) -> List[str]:
+    """One requirement cycle among the templates Kahn's algorithm left,
+    closed on its first name: every one still waits on another of them."""
+    path: List[str] = []
+    name = min(name for name, reqs in waiting.items() if reqs)
+    while name not in path:
+        path.append(name)
+        name = min(waiting[name])
+    return path[path.index(name):] + [name]
 
 
 def topology_from_yaml(text: str) -> Topology:

@@ -86,7 +86,8 @@ class TestFutureDependencies:
             compss_barrier()
             assert len(rt.graph) == 2
             assert len(rt.graph.edges()) == 1
-            assert rt.graph.is_dag()
+            for u, v in rt.graph.edges():
+                assert rt.graph.task(u).submit_order < rt.graph.task(v).submit_order
 
 
 class TestInoutVersioning:

@@ -1,6 +1,8 @@
 """YAML-subset parser and TOSCA topology model tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hpcwaas import (
     NodeTemplate,
@@ -174,8 +176,15 @@ class TestTopology:
         topo = Topology("t")
         topo.add(NodeTemplate("a", "x", requirements=["b"]))
         topo.add(NodeTemplate("b", "x", requirements=["a"]))
-        with pytest.raises(TOSCAError):
+        with pytest.raises(TOSCAError, match="requirement cycle: a -> b -> a"):
             topo.deployment_order()
+
+    def test_self_requirement_rejected(self):
+        topo = Topology("t")
+        topo.add(NodeTemplate("z", "x"))
+        topo.add(NodeTemplate("a", "x", requirements=["z", "a"]))
+        with pytest.raises(TOSCAError, match="requirement cycle: a -> a"):
+            topo.validate()
 
     def test_duplicate_template_rejected(self):
         topo = Topology("t")
@@ -202,3 +211,56 @@ topology_template:
 """
         with pytest.raises(TOSCAError):
             topology_from_yaml(bad)
+
+
+@st.composite
+def requirement_dags(draw):
+    """Templates as {name: requirements}, every requirement drawn from
+    the names before it in a random order, duplicates allowed."""
+    names = draw(st.lists(st.sampled_from("abcdefghij"), min_size=1,
+                          max_size=10, unique=True))
+    names += [f"t{i}" for i in range(draw(st.integers(0, 12)))]
+    names = draw(st.permutations(names))
+    return {name: draw(st.lists(st.sampled_from(names[:i]), max_size=4))
+            if i else [] for i, name in enumerate(names)}
+
+
+def _topology(requirements, order):
+    topo = Topology("t")
+    for name in order:
+        topo.add(NodeTemplate(name, "x", requirements=list(requirements[name])))
+    return topo
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+class TestDeploymentOrderProperties:
+    @given(requirement_dags(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_networkx_lexicographic_sort(self, nx, requirements, rnd):
+        order = sorted(requirements)
+        rnd.shuffle(order)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(order)
+        graph.add_edges_from((req, name) for name in order
+                             for req in requirements[name])
+        deployed = [t.name for t in _topology(requirements, order).deployment_order()]
+        assert deployed == list(nx.lexicographical_topological_sort(graph))
+
+    @given(requirement_dags(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_error_names_a_real_cycle(self, requirements, data):
+        names = list(requirements)
+        loop = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        for name, req in zip(loop, loop[1:] + loop[:1]):
+            requirements[name].append(req)
+        with pytest.raises(TOSCAError) as err:
+            _topology(requirements, names).validate()
+        cycle = str(err.value).removeprefix("requirement cycle: ").split(" -> ")
+        assert cycle[0] == cycle[-1]
+        assert len(set(cycle)) == len(cycle) - 1
+        for name, req in zip(cycle, cycle[1:]):
+            assert req in requirements[name]

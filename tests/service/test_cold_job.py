@@ -1,7 +1,7 @@
 """What a cold service process pays for a burst of short jobs: no SciPy
-import on any entry point, one ``runs.db`` connection per file per
-process, at most four commits per job, and no ``-wal``/``-shm`` file left
-once the connection is released."""
+or networkx import on any entry point, one ``runs.db`` connection per
+file per process, at most four commits per job, and no ``-wal``/``-shm``
+file left once the connection is released."""
 
 import gc
 import multiprocessing
@@ -55,7 +55,7 @@ def journal_files(directory):
                   if p.name.endswith(("-wal", "-shm")))
 
 
-def test_entry_points_never_import_scipy(tmp_path):
+def test_entry_points_never_import_scipy_or_networkx(tmp_path):
     script = f"""
 import importlib, sys
 for name in {PACKAGES!r}:
@@ -66,7 +66,8 @@ from repro.service import demo
 with laptop_like(scratch_root={str(tmp_path)!r}) as cluster:
     demo.run_esm_member(cluster, {{"n_days": 2, "n_lat": 8, "n_lon": 12}})
     demo.run_heatwave_analytics(cluster, {{"n_days": 6, "n_lat": 4, "n_lon": 6}})
-print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.partition(".")[0] in ("scipy", "networkx")))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("REPRO_RUNS_DB", None)
