@@ -5,8 +5,10 @@ are genuine files the downstream analytics read back.  All access goes
 through this object, which counts operations and bytes in the ``fs_*``
 registry families under its own ``fs=`` label; experiment C2 ("in-memory
 baseline reuse reduces storage reads") is measured with these counters.
-Disk traffic counts as ``op="read"``/``"read_bytes"``; reads the block
-cache serves count as ``op="read_cached"`` and ``fs_cache_hits_total``.
+There is no file cache in front of the disk: every ``read``/``read_bytes``
+call reads the file, so ``op="read"``/``"read_bytes"`` counts are exact.
+Data reuse lives in the in-memory tiers (Ophidia cubes, COMPSs worker
+resident sets), as in the paper.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import itertools
 import os
 import threading
 import time
-from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, List, Optional
 
 from repro.netcdf import Dataset, read_dataset, write_dataset
 from repro.observability.metrics import get_registry
@@ -28,109 +29,6 @@ from repro.observability.spans import maybe_span
 _fs_ids = itertools.count(0)
 
 
-class BlockCache:
-    """Byte-budgeted LRU cache of shared-filesystem blocks.
-
-    Two block granularities coexist: whole raw payloads (``read_bytes``)
-    and individual dataset variables (``read``), so two dataset reads
-    that share only *some* variables still reuse the overlap.  Stored
-    values are pristine copies and hits hand out fresh arrays, so
-    callers may mutate results freely.  A per-path metadata side table
-    (dimensions, global attrs, and — once a full read has seen it — the
-    complete variable order) lets a cached dataset be reassembled
-    without touching disk.
-    """
-
-    def __init__(self, budget_bytes: int) -> None:
-        if budget_bytes < 1:
-            raise ValueError("budget_bytes must be >= 1 (0 means: no cache)")
-        self.budget_bytes = int(budget_bytes)
-        self._lock = threading.Lock()
-        #: key → (value, nbytes); keys are ("var", path, name) or
-        #: ("bytes", path), LRU-ordered oldest first.
-        self._entries: "OrderedDict[Tuple, Tuple[Any, int]]" = OrderedDict()
-        self._by_path: Dict[str, Set[Tuple]] = {}
-        self._meta: Dict[str, Dict[str, Any]] = {}
-        self._resident = 0
-
-    def lookup(self, key: Tuple) -> Optional[Any]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry[0]
-
-    def store(self, key: Tuple, value: Any, nbytes: int) -> int:
-        """Insert (or refresh) an entry; returns LRU evictions performed.
-
-        A block larger than the whole budget is not cached — admitting
-        it would flush every other entry for a single oversized one.
-        """
-        nbytes = int(nbytes)
-        if nbytes > self.budget_bytes:
-            return 0
-        evicted = 0
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._resident -= old[1]
-            self._entries[key] = (value, nbytes)
-            self._by_path.setdefault(key[1], set()).add(key)
-            self._resident += nbytes
-            while self._resident > self.budget_bytes and self._entries:
-                victim, (_, freed) = self._entries.popitem(last=False)
-                self._resident -= freed
-                keys = self._by_path.get(victim[1])
-                if keys is not None:
-                    keys.discard(victim)
-                    if not keys:
-                        self._by_path.pop(victim[1], None)
-                        self._meta.pop(victim[1], None)
-                evicted += 1
-        return evicted
-
-    def meta(self, path: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            return self._meta.get(path)
-
-    def set_meta(
-        self,
-        path: str,
-        dimensions: Dict[str, int],
-        attrs: Dict[str, Any],
-        var_order: Optional[List[str]],
-    ) -> None:
-        """Record a path's header; a known ``var_order`` is never forgotten."""
-        with self._lock:
-            existing = self._meta.get(path)
-            if var_order is None and existing is not None:
-                var_order = existing.get("var_order")
-            self._meta[path] = {
-                "dimensions": dict(dimensions),
-                "attrs": dict(attrs),
-                "var_order": list(var_order) if var_order is not None else None,
-            }
-
-    def invalidate(self, path: str) -> None:
-        """Drop every block and the metadata of *path* (write/delete)."""
-        with self._lock:
-            for key in self._by_path.pop(path, ()):
-                entry = self._entries.pop(key, None)
-                if entry is not None:
-                    self._resident -= entry[1]
-            self._meta.pop(path, None)
-
-    @property
-    def resident_bytes(self) -> int:
-        with self._lock:
-            return self._resident
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 class SharedFilesystem:
     """Shared parallel-filesystem facade over a root directory.
 
@@ -139,42 +37,20 @@ class SharedFilesystem:
     space (``output/year_2015/day_001.rnc``).
     """
 
-    def __init__(self, root: str | os.PathLike, cache_bytes: int = 0) -> None:
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = os.path.abspath(os.fspath(root))
         os.makedirs(self.root, exist_ok=True)
-        self._lock = threading.Lock()
         #: Label value distinguishing this instance's registry series.
         self.fs_label = f"{os.path.basename(self.root) or 'fs'}-{next(_fs_ids)}"
         #: Optional chaos hook (``repro.faults``): an object whose
         #: ``before_op(op, path, fs=...)`` is consulted ahead of every
         #: data operation and may raise to simulate flaky storage.
         self.fault_injector = None
-        #: Optional in-memory block cache in front of ``read``/
-        #: ``read_bytes`` (the node-local page-cache analogue the reuse
-        #: layer measures); ``cache_bytes=0`` disables it.
-        self._cache: Optional[BlockCache] = None
         #: ``callback(rel_path)`` hooks fired after every successful
         #: write; file streams subscribe so consumers wake on the write
         #: event instead of rescanning the directory on a timer.
         self._write_listeners: List[Any] = []
         self._listeners_lock = threading.Lock()
-        self.configure_cache(cache_bytes)
-
-    def configure_cache(self, cache_bytes: int) -> None:
-        """(Re)size the read block cache; ``0`` disables and drops it.
-
-        Resizing always starts from an empty cache — simpler than
-        partial eviction and exactly what workflow start-up (the only
-        caller) needs.
-        """
-        if cache_bytes < 0:
-            raise ValueError("cache_bytes must be >= 0")
-        self._cache = BlockCache(cache_bytes) if cache_bytes else None
-
-    @property
-    def cache(self) -> Optional[BlockCache]:
-        """The live block cache, or ``None`` when caching is off."""
-        return self._cache
 
     # -- write events --------------------------------------------------------
 
@@ -241,28 +117,6 @@ class SharedFilesystem:
                 labels=("fs",),
             ).inc(nbytes_written, fs=self.fs_label)
 
-    def _record_cache(self, hit: bool, nbytes_served: int = 0,
-                      evictions: int = 0) -> None:
-        registry = get_registry()
-        name = "fs_cache_hits_total" if hit else "fs_cache_misses_total"
-        help_ = (
-            "Reads fully served by the filesystem block cache" if hit
-            else "Reads that had to touch disk despite the block cache"
-        )
-        registry.counter(name, help_, labels=("fs",)).inc(fs=self.fs_label)
-        if nbytes_served:
-            registry.counter(
-                "fs_cache_bytes_served_total",
-                "Bytes served from the filesystem block cache",
-                labels=("fs",),
-            ).inc(nbytes_served, fs=self.fs_label)
-        if evictions:
-            registry.counter(
-                "fs_cache_evictions_total",
-                "Block-cache entries evicted under the byte budget",
-                labels=("fs",),
-            ).inc(evictions, fs=self.fs_label)
-
     # -- path handling -----------------------------------------------------
 
     def _resolve(self, rel_path: str) -> str:
@@ -287,116 +141,49 @@ class SharedFilesystem:
                         attrs={"fs": self.fs_label, "path": rel_path}) as h:
             nbytes = write_dataset(dataset, full)
             h.set_attr("nbytes", nbytes)
-        if self._cache is not None:
-            self._cache.invalidate(rel_path)
         self._count("write", nbytes_written=nbytes,
                     seconds=time.monotonic() - t0)
         self._notify_write(rel_path)
         return nbytes
 
     def read(self, rel_path: str, variables=None) -> Dataset:
-        """Read an RNC dataset (optionally a variable subset).
-
-        With the block cache enabled, variables already resident are
-        served from memory and only the remainder touches disk; the
-        fault hook still fires on every call (a cache on a crashed node
-        is just as dead as its disks), and only actual disk traffic
-        counts as ``op="read"`` and towards ``fs_bytes_read_total``.
-        """
+        """Read an RNC dataset (optionally a variable subset)."""
         full = self._resolve(rel_path)
         self._maybe_fault("read", rel_path)
-        cache = self._cache
         t0 = time.monotonic()
         with maybe_span(f"fs.read:{rel_path}", layer="filesystem",
                         attrs={"fs": self.fs_label, "path": rel_path}) as h:
-            if cache is None:
-                ds = read_dataset(full, variables=variables)
-                h.set_attr("nbytes", ds.nbytes)
-                self._count("read", nbytes_read=ds.nbytes,
-                            seconds=time.monotonic() - t0)
-                return ds
-            ds, disk_nbytes, served_nbytes, touched_disk, evictions = (
-                self._read_through_cache(cache, full, rel_path, variables)
-            )
+            ds = read_dataset(full, variables=variables)
             h.set_attr("nbytes", ds.nbytes)
-            h.set_attr("cache", "miss" if touched_disk else "hit")
-        elapsed = time.monotonic() - t0
-        if touched_disk:
-            self._count("read", nbytes_read=disk_nbytes, seconds=elapsed)
-        else:
-            self._count("read_cached", seconds=elapsed)
-        self._record_cache(hit=not touched_disk, nbytes_served=served_nbytes,
-                           evictions=evictions)
+        self._count("read", nbytes_read=ds.nbytes,
+                    seconds=time.monotonic() - t0)
         return ds
 
-    def _read_through_cache(
-        self, cache: BlockCache, full: str, rel_path: str, variables
-    ) -> "tuple[Dataset, int, int, bool, int]":
-        """Assemble a dataset from cached variables plus a disk remainder.
-
-        Returns ``(dataset, disk_nbytes, served_nbytes, touched_disk,
-        evictions)``.
-        """
-        meta = cache.meta(rel_path)
-        if variables is None:
-            wanted = None if meta is None else meta.get("var_order")
-        else:
-            wanted = list(variables)
-        if meta is None or wanted is None:
-            # Unknown header (or unknown full variable order): one real
-            # read primes the cache for everything that follows.
-            ds = read_dataset(full, variables=variables)
-            cache.set_meta(
-                rel_path, dict(ds.dimensions), dict(ds.attrs),
-                list(ds.variables) if variables is None else None,
-            )
-            evicted = 0
-            for name, var in ds.variables.items():
-                evicted += cache.store(("var", rel_path, name),
-                                       var.copy(), var.nbytes)
-            return ds, ds.nbytes, 0, True, evicted
-        cached_vars: Dict[str, Any] = {}
-        missing: List[str] = []
-        for name in wanted:
-            var = cache.lookup(("var", rel_path, name))
-            if var is None:
-                missing.append(name)
-            else:
-                cached_vars[name] = var
-        disk = None
-        evicted = 0
-        if missing:
-            disk = read_dataset(full, variables=missing)
-            for name in missing:
-                var = disk[name]
-                evicted += cache.store(("var", rel_path, name),
-                                       var.copy(), var.nbytes)
-        out = Dataset(dict(meta["attrs"]))
-        for dim, size in meta["dimensions"].items():
-            out.create_dimension(dim, size)
-        served = 0
-        for name in wanted:
-            if name in cached_vars:
-                fresh = cached_vars[name].copy()
-                served += fresh.nbytes
-            else:
-                fresh = disk[name]
-            out.create_variable(name, fresh.data, fresh.dims, fresh.attrs)
-        return (out, (disk.nbytes if disk is not None else 0), served,
-                bool(missing), evicted)
-
     def write_bytes(self, rel_path: str, payload: bytes) -> int:
+        """Write a raw payload atomically; returns bytes written.
+
+        The payload goes to ``<path>.tmp.<pid>`` and is renamed over the
+        destination, so a failed write leaves the previous file intact
+        and a concurrent reader never sees a torn one.
+        """
         full = self._resolve(rel_path)
         self._maybe_fault("write_bytes", rel_path)
         os.makedirs(os.path.dirname(full), exist_ok=True)
+        tmp = f"{full}.tmp.{os.getpid()}"
         t0 = time.monotonic()
         with maybe_span(f"fs.write:{rel_path}", layer="filesystem",
                         attrs={"fs": self.fs_label, "path": rel_path,
                                "nbytes": len(payload)}):
-            with open(full, "wb") as fh:
-                n = fh.write(payload)
-        if self._cache is not None:
-            self._cache.invalidate(rel_path)
+            try:
+                with open(tmp, "wb") as fh:
+                    n = fh.write(payload)
+                os.replace(tmp, full)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
         self._count("write_bytes", nbytes_written=n,
                     seconds=time.monotonic() - t0)
         self._notify_write(rel_path)
@@ -405,18 +192,6 @@ class SharedFilesystem:
     def read_bytes(self, rel_path: str) -> bytes:
         full = self._resolve(rel_path)
         self._maybe_fault("read_bytes", rel_path)
-        cache = self._cache
-        if cache is not None:
-            payload = cache.lookup(("bytes", rel_path))
-            if payload is not None:
-                with maybe_span(f"fs.read:{rel_path}", layer="filesystem",
-                                attrs={"fs": self.fs_label, "path": rel_path,
-                                       "nbytes": len(payload),
-                                       "cache": "hit"}):
-                    pass
-                self._count("read_cached")
-                self._record_cache(hit=True, nbytes_served=len(payload))
-                return payload
         t0 = time.monotonic()
         with maybe_span(f"fs.read:{rel_path}", layer="filesystem",
                         attrs={"fs": self.fs_label, "path": rel_path}) as h:
@@ -425,9 +200,6 @@ class SharedFilesystem:
             h.set_attr("nbytes", len(payload))
         self._count("read_bytes", nbytes_read=len(payload),
                     seconds=time.monotonic() - t0)
-        if cache is not None:
-            evicted = cache.store(("bytes", rel_path), payload, len(payload))
-            self._record_cache(hit=False, evictions=evicted)
         return payload
 
     # -- namespace ops ---------------------------------------------------------
@@ -460,8 +232,6 @@ class SharedFilesystem:
         full = self._resolve(rel_path)
         self._maybe_fault("delete", rel_path)
         os.remove(full)
-        if self._cache is not None:
-            self._cache.invalidate(rel_path)
         self._count("delete")
 
     def size(self, rel_path: str) -> int:

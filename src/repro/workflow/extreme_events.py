@@ -468,8 +468,6 @@ def _count_sections(summary: Dict[str, Any], sim_fs, fs) -> None:
     summary["storage"] = {
         "fs_reads": fs_ops(fs, "read", "read_bytes"),
         "fs_bytes_read": count("fs_bytes_read_total", fs=fs.fs_label),
-        "fs_cache_hits": count("fs_cache_hits_total", fs=fs.fs_label),
-        "fs_cache_misses": count("fs_cache_misses_total", fs=fs.fs_label),
         "ophidia_fragment_reads": count("ophidia_fragment_reads_total"),
     }
     if "federation" in summary:
@@ -516,16 +514,13 @@ def _run_traced(
         cube_futures = []
         registry = get_registry()
 
-        # The reuse layer: node-local block cache in front of the shared
-        # filesystem (repeated daily-file reads become memory hits; on
-        # two sites that is the analytics side, which serves them) ...
-        fs.configure_cache(p.fs_cache_bytes)
         with COMPSs(
             n_workers=p.n_workers,
             scheduler=policy_by_name(p.scheduler),
             checkpoint=checkpoint,
-            # ... plus per-worker resident sets, so a predecessor's
-            # output moves to a worker at most once (claim C2).
+            # The reuse layer: per-worker resident sets, so a
+            # predecessor's output moves to a worker at most once
+            # (claim C2).
             worker_cache_bytes=p.worker_cache_bytes,
         ) as runtime:
             # A workflow failure closes the collector, waking any

@@ -1,9 +1,12 @@
 """Tests for the shared filesystem facade and its I/O accounting."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.cluster import SharedFilesystem
+from repro.cluster import filesystem as filesystem_module
 from repro.netcdf import Dataset
 
 
@@ -44,6 +47,22 @@ class TestDatasetIO:
         delta = fresh_registry.snapshot().delta(before)
         assert delta.value("fs_operations_total", fs=fs.fs_label, op="read") == 2
         assert delta.value("fs_operations_total", fs=fs.fs_label, op="write") == 0
+
+    def test_reads_hand_out_fresh_arrays(self, tmp_path):
+        fs = SharedFilesystem(tmp_path)
+        fs.write("f.rnc", small_ds(1.0))
+        mutated = fs.read("f.rnc")
+        mutated["x"].data[:] = -1.0
+        assert fs.read("f.rnc")["x"].data[0, 0] == 1.0
+
+    def test_overwrite_is_visible_to_next_read(self, tmp_path):
+        fs = SharedFilesystem(tmp_path)
+        fs.write("f.rnc", small_ds(1.0))
+        fs.read("f.rnc")
+        fs.write("f.rnc", small_ds(7.0))
+        back = fs.read("f.rnc")
+        assert back["x"].data[0, 0] == 7.0
+        assert back.attrs == {"v": 7.0}
 
     def test_subset_read_counts_only_loaded_bytes(self, tmp_path,
                                                   fresh_registry):
@@ -86,10 +105,51 @@ class TestNamespace:
         assert not fs.exists("f.bin")
         assert fs_count(fresh_registry, fs, op="delete") == 1
 
+    def test_read_after_delete_raises(self, tmp_path):
+        fs = SharedFilesystem(tmp_path)
+        fs.write_bytes("f.bin", b"abc")
+        assert fs.read_bytes("f.bin") == b"abc"
+        fs.delete("f.bin")
+        with pytest.raises(FileNotFoundError):
+            fs.read_bytes("f.bin")
+
     def test_raw_bytes_roundtrip(self, tmp_path):
         fs = SharedFilesystem(tmp_path)
         fs.write_bytes("ckpt/t1.pkl", b"\x00\x01\x02")
         assert fs.read_bytes("ckpt/t1.pkl") == b"\x00\x01\x02"
+
+    def test_failed_write_bytes_keeps_the_old_file(self, tmp_path,
+                                                    monkeypatch):
+        fs = SharedFilesystem(tmp_path)
+        fs.write_bytes("ckpt/restart.bin", b"old restart")
+        real_open = open
+
+        class HalfWriter:
+            """Stores half of each payload, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, payload):
+                self._fh.write(payload[: len(payload) // 2])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            filesystem_module, "open",
+            lambda path, mode="r": HalfWriter(real_open(path, mode)),
+            raising=False,
+        )
+        with pytest.raises(OSError, match="no space"):
+            fs.write_bytes("ckpt/restart.bin", b"new restart payload")
+        monkeypatch.undo()
+        assert fs.read_bytes("ckpt/restart.bin") == b"old restart"
+        assert os.listdir(tmp_path / "ckpt") == ["restart.bin"]
 
 
 class _RecordingInjector:
@@ -129,6 +189,24 @@ class TestMetadataOps:
         fs.size("f.bin")
         fs.delete("f.bin")
         assert [op for op, _ in injector.ops] == ["exists", "size", "delete"]
+
+    def test_every_read_routes_through_fault_hook(self, tmp_path):
+        """Repeated reads are offered to the hook each time, never skipped."""
+        fs = SharedFilesystem(tmp_path)
+        fs.write("f.rnc", small_ds())
+        injector = _RecordingInjector()
+        fs.fault_injector = injector
+        fs.read("f.rnc")
+        fs.read("f.rnc")
+        fs.read_bytes("f.rnc")
+        fs.read_bytes("f.rnc")
+        assert [op for op, _ in injector.ops] == [
+            "read", "read", "read_bytes", "read_bytes"]
+        injector.fail_ops = {"read", "read_bytes"}
+        with pytest.raises(OSError):
+            fs.read("f.rnc")
+        with pytest.raises(OSError):
+            fs.read_bytes("f.rnc")
 
     def test_injected_delete_fault_keeps_the_file(self, tmp_path,
                                                   fresh_registry):

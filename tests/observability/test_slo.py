@@ -28,10 +28,10 @@ slos:
     max: 1.0
     window_s: 10
   - name: cache-hit-rate
-    metric: fs_cache_hits_total
+    metric: compss_transfers_total
     min: 1
     labels:
-      tier: block
+      kind: cache_hit
 """
 
 
@@ -49,7 +49,7 @@ class TestParsing:
         assert dispatch.window_s == 10.0
         assert dispatch.severity == "warning"  # the default
         assert cache.objective == "min"
-        assert cache.labels == {"tier": "block"}
+        assert cache.labels == {"kind": "cache_hit"}
 
     def test_bare_list_accepted(self):
         rules = parse_slo_rules("- name: x\n  metric: m\n  max: 1\n")

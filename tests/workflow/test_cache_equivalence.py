@@ -1,6 +1,7 @@
 """The reuse layer must be byte-transparent: caching changes data
-movement, never science.  Runs the case study with caches on and off
-and compares content digests of every science artifact."""
+movement, never science.  Runs the case study with the COMPSs worker
+resident sets on and off and compares content digests of every science
+artifact."""
 
 from repro.cluster import laptop_like
 from repro.workflow import WorkflowParams, run_extreme_events_workflow
@@ -28,7 +29,7 @@ class TestCacheEquivalence:
     def test_cache_on_and_off_produce_identical_science(self, tmp_path):
         on_summary, on_digests = run_once(tmp_path, "on")
         off_summary, off_digests = run_once(
-            tmp_path, "off", worker_cache_bytes=0, fs_cache_bytes=0
+            tmp_path, "off", worker_cache_bytes=0
         )
         assert on_digests, "science artifacts expected under results/"
         assert on_digests == off_digests

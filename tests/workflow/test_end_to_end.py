@@ -161,8 +161,6 @@ class EndToEndCases:
             assert summary["storage"] == {
                 "fs_reads": fs_ops(placement.fs, "read", "read_bytes"),
                 "fs_bytes_read": count("fs_bytes_read_total", fs=label),
-                "fs_cache_hits": count("fs_cache_hits_total", fs=label),
-                "fs_cache_misses": count("fs_cache_misses_total", fs=label),
                 "ophidia_fragment_reads": count("ophidia_fragment_reads_total"),
             }
             assert summary["storage"]["fs_reads"] > 0

@@ -27,8 +27,8 @@ slos:
 
 #: Drift rules for a paced run against the fast one: a ratio on the
 #: clock, exact rules on counters that repeat exactly on this profile
-#: (docs/OBSERVABILITY.md lists them; fs_operations_total is summed over
-#: ``op``, since the block-cache race moves reads between two ops).
+#: (docs/OBSERVABILITY.md lists them): every filesystem read touches
+#: disk, so the ``op=read`` count is as exact as the sum over ``op``.
 DRIFT_RULES = """
 slos:
   - name: makespan
@@ -49,6 +49,12 @@ slos:
     metric: fs_operations_total
     max_ratio: 1
     severity: critical
+  - name: fs-reads
+    metric: fs_operations_total
+    max_ratio: 1
+    severity: critical
+    labels:
+      op: read
 """
 
 #: Sleep per simulated day in the paced run.  Its floor, 8 days x 0.2 s
