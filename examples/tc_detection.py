@@ -58,26 +58,27 @@ def main() -> None:
     dst_lat = np.linspace(-90 + dlat / 2, 90 - dlat / 2, CNN_GRID[0])
     dst_lon = np.arange(CNN_GRID[1]) * (360.0 / CNN_GRID[1])
 
-    per_step, cnn_found = [], []
-    step = 0
+    days = []
     for doy in range(first, last + 1):
-        fields = model.atmosphere.daily_fields(
+        days.append(model.atmosphere.daily_fields(
             2030, doy, noise, sst, tropical_cyclones=tcs, rng=rng
-        )
+        ))
         noise = model.atmosphere.step_noise(noise, rng)
-        for s in range(4):
-            per_step.append(detect_tc_candidates(
-                fields["PSL"][s], fields["VORT850"][s], fields["WSPDSRFAV"][s],
-                model.grid.lat, model.grid.lon, step=step,
-            ))
-            stack = np.stack([fields[c][s] for c in CHANNELS])
-            snap = regrid_bilinear(stack, model.grid.lat, model.grid.lon,
-                                   dst_lat, dst_lon)
-            cnn_found.append(localize_in_snapshot(
-                tc_model, {c: snap[i] for i, c in enumerate(CHANNELS)},
-                dst_lat, dst_lon,
-            ))
-            step += 1
+    stacks = {c: np.concatenate([d[c] for d in days]) for c in CHANNELS}
+    step = len(stacks["PSL"])
+
+    per_step = detect_tc_candidates(
+        stacks["PSL"], stacks["VORT850"], stacks["WSPDSRFAV"],
+        model.grid.lat, model.grid.lon,
+    )
+    regridded = regrid_bilinear(
+        np.stack([stacks[c] for c in CHANNELS], axis=1),
+        model.grid.lat, model.grid.lon, dst_lat, dst_lon,
+    )
+    cnn_found = localize_in_snapshot(
+        tc_model, {c: regridded[:, i] for i, c in enumerate(CHANNELS)},
+        dst_lat, dst_lon,
+    )
 
     tracks = link_tracks(per_step, min_track_length=4)
     print(f"\ndeterministic tracker: {len(tracks)} track(s)")

@@ -1,8 +1,12 @@
 """Deterministic tropical-cyclone detection and tracking.
 
 The classic tracking-scheme family the paper contrasts the CNN with:
-per-timestep candidate detection from physical criteria, then greedy
-nearest-neighbour stitching of candidates into tracks.
+candidate detection from physical criteria over a year's
+``(steps, lat, lon)`` stack (three box filters and one ``nonzero`` for
+all steps, neighbourhoods never crossing steps), then greedy
+nearest-neighbour stitching of candidates into tracks.  Duplicate
+suppression, stitching and skill scoring take their distances from one
+vectorised haversine.
 
 Detection criteria (all tunable):
 
@@ -69,12 +73,26 @@ class Track:
         return [(d.lat, d.lon) for d in self.detections]
 
 
-def _haversine_km(lat1, lon1, lat2, lon2) -> float:
+def _great_circle_km(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Haversine distance, elementwise over broadcast coordinate arrays.
+
+    Pass ``lat1[:, None], lon1[:, None], lat2, lon2`` for the matrix of
+    every pair.  Squares go through ``float_power`` (libm ``pow``, as a
+    scalar ``x ** 2`` does) rather than ``x * x``, which can round the
+    last bit differently, so distances match the per-pair formula bit
+    for bit and no threshold or tie decision moves.
+    """
     p1, p2 = np.deg2rad(lat1), np.deg2rad(lat2)
     dphi = p2 - p1
-    dlmb = np.deg2rad(lon2 - lon1)
-    a = np.sin(dphi / 2) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dlmb / 2) ** 2
-    return float(2 * 6371.0 * np.arcsin(np.sqrt(np.clip(a, 0, 1))))
+    dlmb = np.deg2rad(np.subtract(lon2, lon1))
+    a = (np.float_power(np.sin(dphi / 2), 2)
+         + np.cos(p1) * np.cos(p2) * np.float_power(np.sin(dlmb / 2), 2))
+    return 2 * 6371.0 * np.arcsin(np.sqrt(np.clip(a, 0, 1)))
+
+
+def _coords(detections: Sequence[Detection]) -> Tuple[np.ndarray, np.ndarray]:
+    return (np.array([d.lat for d in detections]),
+            np.array([d.lon for d in detections]))
 
 
 def detect_tc_candidates(
@@ -89,64 +107,71 @@ def detect_tc_candidates(
     wind_threshold_ms: float = 13.0,
     max_abs_lat: float = 45.0,
     neighbourhood: int = 3,
-) -> List[Detection]:
-    """TC candidates in one (lat, lon) snapshot.
+) -> List:
+    """TC candidates in a (lat, lon) snapshot or a (steps, lat, lon) stack.
 
     A cell qualifies when it is the minimum of its pressure
     neighbourhood, below *pressure_threshold_hpa*, with hemisphere-signed
-    vorticity and wind-speed support in the same neighbourhood.
+    vorticity and wind-speed support in the same neighbourhood.  A
+    snapshot gives its detections, stamped *step*; a stack gives one
+    list per step, stamped ``step``, ``step + 1``, ...  Neighbourhoods
+    never reach across steps, so a stack is exactly its snapshots.
     """
-    psl = np.asarray(psl)
-    if psl.ndim != 2:
-        raise ValueError("expected 2-d fields")
+    psl, vort, wind_speed = (np.asarray(a) for a in (psl, vort, wind_speed))
+    if psl.ndim not in (2, 3):
+        raise ValueError("expected (lat, lon) or (steps, lat, lon) fields")
     if psl.shape != vort.shape or psl.shape != wind_speed.shape:
         raise ValueError("field shapes must match")
+    single = psl.ndim == 2
+    if single:
+        psl, vort, wind_speed = psl[None], vort[None], wind_speed[None]
 
-    modes = ("nearest", "wrap")
-    local_min = minimum_filter(psl, neighbourhood, mode=modes)
-    wind_max = maximum_filter(wind_speed, neighbourhood, mode=modes)
+    box = (1, neighbourhood, neighbourhood)
+    modes = ("nearest", "nearest", "wrap")
+    local_min = minimum_filter(psl, box, mode=modes)
+    wind_max = maximum_filter(wind_speed, box, mode=modes)
 
-    lat2d = np.broadcast_to(np.asarray(lat)[:, None], psl.shape)
-    cyclonic_sign = np.where(lat2d >= 0, 1.0, -1.0)
+    lat = np.asarray(lat)
     # Cyclonic vorticity is positive in the NH, negative in the SH.
+    cyclonic_sign = np.where(lat >= 0, 1.0, -1.0)[:, None]
     signed_ok = (
-        maximum_filter(vort * cyclonic_sign, neighbourhood, mode=modes)
+        maximum_filter(vort * cyclonic_sign, box, mode=modes)
         >= vorticity_threshold
     )
-
     candidate = (
         (psl == local_min)
         & (psl <= pressure_threshold_hpa)
         & signed_ok
         & (wind_max >= wind_threshold_ms)
-        & (np.abs(lat2d) <= max_abs_lat)
+        & (np.abs(lat) <= max_abs_lat)[:, None]
     )
 
-    detections = []
-    for i, j in np.argwhere(candidate):
-        detections.append(Detection(
-            step=step,
-            lat=float(lat[i]),
-            lon=float(lon[j]),
-            min_pressure=float(psl[i, j]),
-            max_wind=float(wind_max[i, j]),
-            vorticity=float(vort[i, j]),
-        ))
-    return _suppress_duplicates(detections)
+    per_step: List[List[Detection]] = [[] for _ in range(psl.shape[0])]
+    ks, i, j = np.nonzero(candidate)
+    for k, *values in zip(
+        ks.tolist(), lat[i].tolist(), np.asarray(lon)[j].tolist(),
+        psl[ks, i, j].tolist(), wind_max[ks, i, j].tolist(),
+        vort[ks, i, j].tolist(),
+    ):
+        per_step[k].append(Detection(step + k, *values))
+    per_step = [_suppress_duplicates(dets) for dets in per_step]
+    return per_step[0] if single else per_step
 
 
 def _suppress_duplicates(
     detections: List[Detection], min_separation_km: float = 600.0
 ) -> List[Detection]:
     """Keep only the deepest candidate within each separation radius."""
-    kept: List[Detection] = []
-    for det in sorted(detections, key=lambda d: d.min_pressure):
-        if all(
-            _haversine_km(det.lat, det.lon, k.lat, k.lon) >= min_separation_km
-            for k in kept
-        ):
-            kept.append(det)
-    return kept
+    if len(detections) < 2:
+        return list(detections)
+    ordered = sorted(detections, key=lambda d: d.min_pressure)
+    lat, lon = _coords(ordered)
+    apart = _great_circle_km(lat[:, None], lon[:, None], lat, lon) >= min_separation_km
+    kept: List[int] = []
+    for i in range(len(ordered)):
+        if apart[i, kept].all():
+            kept.append(i)
+    return [ordered[i] for i in kept]
 
 
 def link_tracks(
@@ -160,46 +185,42 @@ def link_tracks(
     A live track claims the nearest new detection within
     *max_travel_km_per_step* x (gap+1); tracks silent for more than
     *max_gap_steps* close.  Tracks shorter than *min_track_length* are
-    discarded (kills spurious single-step detections).
+    discarded (kills spurious single-step detections).  Closest pairs
+    claim first; equal distances go in (track, detection) order.
     """
     live: List[Track] = []
     finished: List[Track] = []
 
     for step_dets in detections_per_step:
         remaining = list(step_dets)
-        claimed: List[Track] = []
-        # Nearest-neighbour assignment, closest pair first.
-        pairs = []
-        for track in live:
-            last = track.detections[-1]
-            for det in remaining:
-                gap = det.step - last.step
-                if gap < 1 or gap > max_gap_steps + 1:
+        claimed = set()
+        if live and remaining:
+            lasts = [track.detections[-1] for track in live]
+            last_lat, last_lon = _coords(lasts)
+            lat, lon = _coords(remaining)
+            gap = (np.array([d.step for d in remaining])
+                   - np.array([d.step for d in lasts])[:, None])
+            dist = _great_circle_km(last_lat[:, None], last_lon[:, None], lat, lon)
+            ok = ((gap >= 1) & (gap <= max_gap_steps + 1)
+                  & (dist <= max_travel_km_per_step * gap))
+            ti, di = np.nonzero(ok)
+            order = np.argsort(dist[ti, di], kind="stable")
+            used_dets = set()
+            for t, d in zip(ti[order].tolist(), di[order].tolist()):
+                if t in claimed or d in used_dets:
                     continue
-                dist = _haversine_km(last.lat, last.lon, det.lat, det.lon)
-                if dist <= max_travel_km_per_step * gap:
-                    pairs.append((dist, track, det))
-        used_tracks, used_dets = set(), set()
-        for dist, track, det in sorted(pairs, key=lambda p: p[0]):
-            if id(track) in used_tracks or id(det) in used_dets:
-                continue
-            track.detections.append(det)
-            used_tracks.add(id(track))
-            used_dets.add(id(det))
-            claimed.append(track)
-        remaining = [d for d in remaining if id(d) not in used_dets]
+                live[t].detections.append(remaining[d])
+                claimed.add(t)
+                used_dets.add(d)
+            remaining = [det for d, det in enumerate(remaining) if d not in used_dets]
 
         # Expire tracks that have been silent too long.
-        if step_dets:
-            current_step = step_dets[0].step
-        else:
-            current_step = None
+        current_step = step_dets[0].step if step_dets else None
         still_live = []
-        for track in live:
-            if track in claimed:
-                still_live.append(track)
-            elif (
-                current_step is not None
+        for t, track in enumerate(live):
+            if (
+                t not in claimed
+                and current_step is not None
                 and current_step - track.end_step > max_gap_steps
             ):
                 finished.append(track)
@@ -254,14 +275,15 @@ def track_skill(
     for ti, (truth, t0) in enumerate(zip(truth_tracks, truth_start_steps)):
         truth_by_step = {t0 + s: pos for s, pos in enumerate(truth)}
         for di, track in enumerate(tracks):
-            dists = []
-            for det in track.detections:
-                pos = truth_by_step.get(det.step)
-                if pos is None:
-                    continue
-                d = _haversine_km(det.lat, det.lon, pos[0], pos[1])
-                if d <= max_match_km:
-                    dists.append(d)
+            aligned = [(det, truth_by_step[det.step]) for det in track.detections
+                       if det.step in truth_by_step]
+            if len(aligned) < min_overlap_steps:
+                continue
+            lat, lon = _coords([det for det, _ in aligned])
+            truth_lat, truth_lon = np.array(
+                [pos for _, pos in aligned], dtype=float).reshape(-1, 2).T
+            dists = _great_circle_km(lat, lon, truth_lat, truth_lon)
+            dists = dists[dists <= max_match_km]
             if len(dists) >= min_overlap_steps:
                 candidates.append((float(np.mean(dists)), ti, di))
 

@@ -68,32 +68,33 @@ def scale_features(
     return scaled, stats
 
 
-def patch_center_latlon(
-    origin: Tuple[int, int],
-    offset_rc: Tuple[float, float],
-    lat: np.ndarray,
-    lon: np.ndarray,
-) -> Tuple[float, float]:
+def patch_center_latlon(origin, offset_rc, lat: np.ndarray, lon: np.ndarray):
     """Geo-reference an in-patch (row, col) offset to global lat/lon.
 
     *offset_rc* is the predicted centre in fractional patch-local cell
     units; interpolation between cell centres handles the fraction, with
-    periodic longitude.
+    periodic longitude.  One ``(row, col)`` *origin* and *offset_rc*
+    give a ``(lat, lon)`` pair of floats; ``(n, 2)`` arrays of them give
+    a pair of ``(n,)`` arrays, one entry per detection.
     """
     lat = np.asarray(lat)
     lon = np.asarray(lon)
-    row = origin[0] + float(offset_rc[0])
-    col = origin[1] + float(offset_rc[1])
+    origin = np.asarray(origin)
+    offset_rc = np.asarray(offset_rc, dtype=np.float64)
+    row = origin[..., 0] + offset_rc[..., 0]
+    col = origin[..., 1] + offset_rc[..., 1]
 
-    r0 = int(np.clip(np.floor(row), 0, lat.size - 1))
-    r1 = min(r0 + 1, lat.size - 1)
+    r0 = np.clip(np.floor(row), 0, lat.size - 1).astype(int)
+    r1 = np.minimum(r0 + 1, lat.size - 1)
     fr = np.clip(row - r0, 0.0, 1.0)
-    out_lat = float(lat[r0] * (1 - fr) + lat[r1] * fr)
+    out_lat = lat[r0] * (1 - fr) + lat[r1] * fr
 
-    c0 = int(np.floor(col)) % lon.size
+    c0 = np.floor(col).astype(int) % lon.size
     c1 = (c0 + 1) % lon.size
     fc = np.clip(col - np.floor(col), 0.0, 1.0)
     lon0 = lon[c0]
-    lon1 = lon[c1] if lon[c1] >= lon[c0] else lon[c1] + 360.0
-    out_lon = float((lon0 * (1 - fc) + lon1 * fc) % 360.0)
+    lon1 = np.where(lon[c1] >= lon0, lon[c1], lon[c1] + 360.0)
+    out_lon = (lon0 * (1 - fc) + lon1 * fc) % 360.0
+    if row.ndim == 0:
+        return float(out_lat), float(out_lon)
     return out_lat, out_lon

@@ -360,11 +360,13 @@ def localize_in_snapshot(
         probs, centers = model.predict(patches)
         tiles = len(origins) // len(group)
         found: List[List[Tuple[float, float, float]]] = [[] for _ in group]
-        for k, (prob, center) in enumerate(zip(probs, centers)):
-            if prob < threshold:
-                continue
-            offset = (center[0] * (model.patch - 1), center[1] * (model.patch - 1))
-            plat, plon = patch_center_latlon(origins[k], offset, lat, lon)
-            found[k // tiles].append((plat, plon, float(prob)))
+        hits = np.flatnonzero(~(probs < threshold))
+        plat, plon = patch_center_latlon(
+            np.asarray(origins)[hits], centers[hits] * (model.patch - 1), lat, lon,
+        )
+        for k, hit_lat, hit_lon, prob in zip(
+            hits.tolist(), plat.tolist(), plon.tolist(), probs[hits].tolist()
+        ):
+            found[k // tiles].append((hit_lat, hit_lon, prob))
         per_step.extend(found)
     return per_step[0] if single else per_step

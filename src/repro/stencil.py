@@ -13,7 +13,10 @@ calls, with a ``"nearest"`` or ``"wrap"`` boundary per axis:
   the centre tap first, then ``(left + right) * w`` from the outermost
   pair inward.  Float64 in, float64 out.
 * :func:`minimum_filter` / :func:`maximum_filter` are separable (axis 0,
-  then axis 1, ...) and update in place; min and max are exact.
+  then axis 1, ...) and update in place; min and max are exact.  The
+  window ``size`` is one per axis or one for all; an axis of size 1 is
+  left alone, so a ``(steps, lat, lon)`` stack filtered with
+  ``(1, 3, 3)`` is every step filtered on its own.
 
 Inputs must be finite: NaN ordering and the sign of zero are where
 NumPy and SciPy's C loops may disagree.  ``tests/test_stencil.py`` holds
@@ -90,15 +93,21 @@ def gaussian_filter(input, sigma, mode: Modes = "nearest") -> np.ndarray:
     return out
 
 
-def _extremum_filter(input, size: int, mode: Modes, op) -> np.ndarray:
-    # SciPy's window for cell i spans i - size // 2 ... i + (size - 1) // 2.
-    offsets = [d for d in range(-(size // 2), (size + 1) // 2) if d]
+def _extremum_filter(input, size, mode: Modes, op) -> np.ndarray:
     src = np.asarray(input)
     out = src.copy()
-    for axis, m in enumerate(_per_axis(mode, out.ndim)):
+    first = True
+    for axis, (w, m) in enumerate(zip(_per_axis(size, out.ndim),
+                                      _per_axis(mode, out.ndim))):
         if m not in ("nearest", "wrap"):
             raise ValueError(f"unsupported boundary mode {m!r}")
-        s, v = _along(src if axis == 0 else out.copy(), axis), _along(out, axis)
+        # SciPy's window for cell i spans i - w // 2 ... i + (w - 1) // 2.
+        offsets = [d for d in range(-(w // 2), (w + 1) // 2) if d]
+        if not offsets:
+            continue
+        s = _along(src if first else out.copy(), axis)
+        v = _along(out, axis)
+        first = False
         n = v.shape[1]
         for d in offsets:
             if m == "wrap":
@@ -113,11 +122,11 @@ def _extremum_filter(input, size: int, mode: Modes, op) -> np.ndarray:
     return out
 
 
-def minimum_filter(input, size: int, mode: Modes = "nearest") -> np.ndarray:
-    """``scipy.ndimage.minimum_filter`` over a ``size``-wide square window."""
+def minimum_filter(input, size, mode: Modes = "nearest") -> np.ndarray:
+    """``scipy.ndimage.minimum_filter`` over a box ``size`` wide per axis."""
     return _extremum_filter(input, size, mode, np.minimum)
 
 
-def maximum_filter(input, size: int, mode: Modes = "nearest") -> np.ndarray:
-    """``scipy.ndimage.maximum_filter`` over a ``size``-wide square window."""
+def maximum_filter(input, size, mode: Modes = "nearest") -> np.ndarray:
+    """``scipy.ndimage.maximum_filter`` over a box ``size`` wide per axis."""
     return _extremum_filter(input, size, mode, np.maximum)

@@ -648,15 +648,19 @@ def _run_traced(
                         cube_futures.extend([dur_f, dmax_f, num_f, freq_f])
 
                     # Step 4b: tropical cyclones.
+                    prep_f = tasks.tc_preprocess(
+                        fs, days, tasks.CHANNELS if p.with_ml else tasks.TRACK_FIELDS
+                    )
                     if p.with_ml:
-                        prep_f = tasks.tc_preprocess(fs, days, p.tc_target_grid)
-                        det_f = tasks.tc_inference(tc_model_path, prep_f)
+                        det_f = tasks.tc_inference(
+                            tc_model_path, prep_f, p.tc_target_grid
+                        )
                         futures["tc_ml_path"] = tasks.tc_georeference(
                             fs, det_f, year, p.results_dir
                         )
                         futures["tc_ml"] = det_f
                     futures["tc_tracks"] = tasks.tc_deterministic_tracking(
-                        fs, days, year, p.results_dir
+                        fs, prep_f, year, p.results_dir
                     )
                     cube_futures.extend([tmax_f, tmin_f])
                     per_year[year] = futures

@@ -256,51 +256,64 @@ def index_frequency(client: Client, duration: Cube, n_days: int,
 # 5. Tropical cyclones (Figure 3, tasks #15-#17)
 # ---------------------------------------------------------------------------
 
+#: The deterministic tracker's fields, all among the CNN's :data:`CHANNELS`.
+TRACK_FIELDS = ("PSL", "VORT850", "WSPDSRFAV")
+
+
 @task(returns=1, label="tc_preprocess")
 def tc_preprocess(
     fs: SharedFilesystem,
     day_paths: Sequence[str],
-    target_grid: Tuple[int, int],
+    fields: Sequence[str] = CHANNELS,
 ) -> Dict[str, np.ndarray]:
-    """Post-process model output for the CNN: read, regrid, stack.
+    """Read the year's TC fields once, into ``(steps, lat, lon)`` stacks.
 
-    Returns the regridded channel stack ``(steps, C, lat, lon)`` plus
-    the destination coordinates.
+    Returns one native-grid stack per name in *fields* plus the source
+    ``lat``/``lon``.  The CNN and the deterministic tracker both take
+    their fields from here: the default, :data:`CHANNELS`, serves both;
+    :data:`TRACK_FIELDS` serves the tracker alone.
     """
-    n_lat, n_lon = target_grid
-    dst_lat = np.linspace(-90 + 90.0 / n_lat, 90 - 90.0 / n_lat, n_lat)
-    dst_lon = np.arange(n_lon) * (360.0 / n_lon)
-    snapshots: List[np.ndarray] = []
-    src_lat = src_lon = None
+    prepared: Dict[str, np.ndarray] = {}
+    step = 0
     for path in day_paths:
-        ds = fs.read(path, variables=list(CHANNELS) + ["lat", "lon"])
-        if src_lat is None:
-            src_lat = ds["lat"].data
-            src_lon = ds["lon"].data
-        stacked = np.stack([ds[c].data for c in CHANNELS], axis=1)  # (t, C, y, x)
-        regridded = regrid_bilinear(stacked, src_lat, src_lon, dst_lat, dst_lon)
-        snapshots.append(regridded)
-    data = np.concatenate(snapshots, axis=0)
-    return {"data": data, "lat": dst_lat, "lon": dst_lon}
+        ds = fs.read(path, variables=list(fields) + ["lat", "lon"])
+        n = ds[fields[0]].shape[0]
+        if not prepared:
+            prepared = {
+                c: np.empty((n * len(day_paths),) + ds[c].shape[1:], ds[c].data.dtype)
+                for c in fields
+            }
+            prepared["lat"], prepared["lon"] = ds["lat"].data, ds["lon"].data
+        for c in fields:
+            prepared[c][step:step + n] = ds[c].data
+        step += n
+    return prepared
 
 
 @task(returns=1, label="tc_inference")
 def tc_inference(
     model_path: str,
     prepared: Dict[str, np.ndarray],
+    target_grid: Tuple[int, int],
     threshold: float = 0.5,
 ) -> List[dict]:
-    """CNN localization on every 6-hourly snapshot of the year."""
+    """Regrid the year's stacks to *target_grid*, then CNN localization
+    on every 6-hourly snapshot."""
+    n_lat, n_lon = target_grid
+    dst_lat = np.linspace(-90 + 90.0 / n_lat, 90 - 90.0 / n_lat, n_lat)
+    dst_lon = np.arange(n_lon) * (360.0 / n_lon)
+    data = regrid_bilinear(
+        np.stack([prepared[c] for c in CHANNELS], axis=1),  # (t, C, y, x)
+        prepared["lat"], prepared["lon"], dst_lat, dst_lon,
+    )
     model = TCLocalizer.load(model_path)
-    data = prepared["data"]
     steps = int(data.shape[0])
     fields = {name: data[:, c] for c, name in enumerate(CHANNELS)}
     with maybe_span("ml.tc_inference", layer="ml",
                     attrs={"steps": steps,
                            "passes": -(-steps // STEPS_PER_PASS)}) as h:
-        per_step = localize_in_snapshot(
-            model, fields, prepared["lat"], prepared["lon"], threshold=threshold
-        )
+        per_step = localize_in_snapshot(model, fields, dst_lat, dst_lon,
+                                        threshold=threshold)
         found = [
             {"step": step, "lat": lat, "lon": lon, "prob": prob}
             for step, hits in enumerate(per_step)
@@ -326,24 +339,15 @@ def tc_georeference(
 @task(returns=1, label="tc_tracking")
 def tc_deterministic_tracking(
     fs: SharedFilesystem,
-    day_paths: Sequence[str],
+    prepared: Dict[str, np.ndarray],
     year: int,
     results_dir: str,
 ) -> Dict[str, object]:
-    """Classic detection + tracking scheme over the year's 6-hourly data."""
-    detections_per_step = []
-    step = 0
-    lat = lon = None
-    for path in day_paths:
-        ds = fs.read(path, variables=["PSL", "VORT850", "WSPDSRFAV", "lat", "lon"])
-        if lat is None:
-            lat, lon = ds["lat"].data, ds["lon"].data
-        for s in range(ds["PSL"].shape[0]):
-            detections_per_step.append(detect_tc_candidates(
-                ds["PSL"].data[s], ds["VORT850"].data[s],
-                ds["WSPDSRFAV"].data[s], lat, lon, step=step,
-            ))
-            step += 1
+    """Classic detection + tracking scheme over the year's 6-hourly
+    stacks from :func:`tc_preprocess`."""
+    detections_per_step = detect_tc_candidates(
+        *(prepared[name] for name in TRACK_FIELDS), prepared["lat"], prepared["lon"],
+    )
     tracks = link_tracks(detections_per_step, min_track_length=4)
     payload = [
         {

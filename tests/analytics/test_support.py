@@ -60,6 +60,34 @@ class TestRegrid:
         np.testing.assert_allclose(out[0], -60.0)
         np.testing.assert_allclose(out[1], 60.0)
 
+    def test_stack_in_blocks_equals_each_field_bitwise(self):
+        """A year-like stack, regridded block by block into one output,
+        holds exactly what each field regridded alone holds."""
+        src_lat = np.linspace(-86.25, 86.25, 24)
+        src_lon = np.arange(36) * 10.0
+        dst_lat = np.linspace(-90 + 90 / 32, 90 - 90 / 32, 32)
+        dst_lon = np.arange(64) * (360 / 64)
+        data = np.random.default_rng(2).normal(size=(11, 4, 24, 36)).astype(np.float32)
+        out = regrid_bilinear(data, src_lat, src_lon, dst_lat, dst_lon)
+        assert out.shape == (11, 4, 32, 64) and out.dtype == np.float64
+        for t in range(11):
+            for c in range(4):
+                assert np.array_equal(
+                    out[t, c], regrid_bilinear(data[t, c], src_lat, src_lon, dst_lat, dst_lon))
+
+    def test_plan_built_once_per_grid_pair(self):
+        from repro.analytics import regrid
+
+        src_lat, src_lon = np.linspace(-80, 80, 9), np.arange(0, 360, 45.0)
+        dst_lat, dst_lon = np.linspace(-70, 70, 5), np.arange(0, 360, 30.0)
+        regrid._plan.cache_clear()
+        for _ in range(3):
+            regrid_bilinear(np.ones((2, 9, 8)), src_lat, src_lon, dst_lat, dst_lon)
+        regrid_bilinear(np.ones((9, 8)), list(src_lat), src_lon, dst_lat, dst_lon)
+        assert regrid._plan.cache_info().misses == 1
+        regrid_bilinear(np.ones((9, 8)), src_lat, src_lon, dst_lat[:3], dst_lon)
+        assert regrid._plan.cache_info().misses == 2
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             regrid_bilinear(np.zeros((3, 4)), np.zeros(5), np.zeros(4),
@@ -110,6 +138,20 @@ class TestTiling:
         plat, plon = patch_center_latlon((0, 70), (0.5, 1.5), lat, lon)
         assert plat == pytest.approx((lat[0] + lat[1]) / 2)
         assert plon == pytest.approx(((lon[71] + (lon[71] + 5.0)) / 2) % 360)
+
+
+    def test_patch_center_arrays_equal_one_call_per_detection(self):
+        lat = np.linspace(-87.5, 87.5, 36)
+        lon = np.arange(0, 360, 5.0)
+        rng = np.random.default_rng(7)
+        origins = np.stack([rng.integers(0, 3, 50) * 12, rng.integers(0, 6, 50) * 12], 1)
+        offsets = rng.uniform(0, 11, (50, 2))
+        offsets[:5] = 11.0   # the last column / row: wrap and clamp
+        plat, plon = patch_center_latlon(origins, offsets, lat, lon)
+        assert plat.shape == plon.shape == (50,)
+        for k in range(50):
+            assert (plat[k], plon[k]) == patch_center_latlon(
+                tuple(origins[k]), tuple(offsets[k]), lat, lon)
 
 
 class TestMaps:

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.analytics import tile_patches
+from repro.esm import Grid
 from repro.ml import TCLocalizer, localize_in_snapshot, make_patch_dataset
 from repro.ml.tc_localizer import CHANNELS, STEPS_PER_PASS, _background, _vortex
+from repro.workflow import tasks
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +176,106 @@ class TestStackedInference:
         assert json.dumps(stacked).encode() == json.dumps(singles).encode()
         assert len(passes) == math.ceil(steps / STEPS_PER_PASS) == math.ceil(steps / 4)
         assert sum(passes) == 8 * steps   # 2x4 patches per snapshot
+
+
+def _oracle_regrid(data, src_lat, src_lon, dst_lat, dst_lon):
+    """One regrid of one day, building its indices and weights anew."""
+    data = np.asarray(data, dtype=np.float64)
+    li = np.clip(np.searchsorted(src_lat, dst_lat) - 1, 0, src_lat.size - 2)
+    lat0, lat1 = src_lat[li], src_lat[li + 1]
+    wlat = np.clip((dst_lat - lat0) / (lat1 - lat0), 0.0, 1.0)
+    pos = (dst_lon - src_lon[0]) % 360.0 / (360.0 / src_lon.size)
+    gi = np.floor(pos).astype(int) % src_lon.size
+    gi1 = (gi + 1) % src_lon.size
+    wlon = pos - np.floor(pos)
+    a = data[..., li[:, None], gi[None, :]]
+    b = data[..., li[:, None], gi1[None, :]]
+    c = data[..., li[:, None] + 1, gi[None, :]]
+    d = data[..., li[:, None] + 1, gi1[None, :]]
+    wlat2, wlon2 = wlat[:, None], wlon[None, :]
+    top = a * (1 - wlon2) + b * wlon2
+    bottom = c * (1 - wlon2) + d * wlon2
+    return top * (1 - wlat2) + bottom * wlat2
+
+
+def _oracle_latlon(origin, offset_rc, lat, lon):
+    """Geo-reference one detection with scalar arithmetic."""
+    row = origin[0] + float(offset_rc[0])
+    col = origin[1] + float(offset_rc[1])
+    r0 = int(np.clip(np.floor(row), 0, lat.size - 1))
+    r1 = min(r0 + 1, lat.size - 1)
+    fr = np.clip(row - r0, 0.0, 1.0)
+    c0 = int(np.floor(col)) % lon.size
+    c1 = (c0 + 1) % lon.size
+    fc = np.clip(col - np.floor(col), 0.0, 1.0)
+    lon1 = lon[c1] if lon[c1] >= lon[c0] else lon[c1] + 360.0
+    return (float(lat[r0] * (1 - fr) + lat[r1] * fr),
+            float((lon[c0] * (1 - fc) + lon1 * fc) % 360.0))
+
+
+def _oracle_tc_inference(model, prepared, target_grid, threshold):
+    """Regrid day by day, infer 4 steps a pass, geo-reference hit by hit."""
+    n_lat, n_lon = target_grid
+    dst_lat = np.linspace(-90 + 90.0 / n_lat, 90 - 90.0 / n_lat, n_lat)
+    dst_lon = np.arange(n_lon) * (360.0 / n_lon)
+    steps = len(prepared["PSL"])
+    data = np.concatenate([
+        _oracle_regrid(np.stack([prepared[c][t:t + 4] for c in CHANNELS], axis=1),
+                       prepared["lat"], prepared["lon"], dst_lat, dst_lon)
+        for t in range(0, steps, 4)
+    ])
+    found = []
+    for start in range(0, steps, STEPS_PER_PASS):
+        patches, origins = tile_patches(data[start:start + STEPS_PER_PASS], model.patch)
+        probs, centers = model.predict(patches)
+        tiles = len(origins) // len(data[start:start + STEPS_PER_PASS])
+        for k, (prob, center) in enumerate(zip(probs, centers)):
+            if prob < threshold:
+                continue
+            offset = (center[0] * (model.patch - 1), center[1] * (model.patch - 1))
+            plat, plon = _oracle_latlon(origins[k], offset, dst_lat, dst_lon)
+            found.append({"step": start + k // tiles, "lat": plat, "lon": plon,
+                          "prob": float(prob)})
+    return found
+
+
+class TestCNNDetectionsMatchPerHitOracle:
+    """``tc_inference`` (one regrid plan, day blocks, one geo-referencing
+    call per pass) against the per-day regrid and per-hit
+    geo-referencing it replaced, on output with hits."""
+
+    @pytest.fixture(scope="class", params=[(24, 36), (21, 35)])
+    def prepared(self, request):
+        """Three days on the 24x36 case-study model grid, and on a 21x35
+        one whose interpolation weights are not dyadic fractions; float32
+        like the model's output, with a vortex composited into every
+        other step."""
+        grid = Grid(*request.param)
+        rng = np.random.default_rng(12)
+        shape = (12,) + grid.shape
+        fields = {
+            "T850": 270.0 + rng.normal(0, 1.0, shape),
+            "PSL": 1013.0 + rng.normal(0, 0.8, shape),
+            "WSPDSRFAV": np.abs(rng.normal(6.0, 1.0, shape)),
+            "VORT850": rng.normal(0, 3e-6, shape),
+        }
+        vortex = _vortex(np.random.default_rng(1), 16, (7.0, 8.0))
+        for t in range(0, 12, 2):
+            for c, name in enumerate(CHANNELS):
+                fields[name][t, 4:20, t:t + 16] += vortex[c]
+        prepared = {name: a.astype(np.float32) for name, a in fields.items()}
+        prepared.update(lat=grid.lat, lon=grid.lon)
+        return prepared
+
+    @pytest.mark.parametrize("quantile", [0.0, 0.5, 0.9])
+    def test_detections_identical(self, tc_model_path, prepared, quantile):
+        model = TCLocalizer.load(tc_model_path)
+        probs = [d["prob"] for d in _oracle_tc_inference(model, prepared, (32, 64), 0.0)]
+        threshold = float(np.quantile(probs, quantile))
+        expected = _oracle_tc_inference(model, prepared, (32, 64), threshold)
+        assert len(expected) >= 1
+        got = tasks.tc_inference(tc_model_path, prepared, (32, 64), threshold=threshold)
+        assert json.dumps(got).encode() == json.dumps(expected).encode()
 
 
 class TestVectorizedDataset:

@@ -58,6 +58,39 @@ def test_min_max_filters_with_ties_match_scipy(size, mode, shape):
     )
 
 
+@pytest.mark.parametrize("size", [(1, 3, 3), (3, 1, 3), (1, 5, 3), (2, 3, 1)])
+@pytest.mark.parametrize("mode", [("nearest", "nearest", "wrap"),
+                                  ("wrap", "nearest", "wrap"), "nearest", "wrap"])
+@pytest.mark.parametrize("shape", [(5, 7, 9), (4, 24, 36)])
+def test_per_axis_sizes_with_ties_match_scipy(size, mode, shape):
+    """A (steps, lat, lon) stack: a size of 1 leaves an axis alone, so
+    (1, 3, 3) filters every step on its own, as TC detection does."""
+    field = np.random.default_rng(sum(size)).integers(-3, 4, shape).astype(float)
+    footprint = np.ones(size, dtype=bool)
+    assert np.array_equal(
+        minimum_filter(field, size, mode=mode),
+        ndimage.minimum_filter(field, footprint=footprint, mode=mode),
+    )
+    assert np.array_equal(
+        maximum_filter(field, size, mode=mode),
+        ndimage.maximum_filter(field, footprint=footprint, mode=mode),
+    )
+
+
+def test_one_step_stack_equals_snapshot():
+    field = np.random.default_rng(4).integers(-3, 4, (24, 36)).astype(float)
+    mode = ("nearest", "wrap")
+    assert np.array_equal(
+        minimum_filter(field[None], (1, 3, 3), mode=("nearest",) + mode)[0],
+        minimum_filter(field, 3, mode=mode),
+    )
+
+
+def test_size_per_axis_count_is_checked():
+    with pytest.raises(ValueError, match="per-axis"):
+        minimum_filter(np.zeros((4, 4, 4)), (3, 3))
+
+
 def test_unsupported_mode_is_refused():
     with pytest.raises(ValueError, match="mode"):
         gaussian_filter(np.zeros((4, 4)), 1.0, mode="reflect")

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.cluster import Cluster, Node, laptop_like
+from repro.analytics import regrid, tc_tracking
+from repro.cluster import Cluster, Node, SharedFilesystem, laptop_like
 from repro.faults.errors import InjectedIOError
 from repro.hpcwaas import Federation
 from repro.observability.metrics import snapshot_value
@@ -206,11 +207,46 @@ class TestEndToEnd(EndToEndCases):
         assert [s["steps"] for s in spans] == [20, 20]
         assert all(s["passes"] == math.ceil(s["steps"] / 4) for s in spans)
 
+    def test_tc_branch_reads_once_and_works_per_year(self, cluster, tc_model_path,
+                                                     monkeypatch):
+        """The TC branch reads each day file once (the CNN and the tracker
+        share ``tc_preprocess``'s stacks), detects each year with three
+        stencil calls, and builds one regrid plan per run."""
+        reads = []
+        read = SharedFilesystem.read
+        monkeypatch.setattr(
+            SharedFilesystem, "read",
+            lambda fs, path, variables=None:
+            reads.append((path, tuple(variables or ()))) or read(fs, path, variables))
+        stencil_calls = []
+        for name in ("minimum_filter", "maximum_filter"):
+            f = getattr(tc_tracking, name)
+            monkeypatch.setattr(tc_tracking, name,
+                                lambda *a, _f=f, **k: stencil_calls.append(1) or _f(*a, **k))
+        regrid._plan.cache_clear()
+        params = small_params(tc_model_path, years=[2030, 2031], n_days=8)
+        summary = run_extreme_events_workflow(cluster, params)
+
+        day_files = sorted(path for path, v in reads if v == ("TREFHTMX",))
+        tc_reads = sorted(path for path, v in reads if "PSL" in v)
+        assert len(day_files) == len(set(day_files)) == 2 * 8
+        assert tc_reads == day_files
+        # Per day file: TMAX, TMIN and the one TC read; plus two baseline reads.
+        assert len(reads) == 3 * 2 * 8 + 2 == snapshot_value(
+            summary["metrics"], "fs_operations_total",
+            fs=cluster.filesystem.fs_label, op="read")
+        assert len(stencil_calls) == 3 * 2
+        assert regrid._plan.cache_info().misses == 1
+        assert all(summary["years"][y]["tc_ml"]["n_detections"] >= 0
+                   for y in (2030, 2031))
+
     def test_without_ml(self, cluster, tc_model_path):
         params = small_params(tc_model_path, with_ml=False)
         summary = run_extreme_events_workflow(cluster, params)
         assert "tc_ml" not in summary["years"][2030]
         assert "tc_inference" not in summary["task_graph"]["by_function"]
+        # The tracker still takes its fields from the one preprocessing read.
+        assert summary["task_graph"]["by_function"]["tc_preprocess"] == 1
 
     def test_no_baseline_reuse_loads_per_year(self, cluster, tc_model_path):
         params = small_params(

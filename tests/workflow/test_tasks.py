@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster import SharedFilesystem
 from repro.esm import CMCCCM3, ModelConfig
+from repro.ml.tc_localizer import CHANNELS
 from repro.ophidia import Client, Cube, OphidiaServer
 from repro.workflow import tasks
 from repro.workflow.extreme_events import YearCollector
@@ -138,19 +139,36 @@ class TestLoadAndIndices:
 
 
 class TestTCTasks:
-    def test_tc_preprocess_shapes(self, fs):
+    def test_tc_preprocess_shapes(self, fs, monkeypatch):
         run_small_esm(fs, n_days=2)
         paths = fs.glob("esm_output", "cmcc_cm3_*.rnc")
-        prepared = tasks.tc_preprocess(fs, paths, (32, 64))
-        assert prepared["data"].shape == (8, 4, 32, 64)
-        assert prepared["lat"].shape == (32,)
+        reads = []
+        read = fs.read
+        monkeypatch.setattr(fs, "read", lambda p, **kw: reads.append(p) or read(p, **kw))
+        prepared = tasks.tc_preprocess(fs, paths)
+        assert reads == paths   # one read per day file
+        for name in CHANNELS:
+            assert prepared[name].shape == (8, 16, 24)
+            assert np.array_equal(
+                prepared[name],
+                np.concatenate([read(p, variables=[name])[name].data for p in paths]),
+            )
+        assert prepared["lat"].shape == (16,)
 
-    def test_tc_inference_and_georeference(self, fs, tmp_path):
+    def test_tc_inference_and_georeference(self, fs, tmp_path, monkeypatch):
         model_path = tasks.ensure_tc_model(None, 16, str(tmp_path / "m"))
         run_small_esm(fs, n_days=2)
         paths = fs.glob("esm_output", "cmcc_cm3_*.rnc")
-        prepared = tasks.tc_preprocess(fs, paths, (32, 64))
-        detections = tasks.tc_inference(model_path, prepared)
+        prepared = tasks.tc_preprocess(fs, paths)
+        seen = []
+        localize = tasks.localize_in_snapshot
+        monkeypatch.setattr(tasks, "localize_in_snapshot",
+                            lambda m, f, lat, lon, **kw: seen.append((f, lat))
+                            or localize(m, f, lat, lon, **kw))
+        detections = tasks.tc_inference(model_path, prepared, (32, 64))
+        (fields, lat), = seen
+        assert {c: a.shape for c, a in fields.items()} == {c: (8, 32, 64) for c in CHANNELS}
+        assert lat.shape == (32,)
         assert isinstance(detections, list)
         out = tasks.tc_georeference(fs, detections, 2030, "results")
         assert json.loads(fs.read_bytes(out)) == detections
@@ -158,7 +176,9 @@ class TestTCTasks:
     def test_tc_deterministic_tracking_runs(self, fs):
         run_small_esm(fs, n_days=6, n_lat=32, n_lon=48)
         paths = fs.glob("esm_output", "cmcc_cm3_*.rnc")
-        result = tasks.tc_deterministic_tracking(fs, paths, 2030, "results")
+        prepared = tasks.tc_preprocess(fs, paths, tasks.TRACK_FIELDS)
+        assert set(prepared) == {"PSL", "VORT850", "WSPDSRFAV", "lat", "lon"}
+        result = tasks.tc_deterministic_tracking(fs, prepared, 2030, "results")
         assert "tracks" in result
         assert fs.exists(result["path"])
 
