@@ -61,7 +61,7 @@ def main() -> None:
     days = []
     for doy in range(first, last + 1):
         days.append(model.atmosphere.daily_fields(
-            2030, doy, noise, sst, tropical_cyclones=tcs, rng=rng
+            2030, doy, noise, sst, tropical_cyclones=tcs
         ))
         noise = model.atmosphere.step_noise(noise, rng)
     stacks = {c: np.concatenate([d[c] for d in days]) for c in CHANNELS}

@@ -242,7 +242,7 @@ class EventGenerator:
                 frac = s / max(n_steps - 1, 1)
                 dlon = -(0.9 - 0.5 * frac) + rng.normal(0, 0.08)
                 dlat = hemisphere * (0.15 + 0.75 * frac**2) + rng.normal(0, 0.06)
-                lat = float(np.clip(lat + dlat, -60.0, 60.0))
+                lat = min(max(lat + dlat, -60.0), 60.0)
                 lon = float((lon + dlon) % 360.0)
                 track.append((lat, lon))
             events.append(TropicalCycloneEvent(

@@ -83,6 +83,7 @@ class CMCCCM3:
             self.grid, seed=self.config.seed,
             steps_per_day=self.config.steps_per_day,
         )
+        self._events: Dict[int, Dict[str, list]] = {}
 
     # ------------------------------------------------------------------
     # Integration
@@ -120,18 +121,13 @@ class CMCCCM3:
             noise = self.atmosphere.initial_noise(rng)
             sst = self.ocean.initialise(year)
             start_doy = 1
-        if cfg.with_events:
-            year_events = self.events.events_for_year(year)
-        else:
-            year_events = {"heat_waves": [], "cold_waves": [], "tropical_cyclones": []}
-
+        year_events = self._year_events(year)
         for doy in range(start_doy, n_days + 1):
             fields = self.atmosphere.daily_fields(
                 year, doy, noise, sst,
                 heat_waves=year_events["heat_waves"],
                 cold_waves=year_events["cold_waves"],
                 tropical_cyclones=year_events["tropical_cyclones"],
-                rng=rng,
             )
             ds = build_daily_dataset(
                 self.grid, year, doy, fields, cfg.steps_per_day,
@@ -280,14 +276,19 @@ class CMCCCM3:
     # Ground truth / baselines
     # ------------------------------------------------------------------
 
-    def ground_truth(self, year: int) -> Dict[str, list]:
-        """JSON-ready event log for *year* (empty when events are off)."""
+    def _year_events(self, year: int) -> Dict[str, list]:
+        """The events of *year* by kind, drawn once per model and year."""
         if not self.config.with_events:
             return {"heat_waves": [], "cold_waves": [], "tropical_cyclones": []}
-        per_kind = self.events.events_for_year(year)
+        if year not in self._events:
+            self._events[year] = self.events.events_for_year(year)
+        return self._events[year]
+
+    def ground_truth(self, year: int) -> Dict[str, list]:
+        """JSON-ready event log for *year* (empty when events are off)."""
         return {
             kind: [ev.to_dict() for ev in events]
-            for kind, events in per_kind.items()
+            for kind, events in self._year_events(year).items()
         }
 
     def baseline_dataset(
@@ -317,19 +318,7 @@ class CMCCCM3:
             )
             pairs = [p for chunk in executor.map(fn, chunks) for p in chunk]
         else:
-            pairs = [
-                (
-                    self.atmosphere.baseline_tmax(
-                        d, baseline_year,
-                        sst_clim=self.ocean.sst_clim(baseline_year, d),
-                    ),
-                    self.atmosphere.baseline_tmin(
-                        d, baseline_year,
-                        sst_clim=self.ocean.sst_clim(baseline_year, d),
-                    ),
-                )
-                for d in days
-            ]
+            pairs = _baseline_days(self, baseline_year, days)
         tmax = np.stack([p[0] for p in pairs]).astype(np.float32)
         tmin = np.stack([p[1] for p in pairs]).astype(np.float32)
         ds = Dataset(
@@ -374,17 +363,18 @@ def _baseline_days_chunk(
     config once per chunk — the component constructors are cheap next to
     the per-day field computation they amortise over 32 days.
     """
-    model = CMCCCM3(config)
-    return [
-        (
-            model.atmosphere.baseline_tmax(
-                d, baseline_year,
-                sst_clim=model.ocean.sst_clim(baseline_year, d),
-            ),
-            model.atmosphere.baseline_tmin(
-                d, baseline_year,
-                sst_clim=model.ocean.sst_clim(baseline_year, d),
-            ),
-        )
-        for d in days
-    ]
+    return _baseline_days(CMCCCM3(config), baseline_year, days)
+
+
+def _baseline_days(
+    model: CMCCCM3, baseline_year: int, days: List[int]
+) -> List[Tuple["np.ndarray", "np.ndarray"]]:
+    """(tmax, tmin) climatology fields of *model* for *days*."""
+    pairs = []
+    for d in days:
+        sst = model.ocean.sst_clim(baseline_year, d)
+        pairs.append((
+            model.atmosphere.baseline_tmax(d, baseline_year, sst_clim=sst),
+            model.atmosphere.baseline_tmin(d, baseline_year, sst_clim=sst),
+        ))
+    return pairs

@@ -81,7 +81,7 @@ def write_dataset(dataset: Dataset, path: str | os.PathLike) -> int:
             total += fh.write(len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "little"))
             total += fh.write(header_bytes)
             for arr in payloads:
-                total += fh.write(arr.tobytes())
+                total += fh.write(arr)  # buffer protocol: no copy
         os.replace(tmp_path, path)
     except BaseException:
         try:

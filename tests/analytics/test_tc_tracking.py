@@ -190,7 +190,7 @@ class TestEndToEndOnESM:
         first_step_of_day = {}
         for doy in day_list:
             fields = model.atmosphere.daily_fields(
-                2030, doy, noise, sst, tropical_cyclones=truth_tcs, rng=rng
+                2030, doy, noise, sst, tropical_cyclones=truth_tcs
             )
             first_step_of_day[doy] = step
             for s in range(4):
@@ -346,7 +346,7 @@ def season():
     days = []
     for doy in range(first, first + 20):
         days.append(model.atmosphere.daily_fields(
-            2030, doy, noise, sst, tropical_cyclones=tcs, rng=rng))
+            2030, doy, noise, sst, tropical_cyclones=tcs))
         noise = model.atmosphere.step_noise(noise, rng)
     stacks = [np.concatenate([d[name] for d in days])
               for name in ("PSL", "VORT850", "WSPDSRFAV")]

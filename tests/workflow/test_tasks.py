@@ -173,6 +173,40 @@ class TestTCTasks:
         out = tasks.tc_georeference(fs, detections, 2030, "results")
         assert json.loads(fs.read_bytes(out)) == detections
 
+    def test_tc_inference_chunks_equal_whole_year_regrid(self, tmp_path, monkeypatch):
+        """Chunked regrid + inference gives the bytes of one whole-year
+        regrid and the detections of one whole-year localization."""
+        model_path = tasks.ensure_tc_model(None, 16, str(tmp_path / "m"))
+        steps = tasks._INFERENCE_CHUNK_STEPS + 2 * tasks.STEPS_PER_PASS + 1
+        rng = np.random.default_rng(3)
+        prepared = {c: (rng.standard_normal((steps, 16, 24)) * 5 + 280).astype(np.float32)
+                    for c in CHANNELS}
+        prepared["lat"] = np.linspace(-90 + 90 / 16, 90 - 90 / 16, 16)
+        prepared["lon"] = np.arange(24) * 15.0
+        seen = []
+        localize = tasks.localize_in_snapshot
+        monkeypatch.setattr(tasks, "localize_in_snapshot",
+                            lambda m, f, lat, lon, **kw: seen.append(f)
+                            or localize(m, f, lat, lon, **kw))
+        detections = tasks.tc_inference(model_path, prepared, (32, 64))
+        assert [f[CHANNELS[0]].shape[0] for f in seen] == [
+            tasks._INFERENCE_CHUNK_STEPS, steps - tasks._INFERENCE_CHUNK_STEPS]
+        dst_lat = np.linspace(-90 + 90.0 / 32, 90 - 90.0 / 32, 32)
+        dst_lon = np.arange(64) * (360.0 / 64)
+        whole = tasks.regrid_bilinear(
+            np.stack([prepared[c] for c in CHANNELS], axis=1),
+            prepared["lat"], prepared["lon"], dst_lat, dst_lon)
+        for c, name in enumerate(CHANNELS):
+            chunked = np.concatenate([f[name] for f in seen])
+            assert chunked.tobytes() == np.ascontiguousarray(whole[:, c]).tobytes()
+        model = tasks.TCLocalizer.load(model_path)
+        per_step = localize(model, {n: whole[:, c] for c, n in enumerate(CHANNELS)},
+                            dst_lat, dst_lon)
+        assert detections == [
+            {"step": step, "lat": lat, "lon": lon, "prob": prob}
+            for step, hits in enumerate(per_step) for lat, lon, prob in hits
+        ]
+
     def test_tc_deterministic_tracking_runs(self, fs):
         run_small_esm(fs, n_days=6, n_lat=32, n_lon=48)
         paths = fs.glob("esm_output", "cmcc_cm3_*.rnc")
