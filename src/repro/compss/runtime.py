@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.compss.checkpoint import CheckpointManager
-from repro.compss.datacache import WorkerDataCache
 from repro.compss.failures import OnFailure, TaskCancelledError, TaskFailedError
 from repro.compss.future import Future
 from repro.compss.parameter import Direction
@@ -99,14 +98,6 @@ class RuntimeConfig:
     fault_injector:
         Optional chaos hook consulted before each task execution; see
         :func:`set_task_fault_injector` for the process-wide variant.
-    worker_cache_bytes:
-        Per-worker resident-set budget for task outputs.  With a
-        positive budget, a remote predecessor's output is charged as a
-        transfer only on its *first* consumption on a given worker;
-        later consumers on that worker are in-memory cache hits (the
-        paper's "data could be kept in memory" reuse).  ``0`` (the
-        default) keeps the historical charge-every-consumption
-        accounting.
     """
 
     n_workers: int = 4
@@ -126,13 +117,10 @@ class RuntimeConfig:
     # by long-running tasks that transitively wait on the retrying one.
     blacklist_grace_s: float = 0.5
     fault_injector: Optional[Any] = None
-    worker_cache_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.worker_cache_bytes < 0:
-            raise ValueError("worker_cache_bytes must be >= 0")
         if self.computing_units is None:
             self.computing_units = self.n_workers
         if self.computing_units < 1:
@@ -181,10 +169,13 @@ class COMPSsRuntime:
         #: workflow error is recorded (drivers use this to interrupt
         #: blocked stream consumers without polling ``failed``).
         self._failure_listeners: List[Any] = []
-        #: Per-worker resident sets behind the data-movement accounting
-        #: of :meth:`_commit_transfers` (§3: "data could be kept in
-        #: memory and moved to other nodes as the workflow progresses").
-        self.data_cache = WorkerDataCache(self.config.worker_cache_bytes)
+        #: Per-worker resident sets: the producer ids whose outputs each
+        #: worker already holds (§3: "data could be kept in memory and
+        #: moved to other nodes as the workflow progresses").  A worker
+        #: keeps what it fetched for the rest of the run, so each output
+        #: moves to a given worker at most once.  Entry *w* is only read
+        #: and written by worker *w*'s own thread, so it needs no lock.
+        self._resident: List[set] = [set() for _ in range(self.config.n_workers)]
 
         self._workers = [
             threading.Thread(
@@ -400,17 +391,20 @@ class COMPSsRuntime:
         already resident on the worker, *fetches* must actually move.
         Planning is separated from :meth:`_commit_transfers` so a
         dispatch aborted by the fault injector charges nothing and
-        caches nothing.
+        admits nothing.
         """
+        resident = self._resident[worker_id]
         local = 0
-        remote: List[Tuple[int, int]] = []
+        cache_hits: List[Tuple[int, int]] = []
+        fetches: List[Tuple[int, int]] = []
         for pred_id in self.graph.predecessors(node.task_id):
             pred = self.graph.task(pred_id)
             if pred.worker_id is None or pred.worker_id == worker_id:
                 local += 1
+            elif pred_id in resident:
+                cache_hits.append((pred_id, pred.result_nbytes))
             else:
-                remote.append((pred_id, pred.result_nbytes))
-        cache_hits, fetches = self.data_cache.split(worker_id, remote)
+                fetches.append((pred_id, pred.result_nbytes))
         return local, cache_hits, fetches
 
     def _commit_transfers(
@@ -428,7 +422,7 @@ class COMPSsRuntime:
         local, cache_hits, fetches = plan
         moved = sum(nbytes for _, nbytes in fetches)
         saved = sum(nbytes for _, nbytes in cache_hits)
-        evicted = self.data_cache.commit(worker_id, cache_hits, fetches)
+        self._resident[worker_id].update(pred_id for pred_id, _ in fetches)
         registry = get_registry()
         transfers = registry.counter(
             "compss_transfers_total",
@@ -447,25 +441,11 @@ class COMPSsRuntime:
                 "compss_transfer_bytes_total",
                 "Bytes moved between workers for dependencies",
             ).inc(moved)
-        if self.data_cache.enabled:
-            registry.counter(
-                "compss_cache_hits_total",
-                "Remote dependencies served from worker resident sets",
-            ).inc(len(cache_hits))
-            registry.counter(
-                "compss_cache_misses_total",
-                "Remote dependencies absent from worker resident sets",
-            ).inc(len(fetches))
         if saved:
             registry.counter(
                 "compss_transfer_bytes_saved_total",
                 "Bytes not re-transferred thanks to worker resident sets",
             ).inc(saved)
-        if evicted:
-            registry.counter(
-                "compss_cache_evictions_total",
-                "Resident-set entries evicted under the byte budget",
-            ).inc(evicted)
 
     #: Containers deeper than this stop contributing to the estimate; at
     #: 32 levels the residual payload is negligible for any real task

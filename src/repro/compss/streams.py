@@ -4,8 +4,8 @@ Section 5.2 of the paper: "a streaming interface available in PyCOMPSs
 has been leveraged to monitor the file production progress and detect
 when a (full) new year of data is available".  :class:`FileDistroStream`,
 after the distroStream library PyCOMPSs integrates, watches a directory
-(optionally through a :class:`~repro.cluster.filesystem.SharedFilesystem`)
-and yields newly appeared files matching a pattern, exactly how the case
+written through a :class:`~repro.cluster.filesystem.SharedFilesystem` and
+yields newly appeared files matching a pattern, exactly how the case
 study detects freshly written simulation days.
 """
 
@@ -25,17 +25,13 @@ class StreamClosed(Exception):
 class FileDistroStream:
     """Watches a directory for new files matching *pattern*.
 
-    The producing task (the ESM simulation) just writes files; the
-    consuming task polls the stream and reacts to fresh paths.  Files are
-    reported exactly once, in sorted-name order per poll.
-
-    Attached to a :class:`~repro.cluster.filesystem.SharedFilesystem`
-    (the *filesystem* parameter or :meth:`attach_filesystem`), the stream
-    is fully event-driven: every write under the watched directory
-    notifies blocked pollers, which then sleep untimed between events.
-    Unattached, it falls back to rescanning every *poll_interval*
-    seconds, which also covers producers that bypass the filesystem
-    facade (plain ``open``).
+    The producing task (the ESM simulation) writes files through a
+    :class:`~repro.cluster.filesystem.SharedFilesystem`; the consuming
+    task polls the stream and reacts to fresh paths.  Files are reported
+    exactly once, in sorted-name order per poll.  The stream is
+    event-driven: every write the filesystem lands under the watched
+    directory notifies blocked pollers, which sleep untimed between
+    events.
 
     Parameters
     ----------
@@ -43,62 +39,36 @@ class FileDistroStream:
         Host directory to watch.
     pattern:
         ``fnmatch`` pattern on the file name (default ``*``).
-    poll_interval:
-        Sleep between directory scans while blocking *without* an
-        attached filesystem.
     filesystem:
-        Optional shared filesystem whose write events wake pollers.
+        The shared filesystem whose write events wake pollers.
     """
 
     def __init__(
         self,
         directory: str | os.PathLike,
         pattern: str = "*",
-        poll_interval: float = 0.02,
-        filesystem=None,
+        *,
+        filesystem,
     ) -> None:
         self.directory = os.fspath(directory)
         self.pattern = pattern
-        self.poll_interval = poll_interval
         self._seen: set = set()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._closed = False
-        self._fs = None
-        self._fs_listener = None
-        if filesystem is not None:
-            self.attach_filesystem(filesystem)
-
-    # -- event wiring --------------------------------------------------------
-
-    def attach_filesystem(self, filesystem) -> "FileDistroStream":
-        """Wake pollers on every write the filesystem lands under us."""
-        self.detach_filesystem()
         watched = os.path.abspath(self.directory)
 
-        def on_write(rel_path: str, _root=filesystem.root, _dir=watched) -> None:
-            host = os.path.abspath(os.path.join(_root, rel_path))
+        def on_write(rel_path: str) -> None:
+            host = os.path.abspath(os.path.join(filesystem.root, rel_path))
             # Prefix match (not exact-parent): writes in subdirectories
             # trigger a spurious-but-harmless rescan, a miss would lose
             # a wake-up.
-            if host.startswith(_dir + os.sep):
+            if host.startswith(watched + os.sep):
                 self.notify()
 
         self._fs = filesystem
         self._fs_listener = on_write
         filesystem.add_write_listener(on_write)
-        return self
-
-    def detach_filesystem(self) -> None:
-        fs, listener = self._fs, self._fs_listener
-        self._fs = self._fs_listener = None
-        if fs is not None and listener is not None:
-            fs.remove_write_listener(listener)
-
-    @property
-    def event_driven(self) -> bool:
-        """True when write events (not timed rescans) wake pollers."""
-        return self._fs is not None
 
     def notify(self) -> None:
         """Wake every blocked poller to rescan (producers/aborters)."""
@@ -148,17 +118,11 @@ class FileDistroStream:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return []
-                if self.event_driven:
-                    self._wake.wait(timeout=remaining)
-                else:
-                    self._wake.wait(timeout=(
-                        self.poll_interval if remaining is None
-                        else min(remaining, self.poll_interval)
-                    ))
+                self._wake.wait(timeout=remaining)
 
     def close(self) -> None:
         """Mark end-of-stream: the producer will write no more files."""
         with self._wake:
             self._closed = True
             self._wake.notify_all()
-        self.detach_filesystem()
+        self._fs.remove_write_listener(self._fs_listener)

@@ -28,9 +28,8 @@ type; nesting is allowed anywhere a measure expression is expected
 
 from __future__ import annotations
 
+import functools
 import re
-import threading
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
@@ -298,37 +297,6 @@ def _eval_call(name: str, args: List, measure: np.ndarray) -> np.ndarray:
 # Compile-once AST cache
 # ---------------------------------------------------------------------------
 
-class _ASTCache:
-    """Thread-safe LRU of parsed primitive ASTs, keyed on the query string.
-
-    Fragment-parallel operators evaluate the same query once per
-    fragment; with the cache the tokenizer/parser run once per distinct
-    query string for the whole process instead.  ASTs are immutable
-    tuples, so sharing one across threads is safe.
-    """
-
-    def __init__(self, maxsize: int = 256) -> None:
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, tuple]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, query: str) -> tuple:
-        with self._lock:
-            ast = self._entries.get(query)
-            if ast is not None:
-                self._entries.move_to_end(query)
-                return ast
-        # Parse outside the lock: parsing is pure and collisions are
-        # harmless (both threads produce the same AST).
-        ast = _parse_uncached(query)
-        with self._lock:
-            self._entries[query] = ast
-            self._entries.move_to_end(query)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return ast
-
-
 def _parse_uncached(query: str) -> tuple:
     ast = _Parser(_tokenize(query)).parse()
     if ast[0] != "call":
@@ -336,16 +304,18 @@ def _parse_uncached(query: str) -> tuple:
     return ast
 
 
-_ast_cache = _ASTCache()
-
-
+@functools.lru_cache(maxsize=256)
 def parse_primitive(query: str) -> tuple:
-    """Parse *query* into its AST, memoized in a thread-safe LRU.
+    """Parse *query* into its AST, memoized in a bounded LRU.
 
-    Raises :class:`PrimitiveError` for malformed queries (errors are not
+    Fragment-parallel operators evaluate the same query once per
+    fragment; the cache runs the tokenizer/parser once per distinct
+    query string for the whole process instead.  ASTs are immutable
+    tuples, so sharing one across threads is safe.  Raises
+    :class:`PrimitiveError` for malformed queries (errors are not
     cached, so a corrected query re-parses normally).
     """
-    return _ast_cache.get(query)
+    return _parse_uncached(query)
 
 
 def evaluate_ast(ast: tuple, measure: np.ndarray) -> np.ndarray:

@@ -57,10 +57,6 @@ class WorkflowParams:
     tc_target_grid: Tuple[int, int] = (32, 64)
 
     reuse_baseline: bool = True      # C2 ablation knob
-    #: Per-worker COMPSs resident-set budget (bytes): a remote
-    #: predecessor's output is charged as a transfer only on its first
-    #: consumption per worker.  0 disables the reuse accounting.
-    worker_cache_bytes: int = 256 * 1024 * 1024
     #: When True, analytics are submitted only after the simulation task
     #: completes — the no-streaming-overlap baseline of experiment C1.
     sequential: bool = False
@@ -101,8 +97,6 @@ class WorkflowParams:
             raise ValueError("min_length_days cannot exceed n_days")
         if self.tc_target_grid[0] % self.tc_patch or self.tc_target_grid[1] % self.tc_patch:
             raise ValueError("tc_target_grid must be divisible by tc_patch")
-        if self.worker_cache_bytes < 0:
-            raise ValueError("worker_cache_bytes must be non-negative")
         if self.ophidia_memory_budget_bytes < 0:
             raise ValueError("ophidia_memory_budget_bytes must be non-negative")
         if self.execution_backend not in ("thread", "process"):

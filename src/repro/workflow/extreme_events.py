@@ -65,19 +65,15 @@ class YearCollector:
     polls distributes fresh files into per-year buckets and wakes the
     others.
 
-    With *filesystem* given, the underlying stream is event-driven
-    (woken by write events) and collectors block untimed between events;
-    the drivers additionally register :meth:`close` as a runtime failure
-    listener, so a dying workflow wakes every blocked collector instead
-    of relying on timed *abort* re-polls.  Without a filesystem the
-    historical timed rescans remain as the fallback.
+    The underlying stream is event-driven (woken by *filesystem*'s write
+    events) and collectors block untimed between events; the drivers
+    additionally register :meth:`close` as a runtime failure listener,
+    so a dying workflow wakes every blocked collector.
     """
 
     def __init__(self, directory: str, pattern: str = "cmcc_cm3_*.rnc",
-                 poll_interval: float = 0.02, filesystem=None) -> None:
-        self._stream = FileDistroStream(
-            directory, pattern, poll_interval, filesystem=filesystem
-        )
+                 *, filesystem) -> None:
+        self._stream = FileDistroStream(directory, pattern, filesystem=filesystem)
         self._by_year: Dict[int, List[str]] = defaultdict(list)
         self._cond = threading.Condition()
         self._polling = False
@@ -98,12 +94,11 @@ class YearCollector:
         *abort* is re-checked on every wake-up; when it returns True the
         wait gives up with :class:`StreamClosed` — the pipelined driver
         passes the runtime's failure flag so a dead simulation cannot
-        park the dispatch loop forever.  (Event-driven collectors wake
-        on writes and on :meth:`close`; callers whose abort condition
-        can flip without either event should also arrange a wake-up,
-        as the drivers do via ``runtime.add_failure_listener``.)
+        park the dispatch loop forever.  (Collectors wake on writes and
+        on :meth:`close`; callers whose abort condition can flip without
+        either event should also arrange a wake-up, as the drivers do
+        via ``runtime.add_failure_listener``.)
         """
-        event_driven = self._stream.event_driven
         while True:
             with self._cond:
                 files = self._by_year.get(year, [])
@@ -119,14 +114,12 @@ class YearCollector:
                         f"stream closed with {len(files)}/{n_days} files for {year}"
                     )
                 if self._polling:
-                    self._cond.wait(timeout=None if event_driven else 0.05)
+                    self._cond.wait()
                     continue
                 self._polling = True
             fresh: List[str] = []
             try:
-                fresh = self._stream.poll(
-                    timeout=None if event_driven else 0.2, block=True
-                )
+                fresh = self._stream.poll()
             except StreamClosed:
                 with self._cond:
                     self._closed = True
@@ -460,9 +453,7 @@ def _count_sections(summary: Dict[str, Any], sim_fs, fs) -> None:
         "local_hits": count("compss_transfers_total", kind="local_hit"),
         "remote_transfers": count("compss_transfers_total", kind="remote"),
         "bytes_transferred": count("compss_transfer_bytes_total"),
-        "cache_hits": count("compss_cache_hits_total"),
-        "cache_misses": count("compss_cache_misses_total"),
-        "cache_evictions": count("compss_cache_evictions_total"),
+        "cache_hits": count("compss_transfers_total", kind="cache_hit"),
         "bytes_saved": count("compss_transfer_bytes_saved_total"),
     }
     summary["storage"] = {
@@ -518,10 +509,6 @@ def _run_traced(
             n_workers=p.n_workers,
             scheduler=policy_by_name(p.scheduler),
             checkpoint=checkpoint,
-            # The reuse layer: per-worker resident sets, so a
-            # predecessor's output moves to a worker at most once
-            # (claim C2).
-            worker_cache_bytes=p.worker_cache_bytes,
         ) as runtime:
             # A workflow failure closes the collector, waking any
             # blocked collect_year immediately (no timed abort polls).

@@ -1,10 +1,12 @@
 """Checkpoint recovery and streaming interfaces."""
 
 import os
+import threading
 import time
 
 import pytest
 
+from repro.cluster import SharedFilesystem
 from repro.compss import (
     COMPSs,
     CheckpointManager,
@@ -115,8 +117,6 @@ class TestUnpicklableOutputs:
     def test_unpicklable_result_skips_checkpoint_not_task(self, tmp_path):
         """Live handles (thread locks, servers) cannot be pickled; the
         task must still complete — it simply re-executes on restart."""
-        import threading
-
         runs = []
 
         @task(returns=1)
@@ -133,42 +133,91 @@ class TestUnpicklableOutputs:
         assert leftovers == []
 
 
+@pytest.fixture
+def fs(tmp_path):
+    return SharedFilesystem(tmp_path)
+
+
+class _SignallingCondition(threading.Condition):
+    """A condition that flags when a waiter is about to block on it."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.waiting = threading.Event()
+
+    def wait(self, timeout=None):
+        self.waiting.set()
+        return super().wait(timeout)
+
+
 class TestFileStream:
-    def test_detects_new_files_once(self, tmp_path):
-        s = FileDistroStream(tmp_path, pattern="day_*.rnc", poll_interval=0.01)
-        (tmp_path / "day_001.rnc").write_bytes(b"a")
-        (tmp_path / "ignored.txt").write_bytes(b"b")
+    def test_detects_new_files_once(self, fs):
+        s = FileDistroStream(fs.root, pattern="day_*.rnc", filesystem=fs)
+        fs.write_bytes("day_001.rnc", b"a")
+        fs.write_bytes("ignored.txt", b"b")
         got = s.poll(timeout=1)
         assert [os.path.basename(p) for p in got] == ["day_001.rnc"]
-        (tmp_path / "day_002.rnc").write_bytes(b"c")
+        fs.write_bytes("day_002.rnc", b"c")
         got = s.poll(timeout=1)
         assert [os.path.basename(p) for p in got] == ["day_002.rnc"]
+        s.close()
 
-    def test_skips_atomic_write_temporaries(self, tmp_path):
-        s = FileDistroStream(tmp_path, pattern="*", poll_interval=0.01)
-        stray = tmp_path / "f.rnc.tmp.123"  # a crashed writer's leftover
-        stray.write_bytes(b"partial")
+    def test_skips_atomic_write_temporaries(self, fs):
+        s = FileDistroStream(fs.root, pattern="*", filesystem=fs)
+        stray = os.path.join(fs.root, "f.rnc.tmp.123")  # a crashed writer's leftover
+        with open(stray, "wb") as fh:
+            fh.write(b"partial")
         assert s.poll(block=False) == []
-        stray.unlink()  # planted here, so not a leak for conftest to report
+        os.unlink(stray)  # planted here, so not a leak for conftest to report
+        s.close()
 
-    def test_close_then_drain_then_raise(self, tmp_path):
-        s = FileDistroStream(tmp_path, pattern="*.rnc", poll_interval=0.01)
-        (tmp_path / "a.rnc").write_bytes(b"x")
+    def test_close_then_drain_then_raise(self, fs):
+        s = FileDistroStream(fs.root, pattern="*.rnc", filesystem=fs)
+        fs.write_bytes("a.rnc", b"x")
         s.close()
         assert len(s.poll()) == 1  # race-free final scan
         with pytest.raises(StreamClosed):
             s.poll()
 
-    def test_producer_consumer_tasks_overlap(self, tmp_path):
+    def test_blocked_poll_wakes_on_write_and_close(self, fs):
+        """An untimed poll sleeps until a write lands under the watched
+        directory, and again until the stream closes."""
+        s = FileDistroStream(fs.path("out"), pattern="*.rnc", filesystem=fs)
+        s._wake = _SignallingCondition(s._lock)
+        got = []
+
+        def consumer():
+            got.append(s.poll(timeout=None))
+            try:
+                s.poll(timeout=None)
+            except StreamClosed:
+                got.append("closed")
+
+        t = threading.Thread(target=consumer, daemon=True)
+        t.start()
+        try:
+            assert s._wake.waiting.wait(5)
+            s._wake.waiting.clear()
+            fs.write_bytes("elsewhere/b.rnc", b"y")   # not watched
+            fs.write_bytes("out/a.rnc", b"x")
+            assert s._wake.waiting.wait(5)            # blocked again
+            assert [os.path.basename(p) for p in got[0]] == ["a.rnc"]
+            s.close()
+            t.join(5)
+            assert not t.is_alive()
+            assert got[1] == "closed"
+        finally:
+            s.close()
+
+    def test_producer_consumer_tasks_overlap(self, fs):
         """The paper's §5.2 pattern: ESM writes days, a monitor reacts."""
-        outdir = tmp_path / "out"
-        outdir.mkdir()
-        stream = FileDistroStream(outdir, pattern="day_*.dat", poll_interval=0.01)
+        stream = FileDistroStream(fs.path("out"), pattern="day_*.dat",
+                                  filesystem=fs)
 
         @task(returns=1)
         def producer(n):
             for i in range(n):
-                (outdir / f"day_{i:03d}.dat").write_bytes(b"d")
+                fs.write_bytes(f"out/day_{i:03d}.dat", b"d")
                 time.sleep(0.01)
             stream.close()
             return n

@@ -238,13 +238,22 @@ class TestASTCache:
 
     def test_cache_is_bounded_lru(self):
         from repro.ophidia import parse_primitive
-        from repro.ophidia.primitives import _ast_cache
 
-        for k in range(_ast_cache.maxsize + 10):
+        maxsize = parse_primitive.cache_info().maxsize
+        for k in range(maxsize + 10):
             parse_primitive(
                 f"oph_sum_scalar('OPH_DOUBLE','OPH_DOUBLE',measure,{k})"
             )
-        assert len(_ast_cache._entries) == _ast_cache.maxsize
+        assert parse_primitive.cache_info().currsize == maxsize
+
+    def test_errors_are_not_cached(self):
+        from repro.ophidia import parse_primitive
+
+        before = parse_primitive.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(PrimitiveError):
+                parse_primitive("oph_unclosed('OPH_INT'")
+        assert parse_primitive.cache_info().currsize == before
 
     def test_parallel_parsing_is_consistent(self):
         from concurrent.futures import ThreadPoolExecutor

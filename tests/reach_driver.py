@@ -103,7 +103,6 @@ def run_cli(work):
     cli("run", "--param", "n_days=6", *SMALL, "--param", "min_length_days=3",
         "--param", f"slo_rules_path={rules['loose']}",
         "--param", "ophidia_memory_budget_bytes=10485",
-        "--param", "worker_cache_bytes=0",
         "--scratch", f"{work}/tiered")
     json.loads(cli("chaos", "--seed", 7, "--kill-node", "local1",
                    "--fs-error-rate", 0.05, "--param", "n_days=6",

@@ -59,12 +59,10 @@ WORKFLOW_ARGVS = {
         ["run", "--param", "n_days=6", *TOY, "--param", "min_length_days=3",
          "--param", "slo_rules_path=loose.yaml",
          "--param", "ophidia_memory_budget_bytes=10485",
-         "--param", "worker_cache_bytes=0",
          "--scratch", "tiered"],
         WorkflowParams(n_days=6, n_lat=8, n_lon=12, min_length_days=3,
                        with_ml=False, slo_rules_path="loose.yaml",
-                       ophidia_memory_budget_bytes=10485,
-                       worker_cache_bytes=0)),
+                       ophidia_memory_budget_bytes=10485)),
     "reach-chaos": (
         ["chaos", "--seed", "7", "--kill-node", "local1",
          "--fs-error-rate", "0.05", "--param", "n_days=6", "--scratch", "c"],
@@ -84,6 +82,7 @@ class TestWorkflowParamsFromArgv:
     @pytest.mark.parametrize("pair, message", [
         ("bogus=1", "unknown workflow parameters"),
         ("fs_cache_bytes=1", "unknown workflow parameters"),
+        ("worker_cache_bytes=0", "unknown workflow parameters"),
         ("n_days", "expected KEY=VALUE"),
         ("with_ml=no", "'with_ml' must be bool"),
     ])

@@ -45,7 +45,7 @@ class TestESMTasks:
 class TestMonitor:
     def test_collect_year_returns_chronological_paths(self, fs):
         run_small_esm(fs, n_days=5)
-        collector = YearCollector(fs.path("esm_output"))
+        collector = YearCollector(fs.path("esm_output"), filesystem=fs)
         paths = collector.collect_year(2030, 5)
         assert len(paths) == 5
         assert paths == sorted(paths)
@@ -53,7 +53,7 @@ class TestMonitor:
 
     def test_monitor_multiple_years_share_stream(self, fs):
         run_small_esm(fs, years=(2030, 2031), n_days=3)
-        collector = YearCollector(fs.path("esm_output"))
+        collector = YearCollector(fs.path("esm_output"), filesystem=fs)
         p30 = collector.collect_year(2030, 3)
         p31 = collector.collect_year(2031, 3)
         assert all("2030" in p for p in p30)
@@ -64,7 +64,7 @@ class TestMonitor:
         from repro.compss import StreamClosed
 
         run_small_esm(fs, n_days=2)
-        collector = YearCollector(fs.path("esm_output"))
+        collector = YearCollector(fs.path("esm_output"), filesystem=fs)
         collector.close()
         with pytest.raises(StreamClosed):
             collector.collect_year(2030, 99)
