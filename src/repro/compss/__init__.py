@@ -51,7 +51,6 @@ from repro.compss.failures import OnFailure, TaskFailedError, TaskCancelledError
 from repro.compss.checkpoint import CheckpointManager
 from repro.compss.streams import FileDistroStream, StreamClosed
 from repro.compss.tracing import Tracer
-from repro.compss.mpi import mpi, MiniComm, MPIError
 
 __all__ = [
     "IN", "OUT", "INOUT", "FILE_IN", "FILE_OUT", "FILE_INOUT", "Direction",
@@ -65,5 +64,4 @@ __all__ = [
     "CheckpointManager",
     "FileDistroStream", "StreamClosed",
     "Tracer",
-    "mpi", "MiniComm", "MPIError",
 ]

@@ -48,8 +48,7 @@ def in_worker() -> bool:
     return getattr(_worker_context, "active", False)
 
 
-#: Process-wide chaos hook (see :func:`set_task_fault_injector`): used
-#: when a runtime's config does not carry its own ``fault_injector``.
+#: Process-wide chaos hook (see :func:`set_task_fault_injector`).
 _ambient_fault_injector: Optional[Any] = None
 
 
@@ -59,9 +58,9 @@ def set_task_fault_injector(injector: Optional[Any]) -> Optional[Any]:
     The injector's ``before_task(func_name, task_id, worker_id, attempt,
     remote_deps=...)`` is invoked inside each task's failure scope, so a
     raise is handled exactly like the task body raising.  Pass ``None``
-    to uninstall.  This exists so chaos tooling can reach runtimes it
-    did not construct (e.g. the one a workflow entrypoint creates
-    internally).
+    to uninstall.  It is the one task fault hook, so chaos tooling
+    reaches runtimes it did not construct (e.g. the one a workflow
+    entrypoint creates internally).
     """
     global _ambient_fault_injector
     previous = _ambient_fault_injector
@@ -95,9 +94,6 @@ class RuntimeConfig:
         Exponential-backoff schedule for resubmissions: retry *k*
         dispatches no sooner than ``base * 2**k`` seconds (capped)
         after the failure.  ``base=0`` disables the delay.
-    fault_injector:
-        Optional chaos hook consulted before each task execution; see
-        :func:`set_task_fault_injector` for the process-wide variant.
     """
 
     n_workers: int = 4
@@ -116,7 +112,6 @@ class RuntimeConfig:
     # blacklisting can deadlock — the only "clean" workers may be pinned
     # by long-running tasks that transitively wait on the retrying one.
     blacklist_grace_s: float = 0.5
-    fault_injector: Optional[Any] = None
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -520,7 +515,7 @@ class COMPSsRuntime:
             ) as handle:
                 transfer_plan = self._plan_transfers(node, worker_id)
                 try:
-                    injector = self.config.fault_injector or _ambient_fault_injector
+                    injector = _ambient_fault_injector
                     if injector is not None:
                         # Resident-set hits never touch the network, so
                         # only the planned fetches are eligible for

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -295,32 +294,20 @@ class CMCCCM3:
         self,
         baseline_year: int = 1995,
         n_days: int = DAYS_PER_YEAR,
-        executor=None,
     ) -> Dataset:
         """The 20-year-average climatology file the workflow loads once.
 
         Contains per-day-of-year TMAX/TMIN baselines (no noise, no
         events) — the synthetic analogue of the paper's "long-term
         historical averages".
-
-        Unlike :meth:`iter_year` (sequentially coupled day to day), each
-        climatology day is an independent closed-form field, so with
-        *executor* (a :class:`~repro.parallel.ProcessPoolBackend`) the
-        days fan out across worker processes in chunks.  The per-day
-        computation is deterministic and the stack order fixed, so both
-        paths produce byte-identical datasets.
         """
-        days = list(range(1, n_days + 1))
-        if executor is not None:
-            chunks = [days[i:i + 32] for i in range(0, len(days), 32)]
-            fn = partial(
-                _baseline_days_chunk, self.config, baseline_year
-            )
-            pairs = [p for chunk in executor.map(fn, chunks) for p in chunk]
-        else:
-            pairs = _baseline_days(self, baseline_year, days)
-        tmax = np.stack([p[0] for p in pairs]).astype(np.float32)
-        tmin = np.stack([p[1] for p in pairs]).astype(np.float32)
+        tmax, tmin = [], []
+        for d in range(1, n_days + 1):
+            sst = self.ocean.sst_clim(baseline_year, d)
+            tmax.append(self.atmosphere.baseline_tmax(d, baseline_year, sst_clim=sst))
+            tmin.append(self.atmosphere.baseline_tmin(d, baseline_year, sst_clim=sst))
+        tmax = np.stack(tmax).astype(np.float32)
+        tmin = np.stack(tmin).astype(np.float32)
         ds = Dataset(
             {
                 "model": "CMCC-CM3-sim",
@@ -345,36 +332,9 @@ class CMCCCM3:
         path: str = "baselines/climatology.rnc",
         baseline_year: int = 1995,
         n_days: int = DAYS_PER_YEAR,
-        executor=None,
     ) -> str:
         filesystem.write(
-            path,
-            self.baseline_dataset(baseline_year, n_days=n_days, executor=executor),
+            path, self.baseline_dataset(baseline_year, n_days=n_days)
         )
         return path
 
-
-def _baseline_days_chunk(
-    config: ModelConfig, baseline_year: int, days: List[int]
-) -> List[Tuple["np.ndarray", "np.ndarray"]]:
-    """Worker-side climatology chunk: (tmax, tmin) fields for *days*.
-
-    Module-level (picklable) and rebuilds the model from its frozen
-    config once per chunk — the component constructors are cheap next to
-    the per-day field computation they amortise over 32 days.
-    """
-    return _baseline_days(CMCCCM3(config), baseline_year, days)
-
-
-def _baseline_days(
-    model: CMCCCM3, baseline_year: int, days: List[int]
-) -> List[Tuple["np.ndarray", "np.ndarray"]]:
-    """(tmax, tmin) climatology fields of *model* for *days*."""
-    pairs = []
-    for d in days:
-        sst = model.ocean.sst_clim(baseline_year, d)
-        pairs.append((
-            model.atmosphere.baseline_tmax(d, baseline_year, sst_clim=sst),
-            model.atmosphere.baseline_tmin(d, baseline_year, sst_clim=sst),
-        ))
-    return pairs

@@ -320,15 +320,6 @@ class OphidiaServer:
             return False
         return True
 
-    @property
-    def process_backend(self) -> Optional[ProcessPoolBackend]:
-        """The shared process pool (None on thread-backed servers).
-
-        Exposed so other workflow stages (the ESM baseline build) can
-        fan work out on the same pool instead of spawning their own.
-        """
-        return self._proc
-
     # -- NetCDF ingestion / export ---------------------------------------------
 
     def read_nc_variable(self, path: str, name: str) -> Variable:

@@ -190,49 +190,13 @@ def _run_kernel_task(payload: tuple) -> Tuple[tuple, int, Dict[str, Any]]:
     return out_handle, avoided, capture.envelope()
 
 
-def _pack(obj: Any) -> tuple:
-    """Recursively encode ndarrays in a result into shm handles."""
-    if isinstance(obj, np.ndarray):
-        handle, seg = encode_array(obj)
-        if seg is not None:
-            _untrack(seg)
-            seg.close()
-        return ("arr", handle)
-    if isinstance(obj, tuple):
-        return ("tuple", [_pack(v) for v in obj])
-    if isinstance(obj, list):
-        return ("list", [_pack(v) for v in obj])
-    return ("obj", obj)
-
-
-def _unpack(packed: tuple) -> Any:
-    kind, value = packed
-    if kind == "arr":
-        return decode_array(value)
-    if kind == "tuple":
-        return tuple(_unpack(v) for v in value)
-    if kind == "list":
-        return [_unpack(v) for v in value]
-    return value
-
-
-def _call_packed(
-    fn: Callable[[Any], Any], item: Any, ctx: Any = None
-) -> Tuple[tuple, Dict[str, Any]]:
-    capture = TelemetryCapture(ctx, "worker.map")
-    with capture:
-        packed = _pack(fn(item))
-    return packed, capture.envelope()
-
-
 class ProcessPoolBackend:
     """A lazily-spawned process pool with shared-memory result transport.
 
-    Thin enough to be shared: the Ophidia server drives fragment sweeps
-    through :meth:`map_kernel`, the ESM baseline fans day chunks out
-    through :meth:`map`.  Workers spawn on first use (constructing the
-    backend is free), and :meth:`shutdown` is idempotent, so error
-    paths can drain unconditionally.
+    The Ophidia server drives fragment sweeps through :meth:`map_kernel`.
+    Workers spawn on first use (constructing the backend is free), and
+    :meth:`shutdown` is idempotent, so error paths can drain
+    unconditionally.
     """
 
     def __init__(self, max_workers: int, name: str = "repro-proc") -> None:
@@ -354,32 +318,6 @@ class ProcessPoolBackend:
         if first_error is not None:
             raise first_error
         return results, avoided
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Generic process map; ndarray results return via shared memory.
-
-        *fn* must be picklable (a module-level function or a
-        ``functools.partial`` over one).  As with :meth:`map_kernel`,
-        the caller's span context propagates and each item's telemetry
-        envelope merges back on completion.
-        """
-        executor = self._ensure()
-        ctx = serialize_context(current_context())
-        futures = [
-            executor.submit(_call_packed, fn, item, ctx) for item in items
-        ]
-        pairs, first_error = self._drain(futures)
-        results: List[Any] = []
-        for pair in pairs:
-            if pair is None:
-                results.append(None)
-                continue
-            packed, envelope = pair
-            results.append(_unpack(packed))
-            merge_envelope(envelope)
-        if first_error is not None:
-            raise first_error
-        return results
 
     def shutdown(self) -> None:
         """Join the workers; idempotent, safe on never-started backends."""

@@ -36,12 +36,6 @@ class WorkflowParams:
     #: Directory for spilled fragment files.  ``None`` derives
     #: ``<cluster fs>/ophidia_spill`` when a budget is set.
     ophidia_spill_dir: Optional[str] = None
-    #: Where NumPy-heavy kernels execute: ``"thread"`` (default) shares
-    #: the interpreter and relies on GIL-releasing kernels;
-    #: ``"process"`` runs Ophidia fragment sweeps and the ESM baseline
-    #: on a spawn-based process pool with shared-memory array transport,
-    #: parallelising even GIL-holding Python stages across cores.
-    execution_backend: str = "thread"
     #: Cores per simulated node for CLI/benchmark ``laptop_like``
     #: clusters.  Explicit and deterministic — never derived from
     #: ``os.cpu_count()`` — so scheduling order and perf baselines do
@@ -95,17 +89,12 @@ class WorkflowParams:
             raise ValueError("n_days must be in [1, 365]")
         if self.min_length_days > self.n_days:
             raise ValueError("min_length_days cannot exceed n_days")
+        for name, low in _LOWER_BOUNDS:
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
         if self.tc_target_grid[0] % self.tc_patch or self.tc_target_grid[1] % self.tc_patch:
             raise ValueError("tc_target_grid must be divisible by tc_patch")
-        if self.ophidia_memory_budget_bytes < 0:
-            raise ValueError("ophidia_memory_budget_bytes must be non-negative")
-        if self.execution_backend not in ("thread", "process"):
-            raise ValueError(
-                f"execution_backend must be 'thread' or 'process', "
-                f"got {self.execution_backend!r}"
-            )
-        if self.cluster_cores_per_node < 1:
-            raise ValueError("cluster_cores_per_node must be >= 1")
 
     @classmethod
     def from_dict(cls, params: Dict[str, Any]) -> "WorkflowParams":
@@ -137,6 +126,20 @@ class WorkflowParams:
         if "tc_target_grid" in kwargs:
             kwargs["tc_target_grid"] = tuple(kwargs["tc_target_grid"])
         return cls(**kwargs)
+
+
+#: Smallest accepted value of each numeric field with a range.
+_LOWER_BOUNDS = (
+    ("n_workers", 1),
+    ("ophidia_io_servers", 1),
+    ("ophidia_cores", 1),
+    ("ophidia_memory_budget_bytes", 0),
+    ("cluster_cores_per_node", 1),
+    ("min_length_days", 1),
+    ("tc_patch", 1),
+    ("pace_seconds", 0),
+    ("esm_restart_every", 0),
+)
 
 
 def _is_int(value: Any) -> bool:

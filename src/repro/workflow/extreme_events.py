@@ -488,7 +488,6 @@ def _run_traced(
         spill_dir = fs.path("ophidia_spill")
     server = OphidiaServer(
         n_io_servers=p.ophidia_io_servers, n_cores=p.ophidia_cores, filesystem=fs,
-        backend=p.execution_backend,
         memory_budget_bytes=p.ophidia_memory_budget_bytes, spill_dir=spill_dir,
     )
     # Everything below the server construction runs inside its
@@ -522,7 +521,6 @@ def _run_traced(
                 )
                 baseline_path_f = tasks.write_baseline(
                     fs, p.n_lat, p.n_lon, p.scenario, p.seed, p.n_days,
-                    executor=server.process_backend,
                 )
                 if p.sequential:
                     # C1 baseline: no overlap — the whole simulation finishes

@@ -95,16 +95,11 @@ def esm_simulation(
 @task(returns=1, label="write_baseline")
 def write_baseline(
     fs: SharedFilesystem, n_lat: int, n_lon: int, scenario: str, seed: int,
-    n_days: int, executor=None,
+    n_days: int,
 ) -> str:
-    """Stage the historical-average climatology (loaded once per run).
-
-    With *executor* (the Ophidia server's process backend, when the run
-    uses one) the independent per-day climatology fields fan out across
-    worker processes; the output is byte-identical either way.
-    """
+    """Stage the historical-average climatology (loaded once per run)."""
     model = CMCCCM3(ModelConfig(n_lat=n_lat, n_lon=n_lon, scenario=scenario, seed=seed))
-    return model.write_baseline(fs, n_days=n_days, executor=executor)
+    return model.write_baseline(fs, n_days=n_days)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ transfer at most once per (producer, destination worker)."""
 import numpy as np
 
 from repro.compss import COMPSs, compss_wait_on, task
+from repro.compss.runtime import set_task_fault_injector
 from repro.compss.scheduler import SchedulerPolicy
 from repro.faults import InjectedTransferError
 
@@ -127,11 +128,14 @@ class TestReuseRule:
         """A dispatch the fault injector aborts charges nothing and
         admits nothing, so its retry is a fetch, not a hit."""
         injector = FailFirstTransfer()
-        with COMPSs(n_workers=2, scheduler=PinnedPolicy(PLACEMENT),
-                    fault_injector=injector, retry_backoff_base=0,
-                    blacklist_grace_s=0):
-            a = produce_on_0(1000)
-            assert compss_wait_on(consume_on_1(a)) == 0.0
+        previous = set_task_fault_injector(injector)
+        try:
+            with COMPSs(n_workers=2, scheduler=PinnedPolicy(PLACEMENT),
+                        retry_backoff_base=0, blacklist_grace_s=0):
+                a = produce_on_0(1000)
+                assert compss_wait_on(consume_on_1(a)) == 0.0
+        finally:
+            set_task_fault_injector(previous)
 
         assert len(injector.aborted) == 1
         value = fresh_registry.snapshot().value

@@ -12,6 +12,7 @@ from repro.compss import (
     compss_wait_on,
     task,
 )
+from repro.compss.runtime import set_task_fault_injector
 from repro.faults import FaultPlan, InjectedTaskError, TaskFaultInjector
 from repro.observability.metrics import get_registry
 
@@ -168,10 +169,13 @@ class TestTransientResubmission:
             return a + b
 
         before = get_registry().snapshot()
-        with COMPSs(n_workers=2, retry_backoff_base=0.0,
-                    fault_injector=injector):
-            outs = [add(i, i) for i in range(12)]
-            assert compss_wait_on(outs) == [2 * i for i in range(12)]
+        previous = set_task_fault_injector(injector)
+        try:
+            with COMPSs(n_workers=2, retry_backoff_base=0.0):
+                outs = [add(i, i) for i in range(12)]
+                assert compss_wait_on(outs) == [2 * i for i in range(12)]
+        finally:
+            set_task_fault_injector(previous)
         delta = get_registry().snapshot().delta(before)
         assert delta.value("faults_injected_total", kind="task_exception") > 0
         assert delta.value(

@@ -86,11 +86,11 @@ def run_cli(work):
     cli("slo", "check", "--rules", rules["malformed"], summary, expect=(2,))
     cli("tail", events, "--level", "WARNING")
     cli("run", "--param", "years=2032", "--param", "n_days=6", *SMALL,
-        "--param", "min_length_days=3", "--param", "execution_backend=process",
+        "--param", "min_length_days=3",
         "--scratch", f"{work}/proc", "--param", f"runs_db={db}",
         "--param", f"events_path={events}")
-    # The one-year process-backend run completes fewer tasks than the
-    # two-year fast run, so the fast run drifts from it on a counter.
+    # The one-year run completes fewer tasks than the two-year fast
+    # run, so the fast run drifts from it on a counter.
     proc = json.loads(cli("history", "list", "--db", db, "--limit", 1,
                           "--format", "json"))[0]["run_id"]
     for fmt in ("text", "json"):

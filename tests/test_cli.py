@@ -44,12 +44,11 @@ WORKFLOW_ARGVS = {
                        min_length_days=4, with_ml=False, runs_db="runs.db")),
     "ci-process": (
         ["run", "--param", "years=2032", "--param", "n_days=6", *TOY,
-         "--param", "min_length_days=3", "--param", "execution_backend=process",
+         "--param", "min_length_days=3",
          "--scratch", "proc-scratch", "--param", "runs_db=runs.db",
          "--param", "events_path=events.jsonl"],
         WorkflowParams(years=[2032], n_days=6, n_lat=8, n_lon=12,
-                       min_length_days=3, execution_backend="process",
-                       with_ml=False, runs_db="runs.db",
+                       min_length_days=3, with_ml=False, runs_db="runs.db",
                        events_path="events.jsonl")),
     "ci-chaos": (
         ["chaos", "--seed", "11", "--kill-node", "local1",
@@ -83,8 +82,16 @@ class TestWorkflowParamsFromArgv:
         ("bogus=1", "unknown workflow parameters"),
         ("fs_cache_bytes=1", "unknown workflow parameters"),
         ("worker_cache_bytes=0", "unknown workflow parameters"),
+        ("execution_backend=process", "unknown workflow parameters"),
         ("n_days", "expected KEY=VALUE"),
         ("with_ml=no", "'with_ml' must be bool"),
+        ("tc_patch=0", "tc_patch must be >= 1"),
+        ("n_workers=0", "n_workers must be >= 1"),
+        ("ophidia_cores=0", "ophidia_cores must be >= 1"),
+        ("ophidia_io_servers=0", "ophidia_io_servers must be >= 1"),
+        ("pace_seconds=-1", "pace_seconds must be >= 0"),
+        ("min_length_days=0", "min_length_days must be >= 1"),
+        ("esm_restart_every=-1", "esm_restart_every must be >= 0"),
     ])
     def test_bad_param_is_a_usage_error(self, pair, message, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -128,13 +128,17 @@ class EndToEndCases:
 
     def test_schedule_gauges_feed_slo_rules(self, placement, tc_model_path):
         """The four schedule gauges land in the run's metrics, so a
-        makespan SLO rule has something to judge on either placement."""
+        makespan SLO rule has something to judge on either placement;
+        the driver samples its own CPU beside them."""
         summary = placement.run(small_params(tc_model_path, n_days=8, with_ml=False))
         for gauge in ("workflow_makespan_seconds",
                       "workflow_esm_analytics_overlap_seconds",
                       "workflow_worker_utilisation",
                       "workflow_pipelined_years"):
             assert gauge in summary["metrics"], gauge
+        assert snapshot_value(
+            summary["metrics"], "process_cpu_seconds_total", role="driver"
+        ) > 0
         (result,) = evaluate_rules(parse_slo_rules(
             "slos:\n  - name: makespan\n"
             "    metric: workflow_makespan_seconds\n    max: 0.000001\n"
@@ -346,10 +350,7 @@ class ResilienceCases:
         shm_before = set(os.listdir("/dev/shm"))
         threads_before = set(threading.enumerate())
         with pytest.raises(Exception, match="model blew up"):
-            placement.run(small_params(
-                tc_model_path, n_days=8, with_ml=False,
-                execution_backend="process",
-            ))
+            placement.run(small_params(tc_model_path, n_days=8, with_ml=False))
         leaked = [t.name for t in set(threading.enumerate()) - threads_before
                   if t.is_alive()]
         assert leaked == []
