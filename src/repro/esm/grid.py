@@ -16,6 +16,9 @@ import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
+#: Fewest points a grid accepts along either axis.
+MIN_GRID_POINTS = 4
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -32,8 +35,10 @@ class Grid:
     n_lon: int = 72
 
     def __post_init__(self) -> None:
-        if self.n_lat < 4 or self.n_lon < 4:
-            raise ValueError("grid needs at least 4x4 points")
+        if min(self.n_lat, self.n_lon) < MIN_GRID_POINTS:
+            raise ValueError(
+                f"grid needs at least {MIN_GRID_POINTS}x{MIN_GRID_POINTS} points"
+            )
 
     @cached_property
     def lat(self) -> np.ndarray:

@@ -281,13 +281,16 @@ def _jsonable(attrs: Dict[str, Any]) -> Dict[str, Any]:
 # Tail
 # ---------------------------------------------------------------------------
 
+#: An idle tail's sleep backs off up to this many poll intervals.
+_MAX_POLL_BACKOFF = 16
+
+
 def tail_events(
     path: str,
     min_severity: str = "DEBUG",
     component: Optional[str] = None,
     follow: bool = False,
     poll_interval: float = 0.2,
-    max_poll_interval: Optional[float] = None,
     stop: Optional[Callable[[], bool]] = None,
 ) -> Iterator[Event]:
     """Yield events from a JSONL file, optionally following appends.
@@ -296,14 +299,10 @@ def tail_events(
     given) returns True; partial trailing lines are left unconsumed
     until their newline arrives, so a concurrent writer never yields a
     torn event.  While the file is idle the sleep backs off
-    geometrically from *poll_interval* up to *max_poll_interval*
-    (default 16x) and snaps back to *poll_interval* as soon as new
-    bytes arrive, so a quiet tail costs almost nothing but a busy one
-    stays responsive.
+    geometrically from *poll_interval* up to ``_MAX_POLL_BACKOFF`` times
+    that and snaps back to *poll_interval* as soon as new bytes arrive,
+    so a quiet tail costs almost nothing but a busy one stays responsive.
     """
-    if max_poll_interval is None:
-        max_poll_interval = poll_interval * 16
-    max_poll_interval = max(max_poll_interval, poll_interval)
     with open(path, "r", encoding="utf-8") as fh:
         buffer = ""
         sleep_for = poll_interval
@@ -326,7 +325,7 @@ def tail_events(
             if not follow or (stop is not None and stop()):
                 return
             time.sleep(sleep_for)
-            sleep_for = min(sleep_for * 1.5, max_poll_interval)
+            sleep_for = min(sleep_for * 1.5, poll_interval * _MAX_POLL_BACKOFF)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,13 @@ number of read operations from storage".  The pool's
 (experiment C2).
 """
 
-from repro.ophidia.storage import IOServer, StoragePool
+from repro.ophidia.storage import StoragePool
 from repro.ophidia.primitives import PrimitiveError, parse_primitive
 from repro.ophidia.server import OphidiaServer
 from repro.ophidia.client import Client
 from repro.ophidia.datacube import Cube, DimensionInfo
 
 __all__ = [
-    "IOServer",
     "StoragePool",
     "parse_primitive",
     "PrimitiveError",

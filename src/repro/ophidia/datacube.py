@@ -370,7 +370,7 @@ class Cube:
         if fragment_dim not in dims:
             raise ValueError(f"fragment dim {fragment_dim!r} not in {dims}")
         if nfrag is None:
-            nfrag = len(server.pool.servers)
+            nfrag = server.pool.n_servers
         axis = list(dims).index(fragment_dim)
         size = data.shape[axis]
         nfrag = max(1, min(nfrag, size)) if size else 1

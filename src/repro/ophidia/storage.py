@@ -1,15 +1,14 @@
-"""Fragment storage: chunked in-memory I/O servers with a disk spill tier.
+"""Fragment storage: one chunked in-memory fragment table with a spill tier.
 
 Ophidia partitions each datacube into fragments spread over a set of
 I/O server processes that keep data in memory between operators.  Here
-an :class:`IOServer` is an in-memory fragment table and a
-:class:`StoragePool` distributes fragments round-robin, mirroring
-Ophidia's hierarchical data organisation (host partition → I/O server →
-fragment), and counts every access in the ``ophidia_*`` registry
-families.
+the servers share one process, so a :class:`StoragePool` keeps every
+fragment in one table and records on each fragment the I/O server it
+was placed on, round-robin -- Ophidia's hierarchical data organisation
+(host partition → I/O server → fragment) without a table per server.
+The pool counts every access in the ``ophidia_*`` registry families.
 
-Beyond the flat fragment table of the original design, storage is now a
-real memory hierarchy:
+Storage is a memory hierarchy:
 
 * **Chunked fragments with statistics** — each fragment is split into
   fixed-size chunks along one axis, and every chunk carries
@@ -29,7 +28,7 @@ real memory hierarchy:
   :class:`SpillHandle` so worker processes hydrate cold data themselves
   without the parent paying the memory first.
 
-Fragments are immutable: ``put`` keeps a read-only view and every read
+Fragments are immutable: ``store`` keeps a read-only view and every read
 returns read-only arrays, so an operator that tries to mutate a shared
 fragment in place raises instead of silently corrupting state.  Spill
 files are therefore write-once — re-spilling an already-spilled
@@ -46,7 +45,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "ChunkInfo",
     "ChunkStats",
-    "IOServer",
     "SpillError",
     "SpillHandle",
     "StoragePool",
@@ -146,7 +144,7 @@ class _Fragment:
     """A chunked fragment, resident or spilled (chunk payloads dropped)."""
 
     __slots__ = ("shape", "dtype", "chunk_axis", "chunks", "nbytes",
-                 "spill_path", "spill_offsets")
+                 "server", "spill_path", "spill_offsets")
 
     def __init__(self, data: np.ndarray, chunk_axis: int, chunk_bytes: int) -> None:
         view = data.view()
@@ -157,6 +155,8 @@ class _Fragment:
         axis = chunk_axis if view.ndim and 0 <= chunk_axis < view.ndim else 0
         self.chunk_axis = axis
         self.chunks: List[_Chunk] = []
+        #: Round-robin index of the I/O server holding this fragment.
+        self.server = 0
         #: Host path of the write-once spill file (None until spilled).
         self.spill_path: Optional[str] = None
         #: Per-chunk ``(offset, length, crc32)`` into the spill file.
@@ -188,14 +188,6 @@ class _Fragment:
         shape[self.chunk_axis] = chunk.stop - chunk.start
         return tuple(shape)
 
-    def assemble(self) -> np.ndarray:
-        """Concatenate resident chunk payloads back into one array."""
-        if len(self.chunks) == 1:
-            return self.chunks[0].data
-        out = np.concatenate([c.data for c in self.chunks], axis=self.chunk_axis)
-        out.flags.writeable = False
-        return out
-
     def meta(self) -> ChunkMeta:
         return ChunkMeta(
             self.chunk_axis, self.shape, self.dtype,
@@ -204,6 +196,57 @@ class _Fragment:
                 for c in self.chunks
             ),
         )
+
+    def read_chunk(self, index: int) -> np.ndarray:
+        """One chunk's payload; a spilled chunk is one checked range read."""
+        chunk = self.chunks[index]
+        if chunk.data is not None:
+            return chunk.data
+        return _read_chunk(
+            self.spill_path, *self.spill_offsets[index],
+            self.dtype, self.chunk_shape(chunk),
+        )
+
+    def reload(self) -> None:
+        """Hydrate a spilled fragment.  Every chunk is read and checked
+        before any is admitted: a bad range leaves the fragment wholly
+        spilled, never half resident."""
+        parts = [self.read_chunk(i) for i in range(len(self.chunks))]
+        for chunk, data in zip(self.chunks, parts):
+            chunk.data = data
+
+    def spill(self, path: str) -> Tuple[int, int]:
+        """Drop the chunk payloads; returns (freed, disk) bytes.
+
+        The spill file is write-once (fragments are immutable): only the
+        first spill writes *path*, later ones just drop the payloads.  A
+        failed write raises with the fragment still fully resident —
+        spilling is all-or-nothing.
+        """
+        disk = 0
+        if self.spill_path is None:
+            self.spill_offsets, disk = _write_spill_file(path, self)
+            self.spill_path = path
+        for chunk in self.chunks:
+            chunk.data = None
+        return self.nbytes, disk
+
+    def spill_handle(self) -> Optional[SpillHandle]:
+        """A picklable cold-tier reference, or None while resident."""
+        if self.resident:
+            return None
+        return SpillHandle(
+            self.spill_path, self.dtype.str, tuple(self.shape), self.chunk_axis,
+            tuple(
+                (c.start, c.stop) + entry
+                for c, entry in zip(self.chunks, self.spill_offsets)
+            ),
+        )
+
+    def unlink(self) -> None:
+        """Delete the spill file, if this fragment ever spilled."""
+        if self.spill_path is not None:
+            _unlink(self.spill_path)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +344,16 @@ class SpillHandle:
             if shape:
                 shape[self.chunk_axis] = stop - start
             parts.append(_read_chunk(self.path, offset, length, crc, dtype, tuple(shape)))
-        if len(parts) == 1:
-            return parts[0]
-        out = np.concatenate(parts, axis=self.chunk_axis)
-        out.flags.writeable = False
-        return out
+        return _join(parts, self.chunk_axis)
+
+
+def _join(parts: List[np.ndarray], axis: int) -> np.ndarray:
+    """One read-only array from chunk payloads (zero-copy for one chunk)."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.concatenate(parts, axis=axis)
+    out.flags.writeable = False
+    return out
 
 
 def _unlink(path: str) -> None:
@@ -313,195 +361,6 @@ def _unlink(path: str) -> None:
         os.unlink(path)
     except OSError:
         pass
-
-
-# ---------------------------------------------------------------------------
-# I/O servers
-# ---------------------------------------------------------------------------
-
-
-class IOServer:
-    """One in-memory fragment store with a cold tier underneath.
-
-    Fragment payloads are chunked NumPy arrays keyed by a pool-unique
-    id; the owning :class:`StoragePool` counts every access in the
-    metrics registry.  Reads return read-only arrays — fragments are
-    immutable, so an operator mutating a read fragment raises instead of
-    corrupting shared state (operators always write new fragments).
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._fragments: Dict[int, _Fragment] = {}
-        self._lock = threading.Lock()
-
-    def put(
-        self,
-        fragment_id: int,
-        data: np.ndarray,
-        chunk_axis: int = 0,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-    ) -> None:
-        frag = _Fragment(np.asarray(data), chunk_axis, chunk_bytes)
-        with self._lock:
-            self._fragments[fragment_id] = frag
-
-    def _frag(self, fragment_id: int) -> _Fragment:
-        try:
-            return self._fragments[fragment_id]
-        except KeyError:
-            raise KeyError(
-                f"fragment {fragment_id} not on I/O server {self.name!r}"
-            ) from None
-
-    def get(self, fragment_id: int) -> np.ndarray:
-        """Read one fragment, transparently reloading it if spilled."""
-        data, _ = self.get_with_info(fragment_id)
-        return data
-
-    def get_with_info(self, fragment_id: int) -> Tuple[np.ndarray, int]:
-        """Read one fragment; returns ``(data, reloaded_bytes)``.
-
-        *reloaded_bytes* is nonzero when the read hydrated a spilled
-        fragment back into memory (the transparent-reload path).
-        """
-        with self._lock:
-            frag = self._frag(fragment_id)
-            reloaded = 0
-            if not frag.resident:
-                self._reload_locked(frag)
-                reloaded = frag.nbytes
-            return frag.assemble(), reloaded
-
-    def _reload_locked(self, frag: _Fragment) -> None:
-        if frag.spill_path is None or frag.spill_offsets is None:
-            raise SpillError("fragment is neither resident nor spilled")
-        # Decode every chunk before admitting any: a bad range leaves the
-        # fragment wholly spilled, never half resident.
-        parts = [
-            _read_chunk(frag.spill_path, *entry, frag.dtype, frag.chunk_shape(chunk))
-            for chunk, entry in zip(frag.chunks, frag.spill_offsets)
-        ]
-        for chunk, data in zip(frag.chunks, parts):
-            chunk.data = data
-
-    def chunk_meta(self, fragment_id: int) -> ChunkMeta:
-        """Chunk layout + statistics; never touches payload."""
-        with self._lock:
-            return self._frag(fragment_id).meta()
-
-    def load_chunk(self, fragment_id: int, index: int) -> np.ndarray:
-        """Read one chunk; spilled fragments serve a single range read.
-
-        This is the pruned-sweep read path: surviving chunks come back
-        one at a time and the fragment's residency is left untouched, so
-        scanning a cold cube's few hot chunks does not force the whole
-        fragment back into the memory budget.
-        """
-        with self._lock:
-            frag = self._frag(fragment_id)
-            try:
-                chunk = frag.chunks[index]
-            except IndexError:
-                raise KeyError(
-                    f"fragment {fragment_id} has no chunk {index}"
-                ) from None
-            if chunk.data is not None:
-                data = chunk.data
-            else:
-                data = _read_chunk(
-                    frag.spill_path, *frag.spill_offsets[index],
-                    frag.dtype, frag.chunk_shape(chunk),
-                )
-            return data
-
-    def spill(self, fragment_id: int, spill_dir: str) -> Tuple[int, int]:
-        """Move one fragment to the cold tier; returns (freed, disk) bytes.
-
-        The spill file is write-once (fragments are immutable): if this
-        fragment spilled before, its file is still valid and only the
-        in-memory chunk payloads are dropped.  On any write failure the
-        fragment stays fully resident — spilling is all-or-nothing.
-        """
-        with self._lock:
-            frag = self._fragments.get(fragment_id)
-            if frag is None or not frag.resident:
-                return 0, 0
-            disk_bytes = 0
-            if frag.spill_path is None:
-                path = os.path.join(spill_dir, f"fragment_{fragment_id}.spill")
-                offsets, disk_bytes = _write_spill_file(path, frag)
-                frag.spill_path = path
-                frag.spill_offsets = offsets
-            for chunk in frag.chunks:
-                chunk.data = None
-            return frag.nbytes, disk_bytes
-
-    def spill_handle(self, fragment_id: int) -> Optional[SpillHandle]:
-        """A picklable cold-tier reference, or None while resident."""
-        with self._lock:
-            frag = self._frag(fragment_id)
-            if frag.resident or frag.spill_path is None:
-                return None
-            return SpillHandle(
-                frag.spill_path, frag.dtype.str,
-                tuple(frag.shape), frag.chunk_axis,
-                tuple(
-                    (c.start, c.stop) + entry
-                    for c, entry in zip(frag.chunks, frag.spill_offsets)
-                ),
-            )
-
-    def is_resident(self, fragment_id: int) -> bool:
-        with self._lock:
-            frag = self._fragments.get(fragment_id)
-            return bool(frag is not None and frag.resident)
-
-    def delete(self, fragment_id: int) -> None:
-        with self._lock:
-            frag = self._fragments.pop(fragment_id, None)
-            if frag is None:
-                return
-            path = frag.spill_path
-        if path is not None:
-            _unlink(path)
-
-    def close(self) -> None:
-        """Delete every spill file this server wrote; nothing reads them
-        once the owning server has shut down."""
-        with self._lock:
-            paths = [f.spill_path for f in self._fragments.values()
-                     if f.spill_path is not None]
-        for path in paths:
-            _unlink(path)
-
-    def __contains__(self, fragment_id: int) -> bool:
-        with self._lock:
-            return fragment_id in self._fragments
-
-    def fragment_nbytes(self, fragment_id: int) -> int:
-        """Size of one fragment, *without* counting a read.
-
-        Accounting peek used by :attr:`Cube.nbytes`: size queries must
-        not inflate the fragment-read statistics the experiments
-        compare.  Reports the logical payload size whether the fragment
-        is resident or spilled; unknown fragments report 0.
-        """
-        with self._lock:
-            frag = self._fragments.get(fragment_id)
-            return 0 if frag is None else frag.nbytes
-
-    @property
-    def n_fragments(self) -> int:
-        with self._lock:
-            return len(self._fragments)
-
-    @property
-    def resident_bytes(self) -> int:
-        with self._lock:
-            return sum(
-                f.nbytes for f in self._fragments.values() if f.resident
-            )
 
 
 class _PoolCounters:
@@ -552,12 +411,12 @@ class _PoolCounters:
 
 
 class StoragePool:
-    """A set of I/O servers with round-robin placement and a spill tier.
+    """The I/O servers' fragments: one table, round-robin placement, a spill tier.
 
     Parameters
     ----------
     n_servers:
-        In-memory fragment stores.
+        I/O servers; each new fragment records the next one round-robin.
     chunk_bytes:
         Target chunk size along each fragment's chunk axis; chunk
         statistics are computed per chunk at write time.
@@ -585,20 +444,18 @@ class StoragePool:
             raise ValueError("memory_budget_bytes must be >= 0")
         if memory_budget_bytes and not spill_dir:
             raise ValueError("a memory budget requires a spill_dir")
-        self.servers: List[IOServer] = [
-            IOServer(f"io{idx}") for idx in range(n_servers)
-        ]
+        self.n_servers = int(n_servers)
         self.chunk_bytes = int(chunk_bytes)
         self.memory_budget_bytes = int(memory_budget_bytes)
         self.spill_dir = spill_dir
         if spill_dir:
             os.makedirs(spill_dir, exist_ok=True)
         self._fragment_ids = itertools.count(1)
-        self._placement: Dict[int, IOServer] = {}
-        self._rr = itertools.cycle(range(n_servers))
         self._lock = threading.Lock()
-        #: LRU of *resident* fragments: id → logical nbytes.
-        self._resident: "OrderedDict[int, int]" = OrderedDict()
+        #: Every fragment by id, least recently used first: the table is
+        #: also the spill order of the resident ones.
+        self._fragments: "OrderedDict[int, _Fragment]" = OrderedDict()
+        self._resident_bytes = 0
         self._counters: Optional[_PoolCounters] = None
 
     def _ctr(self) -> _PoolCounters:
@@ -619,15 +476,9 @@ class StoragePool:
         if n < 1:
             raise ValueError("must add at least one server")
         with self._lock:
-            start = len(self.servers)
-            self.servers.extend(IOServer(f"io{start + i}") for i in range(n))
-            self._rr = itertools.cycle(range(len(self.servers)))
+            self.n_servers += n
 
     # -- tiering -------------------------------------------------------------
-
-    def _touch_locked(self, fragment_id: int, nbytes: int) -> None:
-        self._resident[fragment_id] = nbytes
-        self._resident.move_to_end(fragment_id)
 
     def _enforce_budget_locked(self, keep: Optional[int] = None) -> None:
         """Spill LRU fragments until the resident tier fits the budget.
@@ -635,37 +486,36 @@ class StoragePool:
         *keep* temporarily pins one fragment (the one being written or
         read right now) so a single access cannot evict its own data
         mid-flight; if the pinned fragment alone exceeds the budget it
-        is spilled too — the caller already holds an assembled copy.
+        is spilled too — the caller already holds its payload.
         """
         budget = self.memory_budget_bytes
         if not budget:
             return
         registry = get_registry()
-        while sum(self._resident.values()) > budget and self._resident:
+        while self._resident_bytes > budget:
             victim = next(
-                (fid for fid in self._resident if fid != keep), None
+                (fid for fid, frag in self._fragments.items()
+                 if frag.resident and fid != keep),
+                keep,
             )
-            if victim is None:
-                victim = keep
+            if victim == keep:
                 keep = None
-            server = self._placement.get(victim)
-            if server is None:  # pragma: no cover - defensive
-                self._resident.pop(victim, None)
-                continue
+            frag = self._fragments[victim]
             try:
-                freed, disk = server.spill(victim, self.spill_dir)
+                freed, disk = frag.spill(
+                    os.path.join(self.spill_dir, f"fragment_{victim}.spill")
+                )
             except Exception:
                 # Spilling is best-effort: a failed spill (a full or
                 # broken disk) leaves the fragment resident and
                 # the pool over budget rather than corrupting state.
-                self._resident.pop(victim, None)
-                self._resident[victim] = self._resident_nbytes(victim)
+                self._fragments.move_to_end(victim)
                 registry.counter(
                     "ophidia_spill_failures_total",
                     "Fragment spill attempts that failed (fragment kept hot)",
                 ).inc()
                 return
-            self._resident.pop(victim, None)
+            self._resident_bytes -= freed
             if freed:
                 registry.counter(
                     "ophidia_fragments_spilled_total",
@@ -681,39 +531,40 @@ class StoragePool:
                     "Payload bytes written to spill files",
                 ).inc(disk)
 
-    def _resident_nbytes(self, fragment_id: int) -> int:
-        server = self._placement.get(fragment_id)
-        return 0 if server is None else server.fragment_nbytes(fragment_id)
-
     # -- fragment operations -------------------------------------------------
+
+    def _get_locked(self, fragment_id: int) -> _Fragment:
+        try:
+            return self._fragments[fragment_id]
+        except KeyError:
+            raise KeyError(f"unknown fragment id {fragment_id}") from None
 
     def store(self, data: np.ndarray, chunk_axis: int = 0) -> int:
         """Place a new fragment; returns its pool-unique id."""
+        frag = _Fragment(np.asarray(data), chunk_axis, self.chunk_bytes)
         with self._lock:
             fragment_id = next(self._fragment_ids)
-            server = self.servers[next(self._rr)]
-            self._placement[fragment_id] = server
-        server.put(fragment_id, data, chunk_axis, self.chunk_bytes)
-        nbytes = int(np.asarray(data).nbytes)
+            frag.server = (fragment_id - 1) % self.n_servers
+            self._fragments[fragment_id] = frag
+            self._resident_bytes += frag.nbytes
+            self._enforce_budget_locked(keep=fragment_id)
         counters = self._ctr()
         counters.writes.inc()
-        counters.bytes_written.inc(nbytes)
-        with self._lock:
-            self._touch_locked(fragment_id, nbytes)
-            self._enforce_budget_locked(keep=fragment_id)
+        counters.bytes_written.inc(frag.nbytes)
         return fragment_id
-
-    def _server_for(self, fragment_id: int) -> IOServer:
-        with self._lock:
-            server = self._placement.get(fragment_id)
-        if server is None:
-            raise KeyError(f"unknown fragment id {fragment_id}")
-        return server
 
     def load(self, fragment_id: int) -> np.ndarray:
         """Read one fragment, transparently reloading from the spill tier."""
-        server = self._server_for(fragment_id)
-        data, reloaded = server.get_with_info(fragment_id)
+        with self._lock:
+            frag = self._get_locked(fragment_id)
+            reloaded = not frag.resident
+            if reloaded:
+                frag.reload()
+                self._resident_bytes += frag.nbytes
+            parts = [chunk.data for chunk in frag.chunks]
+            self._fragments.move_to_end(fragment_id)
+            self._enforce_budget_locked(keep=fragment_id)
+        data = _join(parts, frag.chunk_axis)
         counters = self._ctr()
         counters.reads.inc()
         counters.bytes_read.inc(int(data.nbytes))
@@ -726,10 +577,7 @@ class StoragePool:
             registry.counter(
                 "ophidia_reload_bytes_total",
                 "Bytes reloaded from the spill tier",
-            ).inc(reloaded)
-        with self._lock:
-            self._touch_locked(fragment_id, int(data.nbytes))
-            self._enforce_budget_locked(keep=fragment_id)
+            ).inc(frag.nbytes)
         return data
 
     def load_handle(self, fragment_id: int):
@@ -740,13 +588,14 @@ class StoragePool:
         handle the consumer hydrates itself (in a worker process, off
         the parent's budget).  Both count as one logical fragment read.
         """
-        server = self._server_for(fragment_id)
-        handle = server.spill_handle(fragment_id)
+        with self._lock:
+            frag = self._get_locked(fragment_id)
+            handle = frag.spill_handle()
         if handle is None:
             return self.load(fragment_id)
         counters = self._ctr()
         counters.reads.inc()
-        counters.bytes_read.inc(self._resident_nbytes(fragment_id))
+        counters.bytes_read.inc(frag.nbytes)
         get_registry().counter(
             "ophidia_spill_handles_total",
             "Cold-fragment reads deferred to consumer-side hydration",
@@ -755,50 +604,90 @@ class StoragePool:
 
     def chunk_meta(self, fragment_id: int) -> ChunkMeta:
         """Chunk layout and statistics of one fragment (no read counted)."""
-        return self._server_for(fragment_id).chunk_meta(fragment_id)
+        with self._lock:
+            frag = self._get_locked(fragment_id)
+        return frag.meta()
 
     def load_chunk(self, fragment_id: int, index: int) -> np.ndarray:
-        """Read a single chunk (pruned sweeps); residency is untouched."""
-        server = self._server_for(fragment_id)
-        data = server.load_chunk(fragment_id, index)
+        """Read a single chunk; residency is untouched.
+
+        This is the pruned-sweep read path: surviving chunks come back
+        one at a time and a spilled fragment serves each from one range
+        read, so scanning a cold cube's few hot chunks does not force
+        the whole fragment back into the memory budget.
+        """
+        with self._lock:
+            frag = self._get_locked(fragment_id)
+            try:
+                data = frag.read_chunk(index)
+            except IndexError:
+                raise KeyError(
+                    f"fragment {fragment_id} has no chunk {index}"
+                ) from None
         counters = self._ctr()
         counters.chunk_reads.inc()
         counters.chunk_bytes_read.inc(int(data.nbytes))
         return data
 
     def delete(self, fragment_id: int) -> None:
+        """Free one fragment and its spill file; unknown ids are a no-op."""
         with self._lock:
-            server = self._placement.pop(fragment_id, None)
-            self._resident.pop(fragment_id, None)
-        if server is not None:
-            known = fragment_id in server
-            server.delete(fragment_id)
-            if known:
-                self._ctr().deletes.inc()
+            frag = self._fragments.pop(fragment_id, None)
+            if frag is None:
+                return
+            if frag.resident:
+                self._resident_bytes -= frag.nbytes
+        frag.unlink()
+        self._ctr().deletes.inc()
 
     def fragment_nbytes(self, fragment_id: int) -> int:
-        """Non-counting size peek; 0 for unknown/deleted fragments."""
+        """Size of one fragment, *without* counting a read.
+
+        Accounting peek used by :attr:`Cube.nbytes`: size queries must
+        not inflate the fragment-read statistics the experiments
+        compare.  Reports the logical payload size whether the fragment
+        is resident or spilled; unknown fragments report 0.
+        """
         with self._lock:
-            server = self._placement.get(fragment_id)
-        return 0 if server is None else server.fragment_nbytes(fragment_id)
+            frag = self._fragments.get(fragment_id)
+        return 0 if frag is None else frag.nbytes
 
     def delete_many(self, fragment_ids: Sequence[int]) -> None:
         for fid in fragment_ids:
             self.delete(fid)
 
     def close(self) -> None:
-        """Delete the pool's spill files (see :meth:`IOServer.close`)."""
-        for server in self.servers:
-            server.close()
+        """Delete every spill file; nothing reads them once the owning
+        server has shut down."""
+        with self._lock:
+            frags = list(self._fragments.values())
+        for frag in frags:
+            frag.unlink()
+
+    # -- introspection -------------------------------------------------------
+
+    def is_resident(self, fragment_id: int) -> bool:
+        with self._lock:
+            frag = self._fragments.get(fragment_id)
+            return bool(frag is not None and frag.resident)
+
+    def fragments_per_server(self) -> List[int]:
+        """How many fragments each I/O server holds."""
+        counts = [0] * self.n_servers
+        with self._lock:
+            for frag in self._fragments.values():
+                counts[frag.server] += 1
+        return counts
+
+    @property
+    def resident_bytes(self) -> int:
+        return self._resident_bytes
 
     @property
     def spilled_fragments(self) -> int:
         with self._lock:
-            placements = list(self._placement.items())
-        return sum(
-            0 if server.is_resident(fid) else 1 for fid, server in placements
-        )
+            return sum(not f.resident for f in self._fragments.values())
 
     @property
     def n_fragments(self) -> int:
-        return sum(s.n_fragments for s in self.servers)
+        return len(self._fragments)

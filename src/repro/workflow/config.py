@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.esm.grid import MIN_GRID_POINTS
+
 
 @dataclass
 class WorkflowParams:
@@ -130,6 +132,8 @@ class WorkflowParams:
 
 #: Smallest accepted value of each numeric field with a range.
 _LOWER_BOUNDS = (
+    ("n_lat", MIN_GRID_POINTS),
+    ("n_lon", MIN_GRID_POINTS),
     ("n_workers", 1),
     ("ophidia_io_servers", 1),
     ("ophidia_cores", 1),

@@ -110,11 +110,11 @@ class TestDynamicScaling:
         for _ in range(4):
             pool.store(np.zeros(2))
         pool.add_servers(2)
-        assert len(pool.servers) == 4
+        assert pool.n_servers == 4
         for _ in range(8):
             pool.store(np.zeros(2))
         # New servers received fragments; old fragments untouched.
-        assert all(s.n_fragments >= 2 for s in pool.servers)
+        assert all(n >= 2 for n in pool.fragments_per_server())
         assert pool.n_fragments == 12
 
     def test_existing_fragments_still_readable(self):

@@ -1,56 +1,47 @@
-"""Tests for I/O servers and the storage pool."""
+"""Tests for the storage pool: its fragment table and its spill tier."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.observability import metrics
 from repro.observability.metrics import MetricsRegistry
-from repro.ophidia import IOServer, StoragePool
+from repro.ophidia import StoragePool
 from repro.ophidia.storage import SpillError, SpillHandle
 
 
-class TestIOServer:
-    def test_put_get(self):
-        s = IOServer("io0")
-        s.put(1, np.arange(5))
-        np.testing.assert_array_equal(s.get(1), np.arange(5))
-
+class TestStoragePool:
     def test_counters(self, fresh_registry):
-        """A server's accesses are counted in the registry by its pool."""
+        """The pool counts every access in the registry."""
         pool = StoragePool(1)
         fid = pool.store(np.zeros(10, dtype=np.float64))
         pool.load(fid)
         pool.load(fid)
-        assert fid in pool.servers[0]
+        assert pool.fragments_per_server() == [1]
         value = fresh_registry.snapshot().value
         assert value("ophidia_fragment_writes_total") == 1
         assert value("ophidia_fragment_reads_total") == 2
         assert value("ophidia_fragment_bytes_written_total") == 80
         assert value("ophidia_fragment_bytes_read_total") == 160
 
-    def test_missing_fragment(self):
-        s = IOServer("io0")
-        with pytest.raises(KeyError):
-            s.get(99)
-
     def test_delete_idempotent(self):
-        s = IOServer("io0")
-        s.put(1, np.zeros(3))
-        s.delete(1)
-        s.delete(1)
-        assert 1 not in s
+        pool = StoragePool(1)
+        fid = pool.store(np.zeros(3))
+        pool.delete(fid)
+        pool.delete(fid)
+        assert pool.n_fragments == 0
+        with pytest.raises(KeyError):
+            pool.load(fid)
 
     def test_resident_bytes(self):
-        s = IOServer("io0")
-        s.put(1, np.zeros(4, dtype=np.float64))
-        s.put(2, np.zeros(2, dtype=np.float32))
-        assert s.resident_bytes == 32 + 8
-        assert s.n_fragments == 2
+        pool = StoragePool(1)
+        pool.store(np.zeros(4, dtype=np.float64))
+        pool.store(np.zeros(2, dtype=np.float32))
+        assert pool.resident_bytes == 32 + 8
+        assert pool.n_fragments == 2
 
-
-class TestStoragePool:
     def test_total_stats_aggregates(self, fresh_registry):
         """One registry series counts the accesses of every server."""
         pool = StoragePool(2)
@@ -58,7 +49,7 @@ class TestStoragePool:
         for fid in fids:
             pool.load(fid)
             pool.load(fid)
-        assert [s.n_fragments for s in pool.servers] == [2, 2]
+        assert pool.fragments_per_server() == [2, 2]
         value = fresh_registry.snapshot().value
         assert value("ophidia_fragment_writes_total") == 4
         assert value("ophidia_fragment_reads_total") == 8
@@ -69,7 +60,19 @@ class TestStoragePool:
         pool = StoragePool(n_servers=3)
         for _ in range(6):
             pool.store(np.zeros(1))
-        assert [s.n_fragments for s in pool.servers] == [2, 2, 2]
+        assert pool.fragments_per_server() == [2, 2, 2]
+
+    def test_put_get(self):
+        """Fragments of any dtype and shape come back as stored."""
+        pool = StoragePool(2)
+        stored = [np.arange(5), np.ones((2, 3), dtype=np.float32),
+                  np.array([True, False])]
+        fids = [pool.store(data) for data in stored]
+        assert len(set(fids)) == len(fids)
+        for fid, data in zip(fids, stored):
+            got = pool.load(fid)
+            assert got.dtype == data.dtype
+            np.testing.assert_array_equal(got, data)
 
     def test_store_load_roundtrip(self):
         pool = StoragePool(2)
@@ -80,6 +83,18 @@ class TestStoragePool:
         pool = StoragePool(1)
         with pytest.raises(KeyError):
             pool.load(123)
+
+    def test_missing_fragment(self):
+        """Every read path refuses an id that was never stored or is gone."""
+        pool = StoragePool(1)
+        fid = pool.store(np.zeros(3))
+        pool.delete(fid)
+        for read in (pool.load, pool.load_handle, pool.chunk_meta):
+            with pytest.raises(KeyError):
+                read(fid)
+        with pytest.raises(KeyError):
+            pool.load_chunk(fid, 0)
+        assert pool.fragment_nbytes(fid) == 0
 
     def test_delete_many(self, fresh_registry):
         pool = StoragePool(2)
@@ -120,11 +135,10 @@ class TestStoragePool:
 
 class TestChunking:
     def test_fragment_splits_into_chunks_with_stats(self):
-        s = IOServer("io0")
+        pool = StoragePool(1, chunk_bytes=64)
         data = np.arange(24, dtype=np.float64).reshape(6, 4)
         # 2 rows of 4 float64 per chunk -> 3 chunks.
-        s.put(1, data, chunk_axis=0, chunk_bytes=64)
-        meta = s.chunk_meta(1)
+        meta = pool.chunk_meta(pool.store(data, chunk_axis=0))
         assert len(meta.chunks) == 3
         assert [(c.start, c.stop) for c in meta.chunks] == [(0, 2), (2, 4), (4, 6)]
         first = meta.chunks[0].stats
@@ -132,18 +146,18 @@ class TestChunking:
         assert first.null_count == 0 and first.count == 8
 
     def test_chunk_stats_count_nans(self):
-        s = IOServer("io0")
+        pool = StoragePool(1, chunk_bytes=1 << 20)
         data = np.array([1.0, np.nan, 3.0, np.nan])
-        s.put(1, data, chunk_bytes=1 << 20)
-        (chunk,) = s.chunk_meta(1).chunks
+        (chunk,) = pool.chunk_meta(pool.store(data)).chunks
         assert chunk.stats.null_count == 2
         assert chunk.stats.min == 1.0 and chunk.stats.max == 3.0
 
     def test_get_reassembles_multi_chunk_fragment(self):
-        s = IOServer("io0")
+        pool = StoragePool(1, chunk_bytes=48)
         data = np.random.default_rng(0).normal(size=(7, 3))
-        s.put(1, data, chunk_axis=0, chunk_bytes=48)
-        np.testing.assert_array_equal(s.get(1), data)
+        fid = pool.store(data, chunk_axis=0)
+        assert len(pool.chunk_meta(fid).chunks) == 4
+        np.testing.assert_array_equal(pool.load(fid), data)
 
     def test_load_chunk_returns_slice(self, fresh_registry):
         pool = StoragePool(1, chunk_bytes=64)
@@ -168,26 +182,24 @@ class TestChunking:
 
 class TestImmutability:
     def test_single_chunk_read_is_read_only(self):
-        s = IOServer("io0")
-        s.put(1, np.arange(4.0))
-        view = s.get(1)
+        pool = StoragePool(1)
+        view = pool.load(pool.store(np.arange(4.0)))
         with pytest.raises(ValueError):
             view[0] = 99.0
 
     def test_multi_chunk_read_is_read_only(self):
-        s = IOServer("io0")
-        s.put(1, np.arange(32.0), chunk_bytes=64)
-        view = s.get(1)
+        pool = StoragePool(1, chunk_bytes=64)
+        view = pool.load(pool.store(np.arange(32.0)))
         with pytest.raises(ValueError):
             view[:] = 0.0
 
     def test_stored_fragment_unaffected_by_source_mutation(self):
-        s = IOServer("io0")
+        pool = StoragePool(1)
         src = np.arange(4.0)
-        s.put(1, src)
+        fid = pool.store(src)
         # The store may alias the caller's buffer; the read-only contract
         # covers what readers can do, not the writer's own array.
-        np.testing.assert_array_equal(s.get(1), np.arange(4.0))
+        np.testing.assert_array_equal(pool.load(fid), np.arange(4.0))
 
 
 class TestSpillTier:
@@ -216,18 +228,16 @@ class TestSpillTier:
         b = pool.store(np.zeros(32))
         pool.load(a)                   # a is now most-recently used
         c = pool.store(np.zeros(32))   # over budget: evict b, not a
-        srv = pool.servers[0]
-        assert srv.is_resident(a) and srv.is_resident(c)
-        assert not srv.is_resident(b)
+        assert pool.is_resident(a) and pool.is_resident(c)
+        assert not pool.is_resident(b)
 
     def test_load_chunk_on_cold_fragment_stays_cold(self, tmp_path):
         pool = self._pool(tmp_path, budget=100, chunk_bytes=128)
         data = np.arange(64, dtype=np.float64)
         fid = pool.store(data)
-        srv = pool.servers[0]
-        assert not srv.is_resident(fid)
+        assert not pool.is_resident(fid)
         np.testing.assert_array_equal(pool.load_chunk(fid, 1), data[16:32])
-        assert not srv.is_resident(fid)
+        assert not pool.is_resident(fid)
 
     def test_load_handle_round_trips_cold_fragment(
         self, tmp_path, fresh_registry
@@ -267,7 +277,7 @@ class TestSpillTier:
         monkeypatch.setattr(storage_mod, "_write_spill_file", boom)
         data = np.random.default_rng(3).normal(size=64)
         fid = pool.store(data)
-        assert pool.servers[0].is_resident(fid)
+        assert pool.is_resident(fid)
         assert fresh_registry.snapshot().value("ophidia_spill_failures_total") == 1
         np.testing.assert_array_equal(pool.load(fid), data)
 
@@ -277,8 +287,8 @@ class TestSpillTier:
         pool = StoragePool(2, memory_budget_bytes=384, spill_dir=str(tmp_path))
         for _ in range(5):
             pool.store(np.zeros(32))   # 256 bytes, round-robin over 2 servers
-            assert sum(s.resident_bytes for s in pool.servers) <= 384
-        assert [s.n_fragments for s in pool.servers] == [3, 2]
+            assert pool.resident_bytes <= 384
+        assert pool.fragments_per_server() == [3, 2]
         assert pool.spilled_fragments == 4
 
     def test_spill_writes_the_raw_payload(self, tmp_path, fresh_registry):
@@ -342,7 +352,7 @@ class TestSpillIntegrity:
         path.write_bytes(bytes(raw))
         with pytest.raises(SpillError):
             pool.load(fid)
-        assert not pool.servers[0].is_resident(fid)
+        assert not pool.is_resident(fid)
         assert pool.spilled_fragments == 1
         # Ranges are checked one by one: the intact chunks still read.
         np.testing.assert_array_equal(
@@ -360,6 +370,83 @@ class TestSpillIntegrity:
         monkeypatch.setattr(storage_mod.os, "replace", refuse)
         pool = StoragePool(1, memory_budget_bytes=100, spill_dir=str(tmp_path))
         fid = pool.store(np.zeros(64))
-        assert pool.servers[0].is_resident(fid)
+        assert pool.is_resident(fid)
         assert fresh_registry.snapshot().value("ophidia_spill_failures_total") == 1
+        assert os.listdir(tmp_path) == []
+
+
+class TestConcurrentAccess:
+    """Four threads share the one fragment table under a tight budget."""
+
+    N_THREADS = 4
+    OPS_PER_THREAD = 200
+
+    def _worker(self, pool, seed, results, barrier):
+        rng = np.random.default_rng(seed)
+        mine = {}                                    # fid -> stored array
+        reads = 0
+        barrier.wait()
+        for _ in range(self.OPS_PER_THREAD):
+            op = rng.choice(["store", "load", "load_handle", "load_chunk",
+                             "delete"] if mine else ["store"])
+            if op == "store":
+                data = rng.normal(size=(int(rng.integers(4, 17)), 4))
+                mine[pool.store(data)] = data
+                continue
+            fid = list(mine)[int(rng.integers(len(mine)))]
+            data = mine[fid]
+            if op == "load":
+                np.testing.assert_array_equal(pool.load(fid), data)
+                reads += 1
+            elif op == "load_handle":
+                got = pool.load_handle(fid)
+                if isinstance(got, SpillHandle):
+                    got = got.hydrate()
+                np.testing.assert_array_equal(got, data)
+                reads += 1
+            elif op == "load_chunk":
+                chunks = pool.chunk_meta(fid).chunks
+                index = int(rng.integers(len(chunks)))
+                np.testing.assert_array_equal(
+                    pool.load_chunk(fid, index),
+                    data[chunks[index].start:chunks[index].stop],
+                )
+            else:
+                pool.delete(fid)
+                del mine[fid]
+        results.append((reads, mine))
+
+    def test_four_threads_share_one_table(self, tmp_path, fresh_registry):
+        # Fragments are 128-512 bytes in 64-byte chunks: the budget holds
+        # about three of them, so every thread spills and reloads.
+        pool = StoragePool(2, chunk_bytes=64, memory_budget_bytes=1024,
+                           spill_dir=str(tmp_path))
+        results, errors = [], []
+        barrier = threading.Barrier(self.N_THREADS)
+
+        def run(seed):
+            try:
+                self._worker(pool, seed, results, barrier)
+            except BaseException as exc:             # re-raised below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(100 + i,))
+                   for i in range(self.N_THREADS)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
+        value = fresh_registry.snapshot().value
+        assert value("ophidia_fragment_reads_total") == sum(r for r, _ in results)
+        assert value("ophidia_fragments_spilled_total") > 0
+        assert value("ophidia_fragments_reloaded_total") > 0
+        assert value("ophidia_spill_handles_total") > 0
+        live = {fid: data for _, mine in results for fid, data in mine.items()}
+        assert pool.n_fragments == len(live)
+        resident = sum(data.nbytes for fid, data in live.items()
+                       if pool.is_resident(fid))
+        assert pool.resident_bytes == resident <= 1024
+        pool.close()
         assert os.listdir(tmp_path) == []

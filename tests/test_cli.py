@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main, parse_args
+from repro.esm.grid import MIN_GRID_POINTS
 from repro.workflow import WorkflowParams
 
 SMALL_RUN = ("--param", "n_days=6", "--param", "n_lat=16", "--param", "n_lon=24",
@@ -92,6 +93,8 @@ class TestWorkflowParamsFromArgv:
         ("pace_seconds=-1", "pace_seconds must be >= 0"),
         ("min_length_days=0", "min_length_days must be >= 1"),
         ("esm_restart_every=-1", "esm_restart_every must be >= 0"),
+        ("n_lat=1", f"n_lat must be >= {MIN_GRID_POINTS}"),
+        ("n_lon=3", f"n_lon must be >= {MIN_GRID_POINTS}"),
     ])
     def test_bad_param_is_a_usage_error(self, pair, message, capsys):
         with pytest.raises(SystemExit) as exc:
